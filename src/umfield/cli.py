@@ -30,9 +30,7 @@ def _fmt(x) -> str:
 
 
 class _CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """Usage or input error the CLI reports itself (exit code 2)."""
 
 
 def _load_tree(args) -> treemod.BallTree:
@@ -40,7 +38,7 @@ def _load_tree(args) -> treemod.BallTree:
         try:
             p, depth, total = args.gen.split(":")
             return treemod.generate_homogeneous(int(p), int(depth), float(total))
-        except (ValueError, treemod.TreeError) as e:
+        except ValueError as e:
             raise _CliError(f"--gen expects p:depth:measure, got {args.gen!r} ({e})")
     if not args.tree:
         raise _CliError("a tree file (or --gen) is required")
@@ -52,15 +50,16 @@ def _load_tree(args) -> treemod.BallTree:
         raise _CliError(f"invalid tree document {args.tree}: {e}")
 
 
-def _load_symbol(t: treemod.BallTree, args) -> pdomod.Symbol:
-    try:
-        if t.symbol_hint is not None:
-            return pdomod.symbol_from_tree(t)
-        if args.gen:
-            return pdomod.constant_symbol(t, 1.0)
+def _load(args):
+    """The pipeline up to the spectrum: (tree, symbol, spectrum)."""
+    t = _load_tree(args)
+    if t.symbol_hint is not None:
+        s = pdomod.symbol_from_tree(t)
+    elif args.gen:
+        s = pdomod.constant_symbol(t, 1.0)
+    else:
         raise _CliError("tree document carries no symbol values (\"T\" fields)")
-    except ValueError as e:
-        raise _CliError(str(e))
+    return t, s, pdomod.spectrum(t, s)
 
 
 def _emit(args, text: str) -> None:
@@ -92,9 +91,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    t = _load_tree(args)
-    s = _load_symbol(t, args)
-    sp = pdomod.spectrum(t, s)
+    t, s, sp = _load(args)
     rows = [("vertex_id", "depth", "nu", "T", "lambda")]
     for v in t.interior:
         rows.append((t.names[v], t.depth[v], t.measure[v], s.values[v], sp.lam[v]))
@@ -114,13 +111,8 @@ def cmd_wavelets(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    t = _load_tree(args)
-    s = _load_symbol(t, args)
-    sp = pdomod.spectrum(t, s)
-    try:
-        kernel = fieldmod.covariance_kernel(t, sp)
-    except fieldmod.ZeroEigenvalue as e:
-        raise _CliError(str(e))
+    t, _, sp = _load(args)
+    kernel = fieldmod.covariance_kernel(t, sp)
     if args.pairs == "profile":
         rows = [("vertex_id", "nu", "K")]
         for v in t.preorder:
@@ -136,17 +128,12 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    t = _load_tree(args)
-    s = _load_symbol(t, args)
-    sp = pdomod.spectrum(t, s)
+    t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
     rows = [("sample_index", "leaf_id", "value")]
     for i in range(args.count):
         stream = np.random.SeedSequence([args.seed, i])
-        try:
-            sample = fieldmod.sample_field(t, sp, basis, stream)
-        except fieldmod.ZeroEigenvalue as e:
-            raise _CliError(str(e))
+        sample = fieldmod.sample_field(t, sp, basis, stream)
         for pos, leaf in enumerate(t.leaf_order):
             rows.append((i, t.names[leaf], sample.values[pos]))
     _emit(args, _csv(rows))
@@ -154,14 +141,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mc_cov(args) -> int:
-    t = _load_tree(args)
-    s = _load_symbol(t, args)
-    sp = pdomod.spectrum(t, s)
-    basis = wavmod.build_basis(t)
-    try:
-        result = fieldmod.empirical_covariance(t, sp, basis, args.n, args.seed)
-    except (fieldmod.ZeroEigenvalue, ValueError) as e:
-        raise _CliError(str(e))
+    t, _, sp = _load(args)
+    result = fieldmod.empirical_covariance(t, sp, wavmod.build_basis(t), args.n, args.seed)
     dev = np.abs(result.matrix - result.analytic)
     ok = bool(np.all(dev <= args.tol_sigma * result.standard_error))
     _emit_json(args, {
@@ -176,10 +157,7 @@ def cmd_mc_cov(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        report = pdomod.convergence_report(args.p, args.mu, args.q, args.levels)
-    except treemod.OutOfRange as e:
-        raise _CliError(str(e))
+    report = pdomod.convergence_report(args.p, args.mu, args.q, args.levels)
 
     def verdict(v):
         out = {"converges": v.converges, "ratio": v.ratio if v.ratio != float("inf") else "inf"}
@@ -198,76 +176,74 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    t = _load_tree(args)
+# ------------------------------------------------------------- verifications
+# Each check returns (report fields, figure compared with the tolerance, default tolerance).
+
+def _verify_eigen(args):
+    t, s, _ = _load(args)
+    resid = pdomod.verify_eigen(t, s, wavmod.build_basis(t))
+    return {"residual": resid}, resid, 1e-9
+
+
+def _verify_kernel(args):
+    t, _, sp = _load(args)
+    kernel = fieldmod.covariance_kernel(t, sp)
     basis = wavmod.build_basis(t)
-    report = {"check": args.what}
+    resid = 0.0
+    for i, x in enumerate(t.leaf_order):
+        for y in t.leaf_order[i:]:
+            bf = fieldmod.kernel_bruteforce(t, sp, basis, x, y)
+            resid = max(resid, abs(kernel.values[t.sup(x, y)] - bf))
+    return {"residual": resid}, resid / max(1.0, kernel.max_abs()), 1e-10
 
-    if args.what == "ortho":
-        G = wavmod.gram_matrix(basis)
-        resid = float(np.abs(G - np.eye(G.shape[0])).max())
-        tol = args.tol if args.tol is not None else 1e-10
-        ok = resid <= tol
-        report.update(residual=resid, tol=tol)
-    elif args.what == "eigen":
-        s = _load_symbol(t, args)
-        resid = pdomod.verify_eigen(t, s, basis)
-        tol = args.tol if args.tol is not None else 1e-9
-        ok = resid <= tol
-        report.update(residual=resid, tol=tol)
-    elif args.what == "kernel":
-        s = _load_symbol(t, args)
-        sp = pdomod.spectrum(t, s)
-        try:
-            kernel = fieldmod.covariance_kernel(t, sp)
-        except fieldmod.ZeroEigenvalue as e:
-            raise _CliError(str(e))
-        resid = 0.0
-        for i, x in enumerate(t.leaf_order):
-            for y in t.leaf_order[i:]:
-                bf = fieldmod.kernel_bruteforce(t, sp, basis, x, y)
-                resid = max(resid, abs(kernel.values[t.sup(x, y)] - bf))
-        tol = args.tol if args.tol is not None else 1e-10
-        ok = resid <= tol * max(1.0, kernel.max_abs())
-        report.update(residual=resid, tol=tol)
-    elif args.what == "equation":
-        s = _load_symbol(t, args)
-        sp = pdomod.spectrum(t, s)
-        try:
-            resid = fieldmod.check_equation(t, s, sp, basis, args.seed)
-        except fieldmod.ZeroEigenvalue as e:
-            raise _CliError(str(e))
-        tol = args.tol if args.tol is not None else 1e-9
-        ok = resid <= tol
-        report.update(seed=args.seed, residual=resid, tol=tol)
-    elif args.what == "markov":
-        s = _load_symbol(t, args)
-        sp = pdomod.spectrum(t, s)
-        try:
-            kernel = fieldmod.covariance_kernel(t, sp)
-        except fieldmod.ZeroEigenvalue as e:
-            raise _CliError(str(e))
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        done = 0
-        for _ in range(args.trials):
-            inst = fieldmod.random_markov_instance(t, rng)
-            if inst is None:
-                break
-            I, J, f, g = inst
-            res = fieldmod.markov_check(t, kernel, I, J, f, g)
-            scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * kernel.max_abs()
-                        * t.total_measure ** 2)
-            worst = max(worst, abs(res.value) / scale)
-            done += 1
-        tol = args.tol if args.tol is not None else 1e-12
-        ok = worst <= tol
-        report.update(trials=done, seed=args.seed, max_scaled_value=worst, tol=tol)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown verification {args.what!r}")
 
-    report["pass"] = bool(ok)
-    _emit_json(args, report)
+def _verify_ortho(args):
+    G = wavmod.gram_matrix(wavmod.build_basis(_load_tree(args)))
+    resid = float(np.abs(G - np.eye(G.shape[0])).max())
+    return {"residual": resid}, resid, 1e-10
+
+
+def _verify_markov(args):
+    if args.trials < 1:
+        raise _CliError(f"--trials must be at least 1, got {args.trials}")
+    t, _, sp = _load(args)
+    kernel = fieldmod.covariance_kernel(t, sp)
+    rng = np.random.default_rng(args.seed)
+    worst = 0.0
+    done = 0
+    for _ in range(args.trials):
+        inst = fieldmod.random_markov_instance(t, rng)
+        if inst is None:
+            break
+        I, J, f, g = inst
+        res = fieldmod.markov_check(t, kernel, I, J, f, g)
+        scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * kernel.max_abs()
+                    * t.total_measure ** 2)
+        worst = max(worst, abs(res.value) / scale)
+        done += 1
+    return {"trials": done, "seed": args.seed, "max_scaled_value": worst}, worst, 1e-12
+
+
+def _verify_equation(args):
+    t, s, sp = _load(args)
+    resid = fieldmod.check_equation(t, s, sp, wavmod.build_basis(t), args.seed)
+    return {"seed": args.seed, "residual": resid}, resid, 1e-9
+
+
+VERIFICATIONS = {
+    "eigen": _verify_eigen,
+    "kernel": _verify_kernel,
+    "ortho": _verify_ortho,
+    "markov": _verify_markov,
+    "equation": _verify_equation,
+}
+
+
+def cmd_verify(args) -> int:
+    fields, figure, tol = VERIFICATIONS[args.what](args)
+    tol = tol if args.tol is None else args.tol
+    ok = figure <= tol
+    _emit_json(args, {"check": args.what, **fields, "tol": tol, "pass": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -281,6 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
+
+    # "what" must precede the optional tree positional
+    what = argparse.ArgumentParser(add_help=False)
+    what.add_argument("what", choices=list(VERIFICATIONS))
 
     parser = argparse.ArgumentParser(prog="umfield",
                                      description="Gaussian random fields on ultrametric ball-trees")
@@ -303,14 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-sigma", type=float, default=5.0)
     p.set_defaults(func=cmd_mc_cov)
 
-    # "what" must precede the optional tree positional, so no common parent here
-    p = sub.add_parser("verify")
-    p.add_argument("what", choices=["eigen", "kernel", "ortho", "markov", "equation"])
-    p.add_argument("tree", nargs="?", help="tree-spec JSON file")
-    p.add_argument("--gen", metavar="p:depth:measure")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--quiet", action="store_true")
+    p = sub.add_parser("verify", parents=[what, common])
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=cmd_verify)
@@ -328,17 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (treemod.TreeError, ValueError) as e:
+    except (_CliError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

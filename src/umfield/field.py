@@ -19,6 +19,7 @@ stochastic equation is solved on the orthogonal complement of constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .pdo import Symbol, Spectrum, apply_dense
 
 
 class ZeroEigenvalue(ValueError):
-    """An eigenvalue needed for inversion is zero."""
+    """An eigenvalue needed for inversion is zero, or too small to invert in floating point."""
 
 
 class PreconditionViolated(ValueError):
@@ -50,6 +51,25 @@ class CovarianceKernel:
         """Full n_leaves x n_leaves covariance matrix in leaf_order indexing."""
         vals = np.asarray(self.values)
         return vals[self.tree.sup_index_matrix()]
+
+    def leaf_row(self, i: int) -> np.ndarray:
+        """Row i of leaf_matrix(), built from the ancestors of leaf i alone.
+
+        K(x, y) = K(S) for y under S but outside the child of S toward x.
+        """
+        t = self.tree
+        row = np.empty(t.n_leaves)
+        v = t.leaf_order[i]
+        row[i] = self.values[v]
+        lo, hi = i, i + 1
+        S = t.parent[v]
+        while S != -1:
+            s_lo, s_hi = t.leaf_span[S]
+            row[s_lo:lo] = self.values[S]
+            row[hi:s_hi] = self.values[S]
+            lo, hi = s_lo, s_hi
+            S = t.parent[S]
+        return row
 
     def max_abs(self) -> float:
         return float(np.abs(np.asarray(self.values)).max())
@@ -98,20 +118,25 @@ def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
 def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     """Closed-form kernel value at vertex S (leaf S gives the point variance)."""
     terms = []
-    if not t.is_leaf(S):
-        lam = sp.lam[S]
-        if lam <= 0.0:
-            raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
-        terms.append(-(lam ** -2) / t.measure[S])
-    below = S
-    I = t.parent[S]
-    while I != -1:
-        lam = sp.lam[I]
-        if lam <= 0.0:
-            raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
-        terms.append(lam ** -2 * (1.0 / t.measure[below] - 1.0 / t.measure[I]))
-        below = I
-        I = t.parent[I]
+    I = S
+    try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
+        if not t.is_leaf(S):
+            lam = sp.lam[S]
+            if lam <= 0.0:
+                raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
+            terms.append(-(lam ** -2) / t.measure[S])
+        below = S
+        I = t.parent[S]
+        while I != -1:
+            lam = sp.lam[I]
+            if lam <= 0.0:
+                raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
+            terms.append(lam ** -2 * (1.0 / t.measure[below] - 1.0 / t.measure[I]))
+            below = I
+            I = t.parent[I]
+    except OverflowError:
+        raise ZeroEigenvalue(f"eigenvalue {sp.lam[I]!r} at vertex {t.names[I]!r} is too small: "
+                             "its inverse square overflows") from None
     return math.fsum(terms)
 
 
@@ -165,14 +190,15 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
     """Double sum f(x) g(y) K(sup(x, y)) nu(x) nu(y) over all leaf pairs.
 
     Accumulated with exact summation so that analytic cancellations (the
-    Markov factorization) survive in floating point.
+    Markov factorization) survive in floating point.  The kernel is streamed
+    one leaf row at a time.  Rows where f nu is zero add only zeros but are
+    summed all the same, so the cost is n_leaves^2 terms whatever the
+    supports of f and g are.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    nu = t.leaf_measures
-    K = kernel.leaf_matrix()
-    terms = np.outer(f * nu, g * nu) * K
-    return math.fsum(terms.ravel())
+    fnu = np.asarray(f, dtype=float) * t.leaf_measures
+    gnu = np.asarray(g, dtype=float) * t.leaf_measures
+    rows = ((fnu[i] * gnu * kernel.leaf_row(i)).tolist() for i in range(t.n_leaves))
+    return math.fsum(itertools.chain.from_iterable(rows))
 
 
 def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
@@ -215,6 +241,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
     lam = _lambda_vector(sp, basis)
+    kernel = covariance_kernel(t, sp)  # before the draws: a too-small eigenvalue fails fast
     rng = np.random.default_rng(seed)
     W = basis.wavelet_leaf_matrix()
     emp = np.zeros((t.n_leaves, t.n_leaves))
@@ -229,7 +256,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
         done += m
     emp /= n_samples
 
-    analytic = covariance_kernel(t, sp).leaf_matrix()
+    analytic = kernel.leaf_matrix()
     diag = np.diag(analytic)
     se = np.sqrt((np.outer(diag, diag) + analytic ** 2) / n_samples)
     dev = np.abs(emp - analytic)

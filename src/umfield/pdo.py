@@ -52,6 +52,8 @@ class Spectrum:
 
 def _check_symbol(t: BallTree, s: Symbol) -> None:
     for v in s.values:
+        if not 0 <= v < t.n_vertices:
+            raise ValueError(f"symbol defined on unknown vertex {v!r}")
         if t.is_leaf(v):
             raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
     missing = [v for v in t.interior if v not in s.values]

@@ -124,10 +124,16 @@ class BallTree:
                 m = float(leaf_measures[v])
                 if not (m > 0.0) or not math.isfinite(m):
                     raise NonPositiveMeasure(f"leaf {names[v]!r} has measure {m}")
+                if not math.isfinite(1.0 / m):
+                    raise OutOfRange(f"leaf {names[v]!r} has measure {m}, "
+                                     "whose reciprocal overflows")
                 measure[v] = m
         for v in reversed(order):  # postorder accumulation
             if children[v]:
-                measure[v] = math.fsum(measure[c] for c in children[v])
+                try:
+                    measure[v] = math.fsum(measure[c] for c in children[v])
+                except OverflowError:
+                    raise OutOfRange(f"measure of vertex {names[v]!r} overflows") from None
 
         if declared_measures:
             for v, m in declared_measures.items():
@@ -146,7 +152,6 @@ class BallTree:
         self.interior = tuple(v for v in order if self.children[v])
         self.leaves = frozenset(v for v in range(n) if not self.children[v])
         self.leaf_order = tuple(v for v in order if not self.children[v])
-        self.leaf_pos = {v: i for i, v in enumerate(self.leaf_order)}
         self.name_to_id = {nm: v for v, nm in enumerate(self.names)}
         self.symbol_hint = dict(symbol_hint) if symbol_hint else None
 
@@ -222,10 +227,6 @@ class BallTree:
         """Canonical ultrametric: 0 if x == y, else measure of sup(x, y)."""
         s = self.sup(x, y)
         return 0.0 if x == y else self.measure[s]
-
-    def leaves_under(self, v: int) -> tuple[int, ...]:
-        lo, hi = self.leaf_span[v]
-        return self.leaf_order[lo:hi]
 
     def sup_index_matrix(self) -> np.ndarray:
         """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing."""
@@ -350,20 +351,16 @@ def generate_homogeneous(p: int, depth: int, total_measure: float) -> BallTree:
                     label=f"homogeneous(p={p},depth={depth})")
 
 
-def generate_random(seed, max_depth: int, max_branching: int,
-                    measure_range=(0.1, 1.0), interior_prob: float = 0.6) -> BallTree:
+def generate_random(seed, max_depth: int, max_branching: int) -> BallTree:
     """Random valid ball-tree, deterministic given the seed.
 
     Every interior vertex gets 2..max_branching children; a non-root vertex
-    above max_depth becomes interior with probability interior_prob.  Leaf
-    measures are uniform in measure_range.
+    above max_depth becomes interior with probability 0.6.  Leaf measures
+    are uniform in [0.1, 1.0].
     """
     if max_branching < 2 or max_depth < 1:
         raise OutOfRange(f"need max_branching >= 2 and max_depth >= 1; "
                          f"got ({max_depth}, {max_branching})")
-    lo, hi = measure_range
-    if not 0 < lo <= hi:
-        raise OutOfRange(f"need 0 < lo <= hi in measure_range; got {measure_range}")
     rng = random.Random(seed)
     names = []
     children = []
@@ -373,12 +370,12 @@ def generate_random(seed, max_depth: int, max_branching: int,
         v = len(names)
         names.append(f"v{v}")
         children.append([])
-        interior = level < max_depth and (level == 0 or rng.random() < interior_prob)
+        interior = level < max_depth and (level == 0 or rng.random() < 0.6)
         if interior:
             kids = [add(level + 1) for _ in range(rng.randint(2, max_branching))]
             children[v].extend(kids)
         else:
-            leaf_measures[v] = rng.uniform(lo, hi)
+            leaf_measures[v] = rng.uniform(0.1, 1.0)
         return v
 
     add(0)

@@ -106,11 +106,6 @@ def evaluate(basis: WaveletBasis, w: Wavelet, x: int) -> float:
     return w.coeffs[t.child_slot[prev]]
 
 
-def evaluate_constant(basis: WaveletBasis, x: int) -> float:
-    basis.tree._check_leaf(x)
-    return basis.constant_value
-
-
 def gram_matrix(basis: WaveletBasis) -> np.ndarray:
     """Pairwise weighted inner products of the full basis (identity if orthonormal)."""
     E = basis.full_leaf_matrix()
@@ -118,8 +113,7 @@ def gram_matrix(basis: WaveletBasis) -> np.ndarray:
 
 
 def projector_sum_check(tree: BallTree, I: int, x: int, y: int,
-                        basis: WaveletBasis | None = None,
-                        tol: float = _CHECK_TOL) -> float:
+                        basis: WaveletBasis | None = None) -> float:
     """Sum over j of psi_{Ij}(x) psi_{Ij}(y), checked against the projector identity.
 
     The sum equals 1/measure(c) when x and y fall in the same child c of I,
@@ -136,7 +130,7 @@ def projector_sum_check(tree: BallTree, I: int, x: int, y: int,
         cx = t.child_toward(I, x)
         if t.is_ancestor_or_equal(cx, y):
             rhs += 1.0 / t.measure[cx]
-    if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
+    if abs(lhs - rhs) > _CHECK_TOL * max(1.0, abs(rhs)):
         raise ArithmeticError(
             f"projector identity failed at vertex {t.names[I]!r}: {lhs} vs {rhs}")
     return lhs

@@ -4,7 +4,7 @@ import pytest
 
 from umfield.cli import main
 
-from conftest import T2_PATH
+from conftest import FIXTURES, T2_PATH
 
 T2 = str(T2_PATH)
 
@@ -140,3 +140,33 @@ def test_output_determinism(capsys):
     a = run(capsys, "kernel", T2)
     b = run(capsys, "kernel", T2)
     assert a == b
+
+
+def test_verify_markov_needs_trials(capsys):
+    code, out, err = run(capsys, "verify", "markov", T2, "--trials", "0")
+    assert code == 2 and out == ""
+    assert "--trials" in err
+
+
+def _rejected(capsys, doc, commands, culprit):
+    for command in commands:
+        argv = [str(FIXTURES / doc) if a == "DOC" else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, command
+        assert out == "" and "inf" not in err and culprit in err, (command, err)
+
+
+def test_tiny_leaf_measure_rejected(capsys):
+    _rejected(capsys, "tiny_measure.json",
+              ["verify ortho DOC", "verify eigen DOC", "sample DOC",
+               "kernel DOC --pairs profile", "validate DOC"], "'a1'")
+
+
+def test_overflowing_measure_sum_rejected(capsys):
+    _rejected(capsys, "huge_measure.json", ["validate DOC", "spectrum DOC"], "'R'")
+
+
+def test_tiny_symbol_rejected(capsys):
+    _rejected(capsys, "tiny_symbol.json",
+              ["kernel DOC --pairs profile", "verify markov DOC", "verify kernel DOC",
+               "mc-cov DOC --n 10"], "vertex 'R'")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_kernel_zero_eigenvalue():
     sp = um.spectrum(t, um.symbol_from_tree(t))
     with pytest.raises(um.ZeroEigenvalue):
         um.kernel_value(t, sp, t.name_to_id["R"])
+
+
+def test_kernel_tiny_eigenvalue_names_vertex():
+    doc = {"nodes": [{"id": "R", "children": ["a", "b"], "T": 1e-200},
+                     {"id": "a", "measure": 1.0}, {"id": "b", "measure": 1.0}]}
+    t = um.parse_tree(doc)
+    sp = um.spectrum(t, um.symbol_from_tree(t))
+    with pytest.raises(um.ZeroEigenvalue, match="'R'"):
+        um.kernel_value(t, sp, t.name_to_id["a"])
 
 
 def test_kernel_positive_semidefinite():
@@ -167,6 +177,34 @@ def test_bilinear_form_examples(t2, t2_spectrum, t2_basis, t2_ids):
     psiR = W[[k for k, w in enumerate(t2_basis.wavelets) if w.vertex == t2_ids["R"]][0]]
     assert um.bilinear_form(t2, kern, psiA, psiA) == pytest.approx(4 / 9, abs=1e-12)
     assert um.bilinear_form(t2, kern, psiA, psiR) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bilinear_form_matches_dense_kernel():
+    rng = np.random.default_rng(4)
+    for seed, t in enumerate(random_trees(range(6))):
+        _, sp, _ = _positive_setup(t, seed)
+        kern = um.covariance_kernel(t, sp)
+        K = kern.leaf_matrix()
+        for i in range(t.n_leaves):
+            assert np.array_equal(kern.leaf_row(i), K[i])
+        nu = t.leaf_measures
+        f = rng.standard_normal(t.n_leaves) * (rng.random(t.n_leaves) < 0.5)
+        g = rng.standard_normal(t.n_leaves)
+        dense = math.fsum((np.outer(f * nu, g * nu) * K).ravel())
+        assert um.bilinear_form(t, kern, f, g) == dense  # same terms, exact sum
+
+
+def test_bilinear_form_allocates_no_leaf_square():
+    t = um.generate_homogeneous(2, 9, 1.0)
+    kern = um.covariance_kernel(t, um.spectrum(t, um.constant_symbol(t, 1.0)))
+    f = np.ones(t.n_leaves)
+    tracemalloc.start()
+    try:
+        um.bilinear_form(t, kern, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.n_leaves ** 2 / 16
 
 
 def test_bilinear_form_nonnegative():

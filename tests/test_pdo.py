@@ -54,6 +54,13 @@ def test_symbol_rejects_leaf_entry(t2, t2_ids):
         um.spectrum(t2, s)
 
 
+@pytest.mark.parametrize("key", [-1, 7, 99])
+def test_symbol_rejects_unknown_vertex(t2, key):
+    s = um.Symbol({**{v: 1.0 for v in t2.interior}, key: 1.0})
+    with pytest.raises(ValueError, match=f"unknown vertex {key}"):
+        um.spectrum(t2, s)
+
+
 def test_spectrum_t2(t2, t2_symbol, t2_ids):
     sp = um.spectrum(t2, t2_symbol)
     assert sp.lam[t2_ids["R"]] == pytest.approx(1.0, abs=1e-12)

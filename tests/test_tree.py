@@ -26,6 +26,14 @@ def test_parse_zero_measure():
         um.parse_tree(doc)
 
 
+@pytest.mark.parametrize("a, b, culprit", [(1e-320, 0.5, "'a'"), (1e308, 1e308, "'R'")])
+def test_parse_measure_out_of_float_range(a, b, culprit):
+    doc = {"nodes": [{"id": "R", "children": ["a", "b"]},
+                     {"id": "a", "measure": a}, {"id": "b", "measure": b}]}
+    with pytest.raises(um.OutOfRange, match=culprit):
+        um.parse_tree(doc)
+
+
 def test_parse_duplicate_id():
     doc = {"nodes": [{"id": "R", "children": ["a", "b"]},
                      {"id": "a", "measure": 1.0}, {"id": "a", "measure": 1.0},

@@ -64,8 +64,11 @@ def _load(args):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _CliError(f"cannot write {args.out}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
 

@@ -1,8 +1,10 @@
 """Gaussian random field obtained by inverting a sup-operator on white noise.
 
 The field is synthesized in wavelet space: independent standard normal
-coefficients divided by the eigenvalues.  Its two-point function depends on
-a leaf pair only through their sup vertex and has the closed form
+coefficients divided by the eigenvalues, summed back to the leaves by the
+O(n) tree synthesis ``WaveletBasis.synthesize`` (no dense wavelet matrix is
+built).  Its two-point function depends on a leaf pair only through their
+sup vertex and has the closed form
 
     K(S) = -lambda_S^{-2} / nu(S)
            + sum over strict ancestors I of S of
@@ -137,7 +139,26 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     except OverflowError:
         raise ZeroEigenvalue(f"eigenvalue {sp.lam[I]!r} at vertex {t.names[I]!r} is too small: "
                              "its inverse square overflows") from None
-    return math.fsum(terms)
+    try:  # an infinite term reaches fsum as inf, or as ValueError for -inf + inf
+        k = math.fsum(terms)
+    except (ValueError, OverflowError):
+        k = math.nan
+    if not math.isfinite(k):
+        I = _overflowing_term_vertex(t, S, terms)
+        raise ZeroEigenvalue(f"eigenvalue {sp.lam[I]!r} at vertex {t.names[I]!r} is too small: "
+                             f"the kernel value at vertex {t.names[S]!r} overflows")
+    return k
+
+
+def _overflowing_term_vertex(t: BallTree, S: int, terms: list) -> int:
+    """The vertex of the first non-finite term of kernel_value(S), else of the largest one."""
+    chain = [] if t.is_leaf(S) else [S]
+    I = t.parent[S]
+    while I != -1:
+        chain.append(I)
+        I = t.parent[I]
+    bad = [v for v, x in zip(chain, terms) if not math.isfinite(x)]
+    return bad[0] if bad else max(zip(chain, terms), key=lambda vx: abs(vx[1]))[0]
 
 
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
@@ -157,15 +178,14 @@ def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldS
     lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis.wavelets))
-    psi = (d / lam) @ basis.wavelet_leaf_matrix()
-    return FieldSample(psi, seed, d)
+    return FieldSample(basis.synthesize(d / lam), seed, d)
 
 
 def sample_white_noise(t: BallTree, basis: WaveletBasis, seed) -> WhiteNoiseSample:
     """White noise: i.i.d. standard normal coefficients on the FULL basis."""
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis.wavelets) + 1)
-    phi = d[:-1] @ basis.wavelet_leaf_matrix() + d[-1] * basis.constant_value
+    phi = basis.synthesize(d[:-1]) + d[-1] * basis.constant_value
     return WhiteNoiseSample(phi, seed, d)
 
 
@@ -180,9 +200,7 @@ def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
     lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis.wavelets))
-    W = basis.wavelet_leaf_matrix()
-    psi = (d / lam) @ W
-    phi_w = d @ W
+    psi, phi_w = basis.synthesize(np.stack([d / lam, d]))
     return float(np.abs(apply_dense(t, s, psi) - phi_w).max())
 
 
@@ -243,7 +261,6 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     lam = _lambda_vector(sp, basis)
     kernel = covariance_kernel(t, sp)  # before the draws: a too-small eigenvalue fails fast
     rng = np.random.default_rng(seed)
-    W = basis.wavelet_leaf_matrix()
     emp = np.zeros((t.n_leaves, t.n_leaves))
     # draw in batches so huge n_samples does not allocate n x k at once
     batch = max(1, min(n_samples, 2 ** 22 // max(1, len(basis.wavelets))))
@@ -251,7 +268,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     while done < n_samples:
         m = min(batch, n_samples - done)
         D = rng.standard_normal((m, len(basis.wavelets)))
-        psi = (D / lam) @ W
+        psi = basis.synthesize(D / lam)
         emp += psi.T @ psi
         done += m
     emp /= n_samples

@@ -118,6 +118,9 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
         else:
             p = t.parent[I]
             lam[I] = lam[p] + t.measure[I] * (s.values[I] - s.values[p])
+        if not math.isfinite(lam[I]):
+            raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
+                             f"T = {s.values[I]!r}, measure = {t.measure[I]!r}")
     return Spectrum(lam)
 
 

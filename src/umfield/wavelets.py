@@ -4,6 +4,8 @@ Each interior vertex I with p children carries p - 1 zero-mean vectors that
 are constant on the child balls and supported inside I; together with the
 constant mode (total measure is finite here) they form an orthonormal basis
 of the leaf-function space under the measure-weighted inner product.
+``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n);
+the dense wavelet matrix is kept as the reference oracle.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -45,9 +47,27 @@ class WaveletBasis:
         self.constant_value = 1.0 / math.sqrt(tree.total_measure)
         self.wavelets: list[Wavelet] = []
         self.by_vertex: dict[int, list[Wavelet]] = {}
+        # Synthesis tables.  Wavelet j of I (row k0 + j - 1) is alpha/s on the
+        # children 0..j-1 of I and -alpha/nu_j on child j.  So child m takes the
+        # suffix sum of the positive values from row k0 + m on (pos_row) plus
+        # the negative value of row k0 + m - 1 (neg_row); a missing row points
+        # at the zero pad, row n_w.
+        n_w = tree.n_vertices - 1 - len(tree.interior)  # sum over I of (p_I - 1)
+        pos_val, neg_val = [], []
+        suffix_rows: list[list[int]] = []   # suffix_rows[j - 2]: rows with index j >= 2
+        pos_row = [n_w] * tree.n_vertices
+        neg_row = [n_w] * tree.n_vertices
+        levels: list[tuple[list[int], list[int]]] = []  # per depth >= 1: (vertices, parents)
         for I in tree.interior:
             kids = tree.children[I]
             nu = [tree.measure[c] for c in kids]
+            d = tree.depth[I]
+            if d == len(levels):
+                levels.append(([], []))
+            levels[d][0].extend(kids)
+            levels[d][1].extend([I] * len(kids))
+            k0 = len(self.wavelets)
+            pos_row[kids[0]] = k0
             here = []
             s = nu[0]
             for j in range(1, len(kids)):
@@ -61,13 +81,53 @@ class WaveletBasis:
                 if abs(norm - 1.0) > _BUILD_RTOL:
                     raise ArithmeticError(f"wavelet ({tree.names[I]}, {j}) not unit-norm: {norm}")
                 here.append(w)
+                k = k0 + j - 1
+                pos_val.append(alpha / s)
+                neg_val.append(-alpha / nu[j])
+                neg_row[kids[j]] = k
+                if j + 1 < len(kids):
+                    pos_row[kids[j]] = k + 1
+                if j >= 2:
+                    if j - 2 == len(suffix_rows):
+                        suffix_rows.append([])
+                    suffix_rows[j - 2].append(k)
                 s += nu[j]
             self.by_vertex[I] = here
             self.wavelets.extend(here)
+        self._pos_val = np.array(pos_val)
+        self._neg_val = np.array(neg_val)
+        self._suffix_rows = [np.array(r) for r in reversed(suffix_rows)]
+        self._pos_row = np.array(pos_row)
+        self._neg_row = np.array(neg_row)
+        self._levels = [(np.array(v), np.array(p)) for v, p in levels]
+        self._leaf_vertices = np.array(tree.leaf_order)
         self._wavelet_matrix = None
 
     def __len__(self) -> int:
         return len(self.wavelets)
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        """Leaf values sum_k coeffs[..., k] psi_k, in leaf_order indexing.
+
+        ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
+        has shape (..., n_leaves).  Costs O(n_vertices) per row: each child
+        ball gets its value from per-parent suffix sums over j, and the
+        values are then accumulated top-down, one depth level at a time.
+        """
+        c = np.asarray(coeffs, dtype=float)
+        n_w = len(self.wavelets)
+        if c.shape[-1:] != (n_w,):
+            raise ValueError(f"expected {n_w} coefficients in the last axis, got shape {c.shape}")
+        pos = np.zeros(c.shape[:-1] + (n_w + 1,))
+        neg = np.zeros(c.shape[:-1] + (n_w + 1,))
+        np.multiply(c, self._pos_val, out=pos[..., :n_w])
+        np.multiply(c, self._neg_val, out=neg[..., :n_w])
+        for rows in self._suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
+            pos[..., rows - 1] += pos[..., rows]
+        acc = pos[..., self._pos_row] + neg[..., self._neg_row]
+        for level, parents in self._levels:
+            acc[..., level] += acc[..., parents]
+        return acc[..., self._leaf_vertices]
 
     def wavelet_leaf_matrix(self) -> np.ndarray:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""

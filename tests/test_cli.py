@@ -170,3 +170,20 @@ def test_tiny_symbol_rejected(capsys):
     _rejected(capsys, "tiny_symbol.json",
               ["kernel DOC --pairs profile", "verify markov DOC", "verify kernel DOC",
                "mc-cov DOC --n 10"], "vertex 'R'")
+
+
+def test_out_unwritable(capsys):
+    code, out, err = run(capsys, "spectrum", T2, "--out", "/nonexistent/x.csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /nonexistent/x.csv: ")
+    assert "Traceback" not in err
+
+
+def test_huge_symbol_rejected(capsys):
+    _rejected(capsys, "huge_symbol.json",
+              ["spectrum DOC", "sample DOC", "kernel DOC --pairs profile"], "vertex 'R'")
+
+
+def test_tiny_eigenvalue_kernel_rejected(capsys):
+    _rejected(capsys, "tiny_eigen.json",
+              ["kernel DOC --pairs profile", "kernel DOC", "verify markov DOC"], "vertex 'R'")

@@ -75,6 +75,21 @@ def test_kernel_tiny_eigenvalue_names_vertex():
         um.kernel_value(t, sp, t.name_to_id["a"])
 
 
+def test_kernel_overflowing_term_names_vertex():
+    # lambda_A^-2 = 1e300 is finite, but its kernel terms over the 1e-300 balls
+    # are not: at A the leading -inf meets R's +inf, at a1 A's term is +inf
+    doc = {"nodes": [{"id": "R", "children": ["A", "x"], "T": 1e-150},
+                     {"id": "x", "measure": 1.0},
+                     {"id": "A", "children": ["a1", "a2"], "T": 1e-150},
+                     {"id": "a1", "measure": 1e-300}, {"id": "a2", "measure": 1e-300}]}
+    t = um.parse_tree(doc)
+    sp = um.spectrum(t, um.symbol_from_tree(t))
+    for name in ("A", "a1"):
+        with pytest.raises(um.ZeroEigenvalue, match="at vertex 'A' is too small"):
+            um.kernel_value(t, sp, t.name_to_id[name])
+    assert math.isfinite(um.kernel_value(t, sp, t.name_to_id["x"]))
+
+
 def test_kernel_positive_semidefinite():
     for seed, t in enumerate(random_trees(range(6))):
         _, sp, _ = _positive_setup(t, seed)
@@ -201,6 +216,19 @@ def test_bilinear_form_allocates_no_leaf_square():
     tracemalloc.start()
     try:
         um.bilinear_form(t, kern, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.n_leaves ** 2 / 16
+
+
+def test_sample_field_allocates_no_leaf_square():
+    t = um.generate_homogeneous(2, 12, 1.0)
+    sp = um.spectrum(t, um.constant_symbol(t, 1.0))
+    basis = um.build_basis(t)
+    tracemalloc.start()
+    try:
+        um.sample_field(t, sp, basis, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
@@ -146,3 +148,66 @@ def test_projector_check_rejects_corruption(t2, t2_ids):
     object.__setattr__(w, "coeffs", (w.coeffs[0] * 1.01, w.coeffs[1]))
     with pytest.raises(ArithmeticError):
         um.projector_sum_check(t2, t2_ids["A"], t2_ids["a1"], t2_ids["a2"], basis=basis)
+
+
+# ------------------------------------------------------------------ synthesis
+
+@st.composite
+def split_trees(draw):
+    """Random ball-tree grown by splitting a random leaf into 2-6 children."""
+    children = [[]]
+    for _ in range(draw(st.integers(1, 10))):
+        leaves = [v for v, kids in enumerate(children) if not kids]
+        v = draw(st.sampled_from(leaves))
+        k = draw(st.integers(2, 6))
+        children[v] = list(range(len(children), len(children) + k))
+        children.extend([] for _ in range(k))
+    measures = {v: draw(st.floats(0.01, 10.0)) for v, kids in enumerate(children) if not kids}
+    return um.BallTree([f"v{v}" for v in range(len(children))], children, measures)
+
+
+def _assert_synthesis_matches_dense(basis, coeffs):
+    dense = coeffs @ basis.wavelet_leaf_matrix()
+    got = basis.synthesize(coeffs)
+    assert got.shape == dense.shape
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesize_matches_dense_random(t, seed):
+    basis = um.build_basis(t)
+    rng = np.random.default_rng(seed)
+    _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
+    _assert_synthesis_matches_dense(basis, rng.standard_normal((3, len(basis))))
+
+
+def test_synthesize_deep_caterpillar():
+    # deeper than the recursion limit; the spine child alternates sides
+    depth = 1500
+    rng = np.random.default_rng(21)
+    nodes = []
+    for d in range(depth):
+        kids = [f"s{d + 1}", f"x{d}"] if d % 2 else [f"x{d}", f"s{d + 1}"]
+        nodes.append({"id": f"s{d}", "children": kids})
+        nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
+    nodes.append({"id": f"s{depth}", "measure": 0.5})
+    t = um.parse_tree(json.dumps({"nodes": nodes}))
+    assert max(t.depth) == depth
+    basis = um.build_basis(t)
+    _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
+    _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
+
+
+def test_synthesize_wide_star():
+    rng = np.random.default_rng(22)
+    measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, 301)}
+    t = um.BallTree([f"v{v}" for v in range(301)], [list(range(1, 301))] + [[]] * 300, measures)
+    basis = um.build_basis(t)
+    _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
+    _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
+
+
+def test_synthesize_rejects_wrong_length(t2_basis):
+    with pytest.raises(ValueError, match="coefficients"):
+        t2_basis.synthesize(np.zeros(len(t2_basis) + 1))

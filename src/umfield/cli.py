@@ -123,8 +123,7 @@ def cmd_kernel(args) -> int:
     else:
         rows = [("x", "y", "sup_vertex", "K")]
         for i, x in enumerate(t.leaf_order):
-            for y in t.leaf_order[i:]:
-                s_v = t.sup(x, y)
+            for y, s_v in zip(t.leaf_order[i:], t.sup_row(i)):
                 rows.append((t.names[x], t.names[y], t.names[s_v], kernel.values[s_v]))
     _emit(args, _csv(rows))
     return EXIT_OK

@@ -11,8 +11,13 @@ sup vertex and has the closed form
              lambda_I^{-2} (1/nu(child of I toward S) - 1/nu(I))
 
 with the leading term dropped when S is a leaf (leaves carry no wavelets, so
-the variance at a point is the pure ancestor sum).  The direct wavelet sum is
-kept as the reference oracle.
+the variance at a point is the pure ancestor sum).  ``covariance_kernel``
+evaluates it for every vertex in one top-down O(n) pass: the ancestor sum of
+a vertex is its parent's plus one term, carried down the tree as the exact
+partials that ``math.fsum`` keeps, so each value is the same correctly
+rounded sum as the per-vertex ``kernel_value``.  ``kernel_value`` walks the
+ancestors of one vertex and is kept as the path-sum reference; the direct
+wavelet sum ``kernel_bruteforce`` is the independent oracle.
 
 The operator annihilates constants, so the field is fixed to have zero
 weighted mean and the constant component of the noise has no preimage; the
@@ -118,7 +123,11 @@ def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
 
 
 def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
-    """Closed-form kernel value at vertex S (leaf S gives the point variance)."""
+    """Kernel value at vertex S from its own ancestor walk (leaf S gives the point variance).
+
+    The path-sum reference for ``covariance_kernel``, and the one place that
+    names the vertex to blame when a value cannot be computed.
+    """
     terms = []
     I = S
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
@@ -161,8 +170,56 @@ def _overflowing_term_vertex(t: BallTree, S: int, terms: list) -> int:
     return bad[0] if bad else max(zip(chain, terms), key=lambda vx: abs(vx[1]))[0]
 
 
+def _grow(partials: list, x: float) -> list:
+    """Exact partials of sum(partials) + x: Shewchuk's step, as inside math.fsum."""
+    out = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    if x:
+        out.append(x)
+    return out
+
+
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
-    return CovarianceKernel(t, tuple(kernel_value(t, sp, S) for S in range(t.n_vertices)))
+    """Kernel value at every vertex in one preorder pass, O(n_vertices).
+
+    Each vertex takes its parent's path sum, held as exact partials, plus its
+    own path term; fsum rounds that exact sum once, so every value is bit for
+    bit ``kernel_value``.  A vertex whose terms or value are not finite is
+    handed to ``kernel_value``, which names the vertex to blame.
+    """
+    values = [0.0] * t.n_vertices
+    # (lambda^-2, partials of its path sum) of each interior vertex with children still to visit
+    carry = {}
+    for v in t.preorder:
+        p = t.parent[v]
+        if p != -1:
+            last = t.child_slot[v] == len(t.children[p]) - 1
+            inv2, partials = carry.pop(p) if last else carry[p]
+            term = inv2 * (1.0 / t.measure[v] - 1.0 / t.measure[p])
+            terms = partials + [term]
+        else:
+            partials, term, terms = [], 0.0, []
+        if t.children[v]:
+            lam = sp.lam[v]
+            try:  # float ** raises OverflowError when lambda^-2 leaves the float range
+                inv2 = lam ** -2 if lam > 0.0 else math.nan
+            except OverflowError:
+                inv2 = math.inf
+            carry[v] = (inv2, _grow(partials, term))
+            terms.append(-inv2 / t.measure[v])
+        try:  # a non-finite term reaches fsum as inf, or as ValueError for -inf + inf
+            k = math.fsum(terms)
+        except (ValueError, OverflowError):
+            k = math.nan
+        values[v] = k if math.isfinite(k) else kernel_value(t, sp, v)
+    return CovarianceKernel(t, tuple(values))
 
 
 def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,

@@ -206,6 +206,20 @@ class BallTree:
                 b = self.parent[b]
         return a
 
+    def sup_row(self, i: int) -> list[int]:
+        """sup(leaf_order[i], leaf_order[j]) for j = i, ..., n_leaves - 1.
+
+        Read off the ancestors of leaf i alone: for j > i the sup is the
+        lowest ancestor whose leaf span reaches past j.
+        """
+        v = self.leaf_order[i]
+        row = [v]
+        S = self.parent[v]
+        while S != -1:
+            row += [S] * (self.leaf_span[S][1] - i - len(row))
+            S = self.parent[S]
+        return row
+
     def child_toward(self, J: int, I: int) -> int:
         """The unique child of J on the path from J down to its strict descendant I."""
         if I == J:

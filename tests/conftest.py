@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import umfield as um
 
@@ -52,3 +53,23 @@ def dense_row(basis, w):
 def random_trees(seeds, max_depth=4, max_branching=3):
     for seed in seeds:
         yield um.generate_random(seed, max_depth, max_branching)
+
+
+@st.composite
+def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
+    """Random ball-tree grown by splitting a random leaf into 2-6 children.
+
+    Leaf measures are drawn from ``measure``; when ``symbol`` is given, every
+    interior vertex carries a "T" value drawn from it.
+    """
+    children = [[]]
+    for _ in range(draw(st.integers(1, 10))):
+        leaves = [v for v, kids in enumerate(children) if not kids]
+        v = draw(st.sampled_from(leaves))
+        k = draw(st.integers(2, 6))
+        children[v] = list(range(len(children), len(children) + k))
+        children.extend([] for _ in range(k))
+    measures = {v: draw(measure) for v, kids in enumerate(children) if not kids}
+    hint = None if symbol is None else {v: draw(symbol) for v, kids in enumerate(children) if kids}
+    return um.BallTree([f"v{v}" for v in range(len(children))], children, measures,
+                       symbol_hint=hint)

@@ -1,12 +1,14 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import leaf_vec, random_trees
+from conftest import FIXTURES, leaf_vec, random_trees, split_trees
 
 
 def _positive_setup(t, seed):
@@ -40,6 +42,90 @@ def test_kernel_oracle_equivalence_random():
             for y in t.leaf_order:
                 bf = um.kernel_bruteforce(t, sp, basis, x, y)
                 assert abs(kern.values[t.sup(x, y)] - bf) <= 1e-10 * scale
+
+
+def _assert_kernel_is_path_sum(t, sp):
+    """covariance_kernel equals the per-vertex path sum bit for bit, or both raise."""
+    try:
+        ref = tuple(um.kernel_value(t, sp, S) for S in range(t.n_vertices))
+    except um.ZeroEigenvalue:
+        with pytest.raises(um.ZeroEigenvalue):
+            um.covariance_kernel(t, sp)
+        return False
+    assert um.covariance_kernel(t, sp).values == ref
+    return True
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=200)
+@given(t=split_trees(measure=_log_uniform(-150, 150), symbol=_log_uniform(-3, 3)))
+def test_covariance_kernel_is_path_sum_random(t):
+    _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+
+
+def test_covariance_kernel_is_path_sum_deep_caterpillar():
+    # deeper than the recursion limit; the spine child alternates sides
+    depth = 3000
+    rng = np.random.default_rng(31)
+    nodes = []
+    for d in range(depth):
+        kids = [f"s{d + 1}", f"x{d}"] if d % 2 else [f"x{d}", f"s{d + 1}"]
+        nodes.append({"id": f"s{d}", "children": kids, "T": float(rng.uniform(0.5, 2.0))})
+        nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
+    nodes.append({"id": f"s{depth}", "measure": 0.5})
+    t = um.parse_tree(json.dumps({"nodes": nodes}))
+    assert max(t.depth) == depth
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+
+
+def test_covariance_kernel_is_path_sum_wide_star():
+    rng = np.random.default_rng(32)
+    measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, 301)}
+    t = um.BallTree([f"v{v}" for v in range(301)], [list(range(1, 301))] + [[]] * 300, measures,
+                    symbol_hint={0: 1.5})
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+
+
+def _kernel_error(doc):
+    t = um.parse_tree(doc)
+    with pytest.raises(um.ZeroEigenvalue) as e:
+        um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    return str(e.value)
+
+
+def test_covariance_kernel_zero_eigenvalue_names_vertex():
+    msg = _kernel_error((FIXTURES / "zero_symbol.json").read_text())
+    assert msg == "eigenvalue at vertex 'R' is not positive"
+
+
+def test_covariance_kernel_tiny_eigenvalue_names_vertex():
+    doc = {"nodes": [{"id": "R", "children": ["a", "b"], "T": 1e-200},
+                     {"id": "a", "measure": 1.0}, {"id": "b", "measure": 1.0}]}
+    assert "at vertex 'R' is too small: its inverse square overflows" in _kernel_error(doc)
+
+
+def test_covariance_kernel_overflowing_term_names_vertex():
+    doc = {"nodes": [{"id": "R", "children": ["A", "x"], "T": 1e-150},
+                     {"id": "x", "measure": 1.0},
+                     {"id": "A", "children": ["a1", "a2"], "T": 1e-150},
+                     {"id": "a1", "measure": 1e-300}, {"id": "a2", "measure": 1e-300}]}
+    assert "at vertex 'A' is too small" in _kernel_error(doc)
+
+
+def test_covariance_kernel_two_bad_eigenvalues_names_one():
+    # the 1e-20 leaves vanish in the measure sums, so lambda_A = 1 + 1 (0 - 1) = 0
+    # and lambda_B = lambda_A + 1 (0 - 0) = 0; B precedes A in document order,
+    # A precedes B in preorder
+    doc = {"nodes": [{"id": "R", "children": ["A", "e1"], "T": 1.0},
+                     {"id": "B", "children": ["b1", "b2"], "T": 0.0},
+                     {"id": "A", "children": ["B", "e2"], "T": 0.0},
+                     {"id": "b1", "measure": 0.5}, {"id": "b2", "measure": 0.5},
+                     {"id": "e1", "measure": 1e-20}, {"id": "e2", "measure": 1e-20}]}
+    assert _kernel_error(doc) in ("eigenvalue at vertex 'A' is not positive",
+                                  "eigenvalue at vertex 'B' is not positive")
 
 
 def test_kernel_sup_dependence():

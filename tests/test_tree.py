@@ -192,3 +192,10 @@ def test_sup_index_matrix(t2):
     for i, x in enumerate(t2.leaf_order):
         for j, y in enumerate(t2.leaf_order):
             assert S[i, j] == t2.sup(x, y)
+
+
+def test_sup_row_matches_sup():
+    for seed in range(6):
+        t = um.generate_random(seed, 5, 4)
+        for i, x in enumerate(t.leaf_order):
+            assert t.sup_row(i) == [t.sup(x, y) for y in t.leaf_order[i:]]

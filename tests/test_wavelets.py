@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import dense_row, random_trees
+from conftest import dense_row, random_trees, split_trees
 
 
 SQRT2 = math.sqrt(2.0)
@@ -151,20 +151,6 @@ def test_projector_check_rejects_corruption(t2, t2_ids):
 
 
 # ------------------------------------------------------------------ synthesis
-
-@st.composite
-def split_trees(draw):
-    """Random ball-tree grown by splitting a random leaf into 2-6 children."""
-    children = [[]]
-    for _ in range(draw(st.integers(1, 10))):
-        leaves = [v for v, kids in enumerate(children) if not kids]
-        v = draw(st.sampled_from(leaves))
-        k = draw(st.integers(2, 6))
-        children[v] = list(range(len(children), len(children) + k))
-        children.extend([] for _ in range(k))
-    measures = {v: draw(st.floats(0.01, 10.0)) for v, kids in enumerate(children) if not kids}
-    return um.BallTree([f"v{v}" for v in range(len(children))], children, measures)
-
 
 def _assert_synthesis_matches_dense(basis, coeffs):
     dense = coeffs @ basis.wavelet_leaf_matrix()

@@ -120,12 +120,17 @@ def cmd_kernel(args) -> int:
         rows = [("vertex_id", "nu", "K")]
         for v in t.preorder:
             rows.append((t.names[v], t.measure[v], kernel.values[v]))
+        text = _csv(rows)
     else:
-        rows = [("x", "y", "sup_vertex", "K")]
-        for i, x in enumerate(t.leaf_order):
-            for y, s_v in zip(t.leaf_order[i:], t.sup_row(i)):
-                rows.append((t.names[x], t.names[y], t.names[s_v], kernel.values[s_v]))
-    _emit(args, _csv(rows))
+        # a row repeats at most depth + 1 sup vertices: format each "name,K" once
+        sup_cells = [f"{name},{_fmt(k)}\n" for name, k in zip(t.names, kernel.values)]
+        leaf_cells = [t.names[x] + "," for x in t.leaf_order]
+        lines = [_csv([("x", "y", "sup_vertex", "K")])]
+        for i, x_cell in enumerate(leaf_cells):
+            lines += [x_cell + y_cell + sup_cells[s_v]
+                      for y_cell, s_v in zip(leaf_cells[i:], t.sup_row(i))]
+        text = "".join(lines)
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -19,6 +19,12 @@ rounded sum as the per-vertex ``kernel_value``.  ``kernel_value`` walks the
 ancestors of one vertex and is kept as the path-sum reference; the direct
 wavelet sum ``kernel_bruteforce`` is the independent oracle.
 
+Because K depends on a pair only through its sup, every pair sum reduces to
+subtree sums.  ``bilinear_form``, the covariance of two tested functions
+behind the Markov check, takes them in one bottom-up O(n) pass and adds
+the per-vertex cross terms with one exact ``math.fsum``; the exact sum over
+all n_leaves^2 pairs is kept only as the reference in the tests.
+
 The operator annihilates constants, so the field is fixed to have zero
 weighted mean and the constant component of the noise has no preimage; the
 stochastic equation is solved on the orthogonal complement of constants.
@@ -26,7 +32,6 @@ stochastic equation is solved on the orthogonal complement of constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,25 +63,6 @@ class CovarianceKernel:
         """Full n_leaves x n_leaves covariance matrix in leaf_order indexing."""
         vals = np.asarray(self.values)
         return vals[self.tree.sup_index_matrix()]
-
-    def leaf_row(self, i: int) -> np.ndarray:
-        """Row i of leaf_matrix(), built from the ancestors of leaf i alone.
-
-        K(x, y) = K(S) for y under S but outside the child of S toward x.
-        """
-        t = self.tree
-        row = np.empty(t.n_leaves)
-        v = t.leaf_order[i]
-        row[i] = self.values[v]
-        lo, hi = i, i + 1
-        S = t.parent[v]
-        while S != -1:
-            s_lo, s_hi = t.leaf_span[S]
-            row[s_lo:lo] = self.values[S]
-            row[hi:s_hi] = self.values[S]
-            lo, hi = s_lo, s_hi
-            S = t.parent[S]
-        return row
 
     def max_abs(self) -> float:
         return float(np.abs(np.asarray(self.values)).max())
@@ -262,18 +248,31 @@ def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
 
 
 def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
-    """Double sum f(x) g(y) K(sup(x, y)) nu(x) nu(y) over all leaf pairs.
+    """Double sum f(x) g(y) K(sup(x, y)) nu(x) nu(y) over all leaf pairs, in O(n_vertices).
 
-    Accumulated with exact summation so that analytic cancellations (the
-    Markov factorization) survive in floating point.  The kernel is streamed
-    one leaf row at a time.  Rows where f nu is zero add only zeros but are
-    summed all the same, so the cost is n_leaves^2 terms whatever the
-    supports of f and g are.
+    With F and G the subtree sums of f nu and g nu, the pairs whose sup is S,
+    one leaf under a child c of S and one under a later sibling, add
+    K(S) (F(c) G(later siblings) + G(c) F(later siblings)); the pair (x, x)
+    adds K(x) F(x) G(x).  One bottom-up pass over ``BallTree.slot_levels``
+    builds F and G, each parent taking its children from the last to the
+    first, and reads the later-sibling sums on the way.  No term exceeds the
+    absolute sum over the pairs it stands for, and all of them go into one
+    exact fsum, so analytic cancellations (the Markov factorization) survive
+    in floating point.
     """
-    fnu = np.asarray(f, dtype=float) * t.leaf_measures
-    gnu = np.asarray(g, dtype=float) * t.leaf_measures
-    rows = ((fnu[i] * gnu * kernel.leaf_row(i)).tolist() for i in range(t.n_leaves))
-    return math.fsum(itertools.chain.from_iterable(rows))
+    F = np.zeros(t.n_vertices)
+    G = np.zeros(t.n_vertices)
+    leaves = np.array(t.leaf_order)
+    F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
+    G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
+    K = np.array(kernel.values)
+    terms = [K[leaves] * F[leaves] * G[leaves]]
+    for below, parents in reversed(t.slot_levels):
+        # F[parents] and G[parents] hold the sums over the later siblings of below
+        terms += [K[parents] * F[below] * G[parents], K[parents] * G[below] * F[parents]]
+        F[parents] += F[below]
+        G[parents] += G[below]
+    return math.fsum(np.concatenate(terms))
 
 
 def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,

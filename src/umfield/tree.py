@@ -13,6 +13,7 @@ sup is the lowest common ancestor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -181,6 +182,23 @@ class BallTree:
         self.n_leaves = len(self.leaf_order)
         self.total_measure = measure[root]
         self.leaf_measures = np.array([measure[v] for v in self.leaf_order])
+
+    @functools.cached_property
+    def slot_levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The non-root vertices in groups of one depth and one child slot, with their parents.
+
+        Groups come by depth, then by slot.  No two vertices of a group share
+        a parent, so ``a[parents] += a[group]`` adds each vertex once.
+        Top-down passes walk the groups forward; bottom-up passes walk them
+        backward, so each parent takes its children from the last to the first.
+        """
+        n = self.n_vertices
+        key = np.array(self.depth) * n + np.array(self.child_slot)
+        below = np.argsort(key, kind="stable")[1:]  # the root, alone at depth 0, sorts first
+        key = key[below]
+        parent = np.array(self.parent)
+        return [(group, parent[group])
+                for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
 
     # ---------------------------------------------------------------- queries
 

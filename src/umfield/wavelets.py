@@ -57,15 +57,9 @@ class WaveletBasis:
         suffix_rows: list[list[int]] = []   # suffix_rows[j - 2]: rows with index j >= 2
         pos_row = [n_w] * tree.n_vertices
         neg_row = [n_w] * tree.n_vertices
-        levels: list[tuple[list[int], list[int]]] = []  # per depth >= 1: (vertices, parents)
         for I in tree.interior:
             kids = tree.children[I]
             nu = [tree.measure[c] for c in kids]
-            d = tree.depth[I]
-            if d == len(levels):
-                levels.append(([], []))
-            levels[d][0].extend(kids)
-            levels[d][1].extend([I] * len(kids))
             k0 = len(self.wavelets)
             pos_row[kids[0]] = k0
             here = []
@@ -99,7 +93,6 @@ class WaveletBasis:
         self._suffix_rows = [np.array(r) for r in reversed(suffix_rows)]
         self._pos_row = np.array(pos_row)
         self._neg_row = np.array(neg_row)
-        self._levels = [(np.array(v), np.array(p)) for v, p in levels]
         self._leaf_vertices = np.array(tree.leaf_order)
         self._wavelet_matrix = None
 
@@ -112,7 +105,7 @@ class WaveletBasis:
         ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
         has shape (..., n_leaves).  Costs O(n_vertices) per row: each child
         ball gets its value from per-parent suffix sums over j, and the
-        values are then accumulated top-down, one depth level at a time.
+        values are then accumulated top-down over ``BallTree.slot_levels``.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self.wavelets)
@@ -125,8 +118,8 @@ class WaveletBasis:
         for rows in self._suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
             pos[..., rows - 1] += pos[..., rows]
         acc = pos[..., self._pos_row] + neg[..., self._neg_row]
-        for level, parents in self._levels:
-            acc[..., level] += acc[..., parents]
+        for group, parents in self.tree.slot_levels:
+            acc[..., group] += acc[..., parents]
         return acc[..., self._leaf_vertices]
 
     def wavelet_leaf_matrix(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +74,32 @@ def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
     hint = None if symbol is None else {v: draw(symbol) for v, kids in enumerate(children) if kids}
     return um.BallTree([f"v{v}" for v in range(len(children))], children, measures,
                        symbol_hint=hint)
+
+
+def caterpillar(depth, rng, symbol=True):
+    """Caterpillar of the given depth, parsed from a document; the spine child alternates sides.
+
+    Deeper than the recursion limit for depth >= 1000.  Leaf measures are
+    uniform in [0.1, 1.0]; with ``symbol``, each spine vertex carries a "T"
+    uniform in [0.5, 2.0], drawn before its leaf's measure.
+    """
+    nodes = []
+    for d in range(depth):
+        kids = [f"s{d + 1}", f"x{d}"] if d % 2 else [f"x{d}", f"s{d + 1}"]
+        node = {"id": f"s{d}", "children": kids}
+        if symbol:
+            node["T"] = float(rng.uniform(0.5, 2.0))
+        nodes.append(node)
+        nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
+    nodes.append({"id": f"s{depth}", "measure": 0.5})
+    t = um.parse_tree(json.dumps({"nodes": nodes}))
+    assert max(t.depth) == depth
+    return t
+
+
+def star(n_children, rng, symbol=True):
+    """Root over n_children leaves with measures uniform in [0.1, 1.0]; with ``symbol``, T = 1.5."""
+    measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, n_children + 1)}
+    return um.BallTree([f"v{v}" for v in range(n_children + 1)],
+                       [list(range(1, n_children + 1))] + [[]] * n_children, measures,
+                       symbol_hint={0: 1.5} if symbol else None)

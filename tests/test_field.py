@@ -1,14 +1,13 @@
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import umfield as um
 
-from conftest import FIXTURES, leaf_vec, random_trees, split_trees
+from conftest import FIXTURES, caterpillar, leaf_vec, random_trees, split_trees, star
 
 
 def _positive_setup(t, seed):
@@ -67,25 +66,12 @@ def test_covariance_kernel_is_path_sum_random(t):
 
 
 def test_covariance_kernel_is_path_sum_deep_caterpillar():
-    # deeper than the recursion limit; the spine child alternates sides
-    depth = 3000
-    rng = np.random.default_rng(31)
-    nodes = []
-    for d in range(depth):
-        kids = [f"s{d + 1}", f"x{d}"] if d % 2 else [f"x{d}", f"s{d + 1}"]
-        nodes.append({"id": f"s{d}", "children": kids, "T": float(rng.uniform(0.5, 2.0))})
-        nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
-    nodes.append({"id": f"s{depth}", "measure": 0.5})
-    t = um.parse_tree(json.dumps({"nodes": nodes}))
-    assert max(t.depth) == depth
+    t = caterpillar(3000, np.random.default_rng(31))
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
 
 
 def test_covariance_kernel_is_path_sum_wide_star():
-    rng = np.random.default_rng(32)
-    measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, 301)}
-    t = um.BallTree([f"v{v}" for v in range(301)], [list(range(1, 301))] + [[]] * 300, measures,
-                    symbol_hint={0: 1.5})
+    t = star(300, np.random.default_rng(32))
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
 
 
@@ -280,19 +266,46 @@ def test_bilinear_form_examples(t2, t2_spectrum, t2_basis, t2_ids):
     assert um.bilinear_form(t2, kern, psiA, psiR) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bilinear_form_matches_dense_kernel():
-    rng = np.random.default_rng(4)
-    for seed, t in enumerate(random_trees(range(6))):
-        _, sp, _ = _positive_setup(t, seed)
-        kern = um.covariance_kernel(t, sp)
-        K = kern.leaf_matrix()
-        for i in range(t.n_leaves):
-            assert np.array_equal(kern.leaf_row(i), K[i])
-        nu = t.leaf_measures
-        f = rng.standard_normal(t.n_leaves) * (rng.random(t.n_leaves) < 0.5)
-        g = rng.standard_normal(t.n_leaves)
-        dense = math.fsum((np.outer(f * nu, g * nu) * K).ravel())
-        assert um.bilinear_form(t, kern, f, g) == dense  # same terms, exact sum
+def _assert_bilinear_matches_dense(t, kern, f, g):
+    """bilinear_form against the exact sum over all leaf pairs, within 1e-13 of its absolute sum."""
+    nu = t.leaf_measures
+    products = np.outer(f * nu, g * nu) * kern.leaf_matrix()
+    dense = math.fsum(products.ravel())
+    scale = math.fsum(np.abs(products).ravel())
+    assert abs(um.bilinear_form(t, kern, f, g) - dense) <= 1e-13 * scale
+
+
+@settings(deadline=None, max_examples=200)
+@given(t=split_trees(measure=_log_uniform(-50, 50), symbol=_log_uniform(-3, 3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bilinear_form_matches_dense_kernel(t, seed):
+    # measures beyond 1e+-50 push the leaf-pair products into the subnormal
+    # range, where the dense reference loses its relative precision too
+    try:
+        kern = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    except um.ZeroEigenvalue:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(t.n_leaves) * (rng.random(t.n_leaves) < 0.5)
+    g = rng.standard_normal(t.n_leaves)
+    _assert_bilinear_matches_dense(t, kern, f, g)
+
+
+def test_bilinear_form_matches_dense_kernel_deep_caterpillar():
+    rng = np.random.default_rng(33)
+    t = caterpillar(1500, rng)
+    kern = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    f = rng.standard_normal(t.n_leaves)
+    _assert_bilinear_matches_dense(t, kern, f, rng.standard_normal(t.n_leaves))
+    _assert_bilinear_matches_dense(t, kern, np.abs(f), np.abs(f))
+
+
+def test_bilinear_form_matches_dense_kernel_wide_star():
+    rng = np.random.default_rng(34)
+    t = star(300, rng)
+    kern = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    f = rng.standard_normal(t.n_leaves) * (rng.random(t.n_leaves) < 0.5)
+    _assert_bilinear_matches_dense(t, kern, f, rng.standard_normal(t.n_leaves))
 
 
 def test_bilinear_form_allocates_no_leaf_square():
@@ -361,7 +374,9 @@ def test_markov_check_rejects_bad_support(t2, t2_spectrum, t2_ids):
 
 
 def test_markov_random_instances():
+    # the compliant pairs cancel to a rounding residue, not to a skipped sum
     rng = np.random.default_rng(99)
+    values = []
     for seed, t in enumerate(random_trees(range(10))):
         _, sp, _ = _positive_setup(t, seed)
         kern = um.covariance_kernel(t, sp)
@@ -375,6 +390,8 @@ def test_markov_random_instances():
             scale = max(1.0, float(np.abs(f).max() * np.abs(g).max())
                         * kern.max_abs() * t.total_measure ** 2)
             assert abs(res.value) <= 1e-12 * scale
+            values.append(res.value)
+    assert any(v != 0.0 for v in values)
 
 
 def test_markov_monte_carlo(t2, t2_spectrum, t2_basis, t2_ids):

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import dense_row, random_trees, split_trees
+from conftest import caterpillar, dense_row, random_trees, split_trees, star
 
 
 SQRT2 = math.sqrt(2.0)
@@ -169,27 +168,15 @@ def test_synthesize_matches_dense_random(t, seed):
 
 
 def test_synthesize_deep_caterpillar():
-    # deeper than the recursion limit; the spine child alternates sides
-    depth = 1500
     rng = np.random.default_rng(21)
-    nodes = []
-    for d in range(depth):
-        kids = [f"s{d + 1}", f"x{d}"] if d % 2 else [f"x{d}", f"s{d + 1}"]
-        nodes.append({"id": f"s{d}", "children": kids})
-        nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
-    nodes.append({"id": f"s{depth}", "measure": 0.5})
-    t = um.parse_tree(json.dumps({"nodes": nodes}))
-    assert max(t.depth) == depth
-    basis = um.build_basis(t)
+    basis = um.build_basis(caterpillar(1500, rng, symbol=False))
     _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
     _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
 
 
 def test_synthesize_wide_star():
     rng = np.random.default_rng(22)
-    measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, 301)}
-    t = um.BallTree([f"v{v}" for v in range(301)], [list(range(1, 301))] + [[]] * 300, measures)
-    basis = um.build_basis(t)
+    basis = um.build_basis(star(300, rng, symbol=False))
     _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
     _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
 

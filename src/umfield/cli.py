@@ -95,10 +95,9 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t, s, sp = _load(args)
-    rows = [("vertex_id", "depth", "nu", "T", "lambda")]
-    for v in t.interior:
-        rows.append((t.names[v], t.depth[v], t.measure[v], s.values[v], sp.lam[v]))
-    _emit(args, _csv(rows))
+    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values, sp.lam
+    _emit(args, "vertex_id,depth,nu,T,lambda\n" + "".join(
+        [f"{names[v]},{depth[v]},{nu[v]:.17g},{T[v]:.17g},{lam[v]:.17g}\n" for v in t.interior]))
     return EXIT_OK
 
 
@@ -117,10 +116,9 @@ def cmd_kernel(args) -> int:
     t, _, sp = _load(args)
     kernel = fieldmod.covariance_kernel(t, sp)
     if args.pairs == "profile":
-        rows = [("vertex_id", "nu", "K")]
-        for v in t.preorder:
-            rows.append((t.names[v], t.measure[v], kernel.values[v]))
-        text = _csv(rows)
+        names, nu, K = t.names, t.measure, kernel.values
+        text = "vertex_id,nu,K\n" + "".join(
+            [f"{names[v]},{nu[v]:.17g},{K[v]:.17g}\n" for v in t.preorder])
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
         sup_cells = [f"{name},{_fmt(k)}\n" for name, k in zip(t.names, kernel.values)]
@@ -137,13 +135,13 @@ def cmd_kernel(args) -> int:
 def cmd_sample(args) -> int:
     t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
-    rows = [("sample_index", "leaf_id", "value")]
+    leaf_cells = [t.names[x] + "," for x in t.leaf_order]
+    lines = ["sample_index,leaf_id,value\n"]
     for i in range(args.count):
         stream = np.random.SeedSequence([args.seed, i])
-        sample = fieldmod.sample_field(t, sp, basis, stream)
-        for pos, leaf in enumerate(t.leaf_order):
-            rows.append((i, t.names[leaf], sample.values[pos]))
-    _emit(args, _csv(rows))
+        values = fieldmod.sample_field(t, sp, basis, stream).values.tolist()
+        lines += [f"{i},{cell}{x:.17g}\n" for cell, x in zip(leaf_cells, values)]
+    _emit(args, "".join(lines))
     return EXIT_OK
 
 

@@ -100,9 +100,12 @@ class EmpiricalCovariance:
 
 
 def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
-    lam = np.array([sp.lam[w.vertex] for w in basis.wavelets])
+    """The eigenvalue of each wavelet, in canonical order."""
+    lam_at = np.zeros(basis.tree.n_vertices)
+    lam_at[list(sp.lam)] = list(sp.lam.values())
+    lam = lam_at[basis.vertex]
     if np.any(lam <= 0.0):
-        bad = basis.wavelets[int(np.argmin(lam))].vertex
+        bad = int(basis.vertex[np.argmin(lam)])
         raise ZeroEigenvalue(
             f"eigenvalue at vertex {basis.tree.names[bad]!r} is not positive")
     return lam
@@ -220,14 +223,14 @@ def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldS
     """One field realization; coefficients are drawn in canonical basis order."""
     lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal(len(basis.wavelets))
+    d = rng.standard_normal(len(basis))
     return FieldSample(basis.synthesize(d / lam), seed, d)
 
 
 def sample_white_noise(t: BallTree, basis: WaveletBasis, seed) -> WhiteNoiseSample:
     """White noise: i.i.d. standard normal coefficients on the FULL basis."""
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal(len(basis.wavelets) + 1)
+    d = rng.standard_normal(len(basis) + 1)
     phi = basis.synthesize(d[:-1]) + d[-1] * basis.constant_value
     return WhiteNoiseSample(phi, seed, d)
 
@@ -242,7 +245,7 @@ def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
     """
     lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal(len(basis.wavelets))
+    d = rng.standard_normal(len(basis))
     psi, phi_w = basis.synthesize(np.stack([d / lam, d]))
     return float(np.abs(apply_dense(t, s, psi) - phi_w).max())
 
@@ -262,7 +265,7 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
     """
     F = np.zeros(t.n_vertices)
     G = np.zeros(t.n_vertices)
-    leaves = np.array(t.leaf_order)
+    leaves = t.leaf_order_array
     F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
     G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
     K = np.array(kernel.values)
@@ -290,7 +293,7 @@ def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
         raise PreconditionViolated(
             f"balls {t.names[I]!r} and {t.names[J]!r} are not disjoint")
     for name, vec, ball in (("f", f, I), ("g", g, J)):
-        lo, hi = t.leaf_span[ball]
+        lo, hi = t.lo[ball], t.hi[ball]
         if np.any(vec[:lo] != 0.0) or np.any(vec[hi:] != 0.0):
             raise PreconditionViolated(
                 f"{name} is not supported in ball {t.names[ball]!r}")
@@ -319,11 +322,11 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     rng = np.random.default_rng(seed)
     emp = np.zeros((t.n_leaves, t.n_leaves))
     # draw in batches so huge n_samples does not allocate n x k at once
-    batch = max(1, min(n_samples, 2 ** 22 // max(1, len(basis.wavelets))))
+    batch = max(1, min(n_samples, 2 ** 22 // max(1, len(basis))))
     done = 0
     while done < n_samples:
         m = min(batch, n_samples - done)
-        D = rng.standard_normal((m, len(basis.wavelets)))
+        D = rng.standard_normal((m, len(basis)))
         psi = basis.synthesize(D / lam)
         emp += psi.T @ psi
         done += m
@@ -360,13 +363,13 @@ def random_markov_instance(t: BallTree, rng) -> tuple[int, int, np.ndarray, np.n
             break
     nu = t.leaf_measures
     f = np.zeros(t.n_leaves)
-    lo, hi = t.leaf_span[I]
+    lo, hi = t.lo[I], t.hi[I]
     f[lo:hi] = rng.standard_normal(hi - lo)
     if hi - lo > 1:
         f[lo:hi] -= math.fsum(f[lo:hi] * nu[lo:hi]) / math.fsum(nu[lo:hi])
     else:
         f[lo:hi] = 0.0  # zero-mean on a single atom forces the zero function
     g = np.zeros(t.n_leaves)
-    lo, hi = t.leaf_span[J]
+    lo, hi = t.lo[J], t.hi[J]
     g[lo:hi] = rng.standard_normal(hi - lo)
     return I, J, f, g

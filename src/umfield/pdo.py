@@ -11,15 +11,21 @@ I is the path sum
     lambda_I = T(I) nu(I) + sum over strict ancestors J of
                T(J) (nu(J) - nu(child of J toward I))
 
-computed here by the equivalent O(n) top-down recurrence
+computed here in O(n) as lambda_I = A(I) + T(I) nu(I), with the outer sum A
+carried down the tree:
 
-    lambda_child = lambda_parent + nu(child) (T(child) - T(parent)).
+    A(root) = 0,   A(child) = A(parent) + T(parent) sigma(child),
+
+where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
+child's siblings' measures.  Every term is nonnegative, so no sibling mass is
+lost to cancellation against the parent's measure.
 
 The dense O(n^2) application is kept as the reference oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,13 +57,14 @@ class Spectrum:
 
 
 def _check_symbol(t: BallTree, s: Symbol) -> None:
+    n, children = t.n_vertices, t.children
     for v in s.values:
-        if not 0 <= v < t.n_vertices:
+        if not 0 <= v < n:
             raise ValueError(f"symbol defined on unknown vertex {v!r}")
-        if t.is_leaf(v):
+        if not children[v]:
             raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
-    missing = [v for v in t.interior if v not in s.values]
-    if missing:
+    if len(s.values) < len(t.interior):  # every key is an interior vertex by now
+        missing = [v for v in t.interior if v not in s.values]
         raise ValueError(f"symbol missing on interior vertices {missing}")
 
 
@@ -109,18 +116,20 @@ def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
 
 
 def spectrum(t: BallTree, s: Symbol) -> Spectrum:
-    """Eigenvalues for all interior vertices via the top-down recurrence."""
+    """Eigenvalues for all interior vertices: one preorder pass for the outer sums A."""
     _check_symbol(t, s)
-    lam: dict[int, float] = {}
-    for I in t.interior:  # preorder: parent precedes child
-        if I == t.root:
-            lam[I] = s.values[I] * t.measure[I]
-        else:
-            p = t.parent[I]
-            lam[I] = lam[p] + t.measure[I] * (s.values[I] - s.values[p])
-        if not math.isfinite(lam[I]):
-            raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
-                             f"T = {s.values[I]!r}, measure = {t.measure[I]!r}")
+    T, nu, parent = s.values, t.measure, t.parent
+    earlier, later = t.sibling_measures
+    sigma = (earlier + later).tolist()
+    A = [0.0] * t.n_vertices
+    for v in itertools.islice(t.interior, 1, None):  # preorder: parent precedes child
+        p = parent[v]
+        A[v] = A[p] + T[p] * sigma[v]
+    lam = {I: A[I] + T[I] * nu[I] for I in t.interior}
+    if not all(map(math.isfinite, lam.values())):
+        I = next(I for I in t.interior if not math.isfinite(lam[I]))
+        raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
+                         f"T = {T[I]!r}, measure = {nu[I]!r}")
     return Spectrum(lam)
 
 

@@ -9,11 +9,20 @@ leaves.
 
 The canonical ultrametric is d(x, y) = measure(sup(x, y)) for x != y, where
 sup is the lowest common ancestor.
+
+A ``BallTree`` is stored flat: one list per per-vertex field, indexed by
+vertex id, for scalar lookups, and numpy arrays (child counts, the leaf
+order, the interior vertices in preorder, the vertex groups of
+``slot_levels`` and ``sibling_slots``) for the vectorised passes.  Building
+it takes one depth-first pass and one bottom-up measure pass in Python; the
+rest is whole-array numpy.  Every leaf set is a contiguous run of the leaf
+order, given by the per-vertex bounds ``lo`` and ``hi``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -67,74 +76,133 @@ class OutOfRange(TreeError):
 _DECLARED_MEASURE_RTOL = 1e-9
 
 
-class BallTree:
-    """Immutable rooted measured tree of balls.
+def _first_duplicate(names):
+    seen = set()
+    return next(x for x in names if x in seen or seen.add(x))
 
-    Vertex ids are dense integers in document/construction order.  Leaf
-    vectors used throughout the package are indexed by ``leaf_order``
-    (depth-first order following the canonical child order), which makes
-    the leaf set under any vertex a contiguous slice ``leaf_span[v]``.
+
+def _raise_edge_error(names, children) -> None:
+    """Raise the error for the first child entry, in document order, that is out of range or repeated."""
+    n = len(names)
+    has_parent = [False] * n
+    for v, kids in enumerate(children):
+        for c in kids:
+            if not 0 <= c < n:
+                raise MalformedSpec(f"child index {c} out of range")
+            if c == v or has_parent[c]:
+                raise Cycle(f"vertex {names[c]!r} referenced as child more than once")
+            has_parent[c] = True
+
+
+def _leaf_measure_array(names, leaf_ids, leaf_measures) -> np.ndarray:
+    """The leaves' measures as floats, checked; if one is bad, the loop names the first."""
+    try:
+        m = np.array([float(leaf_measures[v]) for v in leaf_ids])
+    except (KeyError, TypeError, ValueError):
+        m = None
+    with np.errstate(divide="ignore", over="ignore"):
+        if m is not None and np.all(m > 0.0) and np.all(np.isfinite(1.0 / m)) \
+                and np.all(np.isfinite(m)):
+            return m
+    checked = []
+    for v in leaf_ids:
+        if v not in leaf_measures:
+            raise MalformedSpec(f"leaf {names[v]!r} has no measure")
+        x = float(leaf_measures[v])
+        if not (x > 0.0) or not math.isfinite(x):
+            raise NonPositiveMeasure(f"leaf {names[v]!r} has measure {x}")
+        if not math.isfinite(1.0 / x):
+            raise OutOfRange(f"leaf {names[v]!r} has measure {x}, whose reciprocal overflows")
+        checked.append(x)
+    return np.array(checked)
+
+
+class BallTree:
+    """Immutable rooted measured tree of balls, stored as flat per-vertex sequences.
+
+    Vertex ids are dense integers in document/construction order.  Each
+    per-vertex field is one list indexed by vertex id: ``parent`` (-1 at the
+    root), ``depth``, ``child_slot`` (position within the parent's child
+    list), ``measure``, ``lo`` and ``hi``.  ``children`` is the per-vertex
+    child sequences (lists or tuples) as handed over, not copied, and
+    ``child_count`` their lengths as an array.  Leaf vectors used throughout
+    the package are indexed by ``leaf_order`` (depth-first order following
+    the canonical child order), so the leaves under any vertex v are the
+    contiguous slice ``leaf_order[lo[v]:hi[v]]``.  ``preorder``, ``interior``
+    (in preorder) and ``leaf_order`` are lists; ``interior_array`` and
+    ``leaf_order_array`` hold the last two as arrays.  A caller that has
+    built the name index already (``parse_tree``) passes it as ``name_to_id``.
     """
 
     def __init__(self, names, children, leaf_measures, *, declared_measures=None,
-                 symbol_hint=None, label=""):
+                 symbol_hint=None, label="", name_to_id=None):
         n = len(names)
         if n == 0:
             raise MalformedSpec("empty tree")
-        if len(set(names)) != n:
-            seen = set()
-            dup = next(x for x in names if x in seen or seen.add(x))
-            raise DuplicateId(f"duplicate vertex id {dup!r}")
+        if name_to_id is None:
+            name_to_id = {nm: v for v, nm in enumerate(names)}
+        if len(name_to_id) != n:
+            raise DuplicateId(f"duplicate vertex id {_first_duplicate(names)!r}")
 
-        parent = [-1] * n
-        for v, kids in enumerate(children):
-            for c in kids:
-                if not 0 <= c < n:
-                    raise MalformedSpec(f"child index {c} out of range")
-                if c == v or parent[c] != -1:
-                    raise Cycle(f"vertex {names[c]!r} referenced as child more than once")
-                parent[c] = v
-
-        roots = [v for v in range(n) if parent[v] == -1]
+        # CSR view of the child lists: the children of v are kids[first[v]:first[v] + count[v]]
+        count = np.fromiter(map(len, children), dtype=np.intp, count=n)
+        first = np.cumsum(count) - count
+        kids = np.fromiter(itertools.chain.from_iterable(children), dtype=np.intp,
+                           count=int(count.sum()))
+        owner = np.repeat(np.arange(n), count)
+        if len(kids) and (kids.min() < 0 or kids.max() >= n
+                          or np.bincount(kids).max() > 1 or np.any(kids == owner)):
+            _raise_edge_error(names, children)
+        parent = np.full(n, -1, dtype=np.intp)
+        parent[kids] = owner
+        roots = np.flatnonzero(parent < 0)
         if len(roots) != 1:
             raise MalformedSpec(f"expected exactly one root, found {len(roots)}")
-        root = roots[0]
+        root = int(roots[0])
+        if np.any(count == 1):
+            v = int(np.argmax(count == 1))
+            raise BranchingOne(f"interior vertex {names[v]!r} has a single child")
+        slot = np.zeros(n, dtype=np.intp)
+        slot[kids] = np.arange(len(kids)) - first[owner]
 
-        for v in range(n):
-            if len(children[v]) == 1:
-                raise BranchingOne(f"interior vertex {names[v]!r} has a single child")
-
-        depth = [-1] * n
-        depth[root] = 0
         order = []  # depth-first preorder, canonical child order
         stack = [root]
         while stack:
             v = stack.pop()
             order.append(v)
-            for c in reversed(children[v]):
-                depth[c] = depth[v] + 1
-                stack.append(c)
+            kids_v = children[v]
+            if kids_v:
+                stack += kids_v[::-1]
         if len(order) != n:
             raise Cycle("tree is not connected (unreachable vertices)")
+        parent = parent.tolist()
+        depth = [0] * n
+        for v in itertools.islice(order, 1, None):
+            depth[v] = depth[parent[v]] + 1
 
-        measure = [0.0] * n
-        for v in range(n):
-            if not children[v]:
-                if v not in leaf_measures:
-                    raise MalformedSpec(f"leaf {names[v]!r} has no measure")
-                m = float(leaf_measures[v])
-                if not (m > 0.0) or not math.isfinite(m):
-                    raise NonPositiveMeasure(f"leaf {names[v]!r} has measure {m}")
-                if not math.isfinite(1.0 / m):
-                    raise OutOfRange(f"leaf {names[v]!r} has measure {m}, "
-                                     "whose reciprocal overflows")
-                measure[v] = m
-        for v in reversed(order):  # postorder accumulation
-            if children[v]:
-                try:
-                    measure[v] = math.fsum(measure[c] for c in children[v])
-                except OverflowError:
-                    raise OutOfRange(f"measure of vertex {names[v]!r} overflows") from None
+        is_leaf = count == 0
+        leaf_ids = np.flatnonzero(is_leaf)
+        leaf_m = _leaf_measure_array(names, leaf_ids.tolist(), leaf_measures)
+        at_leaves = np.zeros(n)
+        at_leaves[leaf_ids] = leaf_m
+        measure = at_leaves.tolist()
+        order_a = np.array(order, dtype=np.intp)
+        leaf_pre = is_leaf[order_a]
+        leaf_order = order_a[leaf_pre]
+        lo = np.empty(n, dtype=np.intp)
+        lo[order_a] = np.cumsum(leaf_pre) - leaf_pre  # leaves before v in preorder
+        hi = (lo + 1).tolist()  # right at the leaves; interior vertices get theirs below
+        lo = lo.tolist()
+        interior_a = order_a[~leaf_pre]
+        interior = interior_a.tolist()
+        get = measure.__getitem__
+        try:
+            for v in reversed(interior):  # children before parents
+                kids_v = children[v]
+                measure[v] = math.fsum(map(get, kids_v))
+                hi[v] = hi[kids_v[-1]]
+        except OverflowError:
+            raise OutOfRange(f"measure of vertex {names[v]!r} overflows") from None
 
         if declared_measures:
             for v, m in declared_measures.items():
@@ -143,45 +211,38 @@ class BallTree:
                         f"vertex {names[v]!r}: declared measure {m} != children sum {measure[v]}")
 
         self.label = label
-        self.names = tuple(names)
-        self.parent = tuple(parent)
-        self.children = tuple(tuple(k) for k in children)
-        self.measure = tuple(measure)
-        self.depth = tuple(depth)
+        self.names = names
+        self.name_to_id = name_to_id
+        self.children = children
+        self.child_count = count
+        self._kids = kids
+        self._first = first
+        self.parent = parent
+        self.depth = depth
+        self.child_slot = slot.tolist()
+        self.measure = measure
         self.root = root
-        self.preorder = tuple(order)
-        self.interior = tuple(v for v in order if self.children[v])
-        self.leaves = frozenset(v for v in range(n) if not self.children[v])
-        self.leaf_order = tuple(v for v in order if not self.children[v])
-        self.name_to_id = {nm: v for v, nm in enumerate(self.names)}
+        self.preorder = order
+        self.interior = interior
+        self.leaf_order = leaf_order.tolist()
+        self.interior_array = interior_a
+        self.leaf_order_array = leaf_order
+        self.lo = lo
+        self.hi = hi
         self.symbol_hint = dict(symbol_hint) if symbol_hint else None
-
-        # child_slot[v]: position of v within its parent's child list
-        slot = [0] * n
-        for v in range(n):
-            for i, c in enumerate(self.children[v]):
-                slot[c] = i
-        self.child_slot = tuple(slot)
-
-        # leaf_span[v] = (lo, hi): leaves under v occupy leaf_order[lo:hi]
-        lo = [0] * n
-        hi = [0] * n
-        cursor = 0
-        for v in order:
-            lo[v] = cursor if not self.children[v] else -1
-            if not self.children[v]:
-                cursor += 1
-                hi[v] = cursor
-        for v in reversed(order):
-            if self.children[v]:
-                lo[v] = lo[self.children[v][0]]
-                hi[v] = hi[self.children[v][-1]]
-        self.leaf_span = {v: (lo[v], hi[v]) for v in range(n)}
-
         self.n_vertices = n
         self.n_leaves = len(self.leaf_order)
         self.total_measure = measure[root]
-        self.leaf_measures = np.array([measure[v] for v in self.leaf_order])
+        self.leaf_measures = at_leaves[leaf_order]
+
+    @functools.cached_property
+    def leaves(self) -> frozenset:
+        return frozenset(self.leaf_order)
+
+    @functools.cached_property
+    def measure_array(self) -> np.ndarray:
+        """``measure`` as a numpy array, for vectorised passes."""
+        return np.fromiter(self.measure, dtype=float, count=self.n_vertices)
 
     @functools.cached_property
     def slot_levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -199,6 +260,40 @@ class BallTree:
         parent = np.array(self.parent)
         return [(group, parent[group])
                 for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
+
+    @functools.cached_property
+    def sibling_slots(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per child slot j = 1, 2, ...: the vertices with more than j children, their
+        children at slot j and their children at slot j - 1.
+
+        A pass that goes over the slots in order (or in reverse) runs along every
+        child list at once, one vectorised step per slot.
+        """
+        out = []
+        parents = np.flatnonzero(self.child_count > 1)
+        j = 1
+        while len(parents):
+            at = self._first[parents] + j
+            out.append((parents, self._kids[at], self._kids[at - 1]))
+            j += 1
+            parents = parents[self.child_count[parents] > j]
+        return out
+
+    @functools.cached_property
+    def sibling_measures(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per vertex, the summed measures of its earlier siblings and of its later siblings.
+
+        Each is a running float sum along the child list, left to right for the
+        earlier and right to left for the later siblings; the root has 0 for both.
+        """
+        m = self.measure_array
+        earlier = np.zeros(self.n_vertices)
+        later = np.zeros(self.n_vertices)
+        for _, kids, prev in self.sibling_slots:
+            earlier[kids] = earlier[prev] + m[prev]
+        for _, kids, prev in reversed(self.sibling_slots):
+            later[prev] = later[kids] + m[kids]
+        return earlier, later
 
     # ---------------------------------------------------------------- queries
 
@@ -234,7 +329,7 @@ class BallTree:
         row = [v]
         S = self.parent[v]
         while S != -1:
-            row += [S] * (self.leaf_span[S][1] - i - len(row))
+            row += [S] * (self.hi[S] - i - len(row))
             S = self.parent[S]
         return row
 
@@ -251,9 +346,7 @@ class BallTree:
         return v
 
     def is_ancestor_or_equal(self, a: int, d: int) -> bool:
-        la, ha = self.leaf_span[a]
-        ld, hd = self.leaf_span[d]
-        return la <= ld and hd <= ha
+        return self.lo[a] <= self.lo[d] and self.hi[d] <= self.hi[a]
 
     def distance(self, x: int, y: int) -> float:
         """Canonical ultrametric: 0 if x == y, else measure of sup(x, y)."""
@@ -268,7 +361,7 @@ class BallTree:
             S[i, i] = leaf
         for I in self.interior:
             kids = self.children[I]
-            spans = [self.leaf_span[c] for c in kids]
+            spans = [(self.lo[c], self.hi[c]) for c in kids]
             for i in range(len(kids)):
                 li, hi_ = spans[i]
                 for j in range(i + 1, len(kids)):
@@ -317,11 +410,9 @@ def parse_tree(doc) -> BallTree:
         if not isinstance(node, dict) or "id" not in node:
             raise MalformedSpec('every node needs an "id"')
         names.append(str(node["id"]))
-    if len(set(names)) != len(names):
-        seen = set()
-        dup = next(x for x in names if x in seen or seen.add(x))
-        raise DuplicateId(f"duplicate vertex id {dup!r}")
     ids = {nm: i for i, nm in enumerate(names)}
+    if len(ids) != len(names):
+        raise DuplicateId(f"duplicate vertex id {_first_duplicate(names)!r}")
 
     children = []
     leaf_measures = {}
@@ -331,7 +422,7 @@ def parse_tree(doc) -> BallTree:
         kids = node.get("children")
         if kids:
             try:
-                children.append([ids[str(c)] for c in kids])
+                children.append(tuple([ids[str(c)] for c in kids]))
             except KeyError as e:
                 raise MalformedSpec(f"unknown child id {e.args[0]!r}") from None
             if "measure" in node:
@@ -339,13 +430,14 @@ def parse_tree(doc) -> BallTree:
             if "T" in node:
                 symbol_hint[v] = float(node["T"])
         else:
-            children.append([])
+            children.append(())
             if "measure" not in node:
                 raise MalformedSpec(f"leaf {names[v]!r} has no measure")
             leaf_measures[v] = float(node["measure"])
 
     return BallTree(names, children, leaf_measures, declared_measures=declared,
-                    symbol_hint=symbol_hint or None, label=str(doc.get("name", "")))
+                    symbol_hint=symbol_hint or None, label=str(doc.get("name", "")),
+                    name_to_id=ids)
 
 
 def load_tree(path) -> BallTree:
@@ -369,11 +461,9 @@ def generate_homogeneous(p: int, depth: int, total_measure: float) -> BallTree:
     def add(name: str, level: int) -> int:
         v = len(names)
         names.append(name)
-        children.append([])
+        children.append(())
         if level < depth:
-            for i in range(p):
-                c = add(f"{name}.{i}", level + 1)
-                children[v].append(c)
+            children[v] = tuple(add(f"{name}.{i}", level + 1) for i in range(p))
         else:
             leaf_measures[v] = atom
         return v
@@ -401,11 +491,10 @@ def generate_random(seed, max_depth: int, max_branching: int) -> BallTree:
     def add(level: int) -> int:
         v = len(names)
         names.append(f"v{v}")
-        children.append([])
+        children.append(())
         interior = level < max_depth and (level == 0 or rng.random() < 0.6)
         if interior:
-            kids = [add(level + 1) for _ in range(rng.randint(2, max_branching))]
-            children[v].extend(kids)
+            children[v] = tuple([add(level + 1) for _ in range(rng.randint(2, max_branching))])
         else:
             leaf_measures[v] = rng.uniform(0.1, 1.0)
         return v

@@ -4,8 +4,13 @@ Each interior vertex I with p children carries p - 1 zero-mean vectors that
 are constant on the child balls and supported inside I; together with the
 constant mode (total measure is finite here) they form an orthonormal basis
 of the leaf-function space under the measure-weighted inner product.
-``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n);
-the dense wavelet matrix is kept as the reference oracle.
+
+The basis is held as flat tables with one row per wavelet, filled with one
+vectorised step per child slot; ``WaveletBasis.synthesize`` sums
+coefficients back to leaf values from them in O(n).  The per-wavelet
+``Wavelet`` objects (``wavelets``, ``by_vertex``) are a view derived from
+the tables on first use, for the oracles: ``evaluate``, ``projector_sum_check``
+and the dense wavelet matrix, kept as the reference.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -16,6 +21,7 @@ field law) only sees the projector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +31,9 @@ from .tree import BallTree
 
 _BUILD_RTOL = 1e-12   # zero-mean / unit-norm check at construction
 _CHECK_TOL = 1e-10    # projector identity check
+# The screen in _surely_pass bounds its error by (j + 2) roundings, so it
+# decides alone only up to this j; wider wavelets take the exact checks.
+_SCREEN_MAX_J = 1000
 
 
 @dataclass(frozen=True)
@@ -39,65 +48,86 @@ class WaveletBasis:
     """All wavelets of a tree plus the constant mode, in canonical order.
 
     Canonical order: interior vertices in depth-first preorder, then j
-    ascending within a vertex; the constant mode sits last.
+    ascending within a vertex; the constant mode sits last.  Row k of the
+    tables is wavelet ``index[k]`` of vertex ``vertex[k]``.  With s the summed
+    measure of the vertex's first j children, nu that of child j (from 0) and
+    alpha = (1/s + 1/nu)^(-1/2), it is ``pos_val[k]`` = alpha/s on the first j
+    children and ``neg_val[k]`` = -alpha/nu on child j.
     """
 
     def __init__(self, tree: BallTree):
-        self.tree = tree
+        t = self.tree = tree
         self.constant_value = 1.0 / math.sqrt(tree.total_measure)
-        self.wavelets: list[Wavelet] = []
-        self.by_vertex: dict[int, list[Wavelet]] = {}
-        # Synthesis tables.  Wavelet j of I (row k0 + j - 1) is alpha/s on the
-        # children 0..j-1 of I and -alpha/nu_j on child j.  So child m takes the
-        # suffix sum of the positive values from row k0 + m on (pos_row) plus
-        # the negative value of row k0 + m - 1 (neg_row); a missing row points
-        # at the zero pad, row n_w.
-        n_w = tree.n_vertices - 1 - len(tree.interior)  # sum over I of (p_I - 1)
-        pos_val, neg_val = [], []
-        suffix_rows: list[list[int]] = []   # suffix_rows[j - 2]: rows with index j >= 2
-        pos_row = [n_w] * tree.n_vertices
-        neg_row = [n_w] * tree.n_vertices
-        for I in tree.interior:
-            kids = tree.children[I]
-            nu = [tree.measure[c] for c in kids]
-            k0 = len(self.wavelets)
-            pos_row[kids[0]] = k0
-            here = []
-            s = nu[0]
-            for j in range(1, len(kids)):
-                alpha = 1.0 / math.sqrt(1.0 / s + 1.0 / nu[j])
-                coeffs = [alpha / s] * j + [-alpha / nu[j]] + [0.0] * (len(kids) - 1 - j)
-                w = Wavelet(I, j, tuple(coeffs))
-                mean = math.fsum(c * m for c, m in zip(coeffs, nu))
-                norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
-                if abs(mean) > _BUILD_RTOL * math.fsum(abs(c) * m for c, m in zip(coeffs, nu)):
-                    raise ArithmeticError(f"wavelet ({tree.names[I]}, {j}) not zero-mean: {mean}")
-                if abs(norm - 1.0) > _BUILD_RTOL:
-                    raise ArithmeticError(f"wavelet ({tree.names[I]}, {j}) not unit-norm: {norm}")
-                here.append(w)
-                k = k0 + j - 1
-                pos_val.append(alpha / s)
-                neg_val.append(-alpha / nu[j])
-                neg_row[kids[j]] = k
-                if j + 1 < len(kids):
-                    pos_row[kids[j]] = k + 1
+        interior = t.interior_array
+        n_here = t.child_count[interior] - 1
+        n_w = int(n_here.sum())
+        first_row = np.zeros(t.n_vertices, dtype=np.intp)
+        first_row[interior] = np.cumsum(n_here) - n_here
+        self.vertex = np.empty(n_w, dtype=np.intp)
+        self.index = np.empty(n_w, dtype=np.intp)
+        self.pos_val = np.empty(n_w)
+        self.neg_val = np.empty(n_w)
+        # Child m of a vertex takes the suffix sum of the positive values from its
+        # row j = m + 1 on (pos_row) plus the negative value of row j = m (neg_row);
+        # a missing row points at the zero pad, row n_w.  suffix_rows holds the
+        # rows with j >= 2, one array per j, j descending.
+        self.pos_row = np.full(t.n_vertices, n_w, dtype=np.intp)
+        self.neg_row = np.full(t.n_vertices, n_w, dtype=np.intp)
+        self.suffix_rows = []
+        s_at, _ = t.sibling_measures
+        m = t.measure_array
+        sure = np.ones(n_w, dtype=bool)
+        with np.errstate(all="ignore"):  # the exact checks judge what overflows here
+            for j, (parents, kids, prev) in enumerate(t.sibling_slots, start=1):
+                rows = first_row[parents] + (j - 1)
+                s = s_at[kids]
+                nu = m[kids]
+                alpha = 1.0 / np.sqrt(1.0 / s + 1.0 / nu)
+                a = alpha / s
+                b = -alpha / nu
+                self.vertex[rows] = parents
+                self.index[rows] = j
+                self.pos_val[rows] = a
+                self.neg_val[rows] = b
+                self.pos_row[prev] = rows
+                self.neg_row[kids] = rows
                 if j >= 2:
-                    if j - 2 == len(suffix_rows):
-                        suffix_rows.append([])
-                    suffix_rows[j - 2].append(k)
-                s += nu[j]
-            self.by_vertex[I] = here
-            self.wavelets.extend(here)
-        self._pos_val = np.array(pos_val)
-        self._neg_val = np.array(neg_val)
-        self._suffix_rows = [np.array(r) for r in reversed(suffix_rows)]
-        self._pos_row = np.array(pos_row)
-        self._neg_row = np.array(neg_row)
-        self._leaf_vertices = np.array(tree.leaf_order)
+                    self.suffix_rows.insert(0, rows)
+                sure[rows] = _surely_pass(j, a, b, s, nu)
+        for k in np.flatnonzero(~sure).tolist():  # canonical order: the first failure is named
+            self._check_exactly(k)
         self._wavelet_matrix = None
 
     def __len__(self) -> int:
-        return len(self.wavelets)
+        return len(self.pos_val)
+
+    def _check_exactly(self, k: int) -> None:
+        """Zero mean and unit norm of wavelet k, as exact sums over its child balls."""
+        t = self.tree
+        I, j = int(self.vertex[k]), int(self.index[k])
+        nu = [t.measure[c] for c in t.children[I]]
+        coeffs = _helmert_coeffs(len(nu), j, float(self.pos_val[k]), float(self.neg_val[k]))
+        mean = math.fsum(c * m for c, m in zip(coeffs, nu))
+        norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
+        if abs(mean) > _BUILD_RTOL * math.fsum(abs(c) * m for c, m in zip(coeffs, nu)):
+            raise ArithmeticError(f"wavelet ({t.names[I]}, {j}) not zero-mean: {mean}")
+        if abs(norm - 1.0) > _BUILD_RTOL:
+            raise ArithmeticError(f"wavelet ({t.names[I]}, {j}) not unit-norm: {norm}")
+
+    @functools.cached_property
+    def wavelets(self) -> list[Wavelet]:
+        """The rows as Wavelet objects, in canonical order."""
+        children = self.tree.children
+        return [Wavelet(I, j, _helmert_coeffs(len(children[I]), j, a, b))
+                for I, j, a, b in zip(self.vertex.tolist(), self.index.tolist(),
+                                      self.pos_val.tolist(), self.neg_val.tolist())]
+
+    @functools.cached_property
+    def by_vertex(self) -> dict[int, list[Wavelet]]:
+        out: dict[int, list[Wavelet]] = {}
+        for w in self.wavelets:
+            out.setdefault(w.vertex, []).append(w)
+        return out
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Leaf values sum_k coeffs[..., k] psi_k, in leaf_order indexing.
@@ -108,30 +138,29 @@ class WaveletBasis:
         values are then accumulated top-down over ``BallTree.slot_levels``.
         """
         c = np.asarray(coeffs, dtype=float)
-        n_w = len(self.wavelets)
+        n_w = len(self)
         if c.shape[-1:] != (n_w,):
             raise ValueError(f"expected {n_w} coefficients in the last axis, got shape {c.shape}")
         pos = np.zeros(c.shape[:-1] + (n_w + 1,))
         neg = np.zeros(c.shape[:-1] + (n_w + 1,))
-        np.multiply(c, self._pos_val, out=pos[..., :n_w])
-        np.multiply(c, self._neg_val, out=neg[..., :n_w])
-        for rows in self._suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
+        np.multiply(c, self.pos_val, out=pos[..., :n_w])
+        np.multiply(c, self.neg_val, out=neg[..., :n_w])
+        for rows in self.suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
             pos[..., rows - 1] += pos[..., rows]
-        acc = pos[..., self._pos_row] + neg[..., self._neg_row]
+        acc = pos[..., self.pos_row] + neg[..., self.neg_row]
         for group, parents in self.tree.slot_levels:
             acc[..., group] += acc[..., parents]
-        return acc[..., self._leaf_vertices]
+        return acc[..., self.tree.leaf_order_array]
 
     def wavelet_leaf_matrix(self) -> np.ndarray:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
         if self._wavelet_matrix is None:
             t = self.tree
-            W = np.zeros((len(self.wavelets), t.n_leaves))
+            W = np.zeros((len(self), t.n_leaves))
             for r, w in enumerate(self.wavelets):
                 for c, child in zip(w.coeffs, t.children[w.vertex]):
                     if c != 0.0:
-                        lo, hi = t.leaf_span[child]
-                        W[r, lo:hi] = c
+                        W[r, t.lo[child]:t.hi[child]] = c
             self._wavelet_matrix = W
         return self._wavelet_matrix
 
@@ -140,6 +169,29 @@ class WaveletBasis:
         W = self.wavelet_leaf_matrix()
         const = np.full((1, self.tree.n_leaves), self.constant_value)
         return np.vstack([W, const])
+
+
+def _helmert_coeffs(p: int, j: int, a: float, b: float) -> tuple[float, ...]:
+    """Per-child values of wavelet j at a vertex with p children."""
+    return (a,) * j + (b,) + (0.0,) * (p - 1 - j)
+
+
+def _surely_pass(j: int, a, b, s, nu) -> np.ndarray:
+    """Which wavelets of index j pass both construction checks for sure.
+
+    The checks take exact sums of the rounded per-child terms a nu_i (i < j),
+    b nu_j and their squares.  The closed forms a s + b nu, |a| s + |b| nu and
+    a^2 s + b^2 nu differ from those sums by at most j + 2 roundings of the
+    scale (underflowed terms add under 1e-320 each), under 1.2e-13 of it for
+    j <= _SCREEN_MAX_J.  A wavelet within a tenth of the tolerance on the
+    closed forms therefore passes the exact checks; the others take them.
+    """
+    if j > _SCREEN_MAX_J:
+        return np.zeros(len(a), dtype=bool)
+    scale = np.abs(a) * s + np.abs(b) * nu
+    return (np.isfinite(scale) & (scale >= 1e-290)
+            & (np.abs(a * s + b * nu) <= 0.1 * _BUILD_RTOL * scale)
+            & (np.abs(a * a * s + b * b * nu - 1.0) <= 0.1 * _BUILD_RTOL))
 
 
 def build_basis(tree: BallTree) -> WaveletBasis:

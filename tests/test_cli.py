@@ -187,3 +187,22 @@ def test_huge_symbol_rejected(capsys):
 def test_tiny_eigenvalue_kernel_rejected(capsys):
     _rejected(capsys, "tiny_eigen.json",
               ["kernel DOC --pairs profile", "kernel DOC", "verify markov DOC"], "vertex 'R'")
+
+
+def test_wavelet_construction_check(capsys):
+    # alpha/s = 1e-150 / 1e300 underflows to 0, so wavelet (R, 1) has mean -1e-150 and scale 1e-150
+    code, out, err = run(capsys, "sample", str(FIXTURES / "lopsided_wavelet.json"))
+    assert code == 2 and out == ""
+    assert err == "error: wavelet (R, 1) not zero-mean: -1e-150\n"
+
+
+def test_sibling_mass_below_parent_ulp_kept(capsys):
+    # nu(R) rounds to 1, so nu(R) - nu(A) = 0; the sibling sum keeps lambda_A = T(R) nu(e)
+    doc = str(FIXTURES / "tiny_sibling.json")
+    code, out, _ = run(capsys, "spectrum", doc)
+    assert code == 0
+    rows = {l.split(",")[0]: l.split(",") for l in out.strip().splitlines()[1:]}
+    assert float(rows["A"][4]) == 1e-20
+    code, out, err = run(capsys, "sample", doc)
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 1 + 3

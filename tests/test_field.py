@@ -102,14 +102,14 @@ def test_covariance_kernel_overflowing_term_names_vertex():
 
 
 def test_covariance_kernel_two_bad_eigenvalues_names_one():
-    # the 1e-20 leaves vanish in the measure sums, so lambda_A = 1 + 1 (0 - 1) = 0
-    # and lambda_B = lambda_A + 1 (0 - 0) = 0; B precedes A in document order,
+    # lambda_A = T(R) nu(e1) = 1e-150 * 1e-300 underflows to 0, and
+    # lambda_B = lambda_A + T(A) nu(e2) = 0; B precedes A in document order,
     # A precedes B in preorder
-    doc = {"nodes": [{"id": "R", "children": ["A", "e1"], "T": 1.0},
+    doc = {"nodes": [{"id": "R", "children": ["A", "e1"], "T": 1e-150},
                      {"id": "B", "children": ["b1", "b2"], "T": 0.0},
                      {"id": "A", "children": ["B", "e2"], "T": 0.0},
                      {"id": "b1", "measure": 0.5}, {"id": "b2", "measure": 0.5},
-                     {"id": "e1", "measure": 1e-20}, {"id": "e2", "measure": 1e-20}]}
+                     {"id": "e1", "measure": 1e-300}, {"id": "e2", "measure": 1e-300}]}
     assert _kernel_error(doc) in ("eigenvalue at vertex 'A' is not positive",
                                   "eigenvalue at vertex 'B' is not positive")
 

@@ -1,9 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import umfield as um
+
+from conftest import caterpillar, split_trees, star
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -199,3 +203,82 @@ def test_sup_row_matches_sup():
         t = um.generate_random(seed, 5, 4)
         for i, x in enumerate(t.leaf_order):
             assert t.sup_row(i) == [t.sup(x, y) for y in t.leaf_order[i:]]
+
+
+# ------------------------------------------------------------ flat fields
+
+def _reference_fields(t):
+    """Every per-vertex field by plain loops over the child lists, one vertex at a time."""
+    n = t.n_vertices
+    parent, slot = [-1] * n, [0] * n
+    for v, kids in enumerate(t.children):
+        for i, c in enumerate(kids):
+            parent[c], slot[c] = v, i
+    root = parent.index(-1)
+    preorder, depth, stack = [], [0] * n, [root]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for c in reversed(t.children[v]):
+            depth[c] = depth[v] + 1
+            stack.append(c)
+    leaf_order = [v for v in preorder if not t.children[v]]
+    measure, lo, hi = [0.0] * n, [0] * n, [0] * n
+    for i, x in enumerate(leaf_order):
+        measure[x], lo[x], hi[x] = t.measure[x], i, i + 1
+    for v in reversed(preorder):
+        kids = t.children[v]
+        if kids:
+            measure[v] = math.fsum(measure[c] for c in kids)
+            lo[v] = min(lo[c] for c in kids)
+            hi[v] = max(hi[c] for c in kids)
+    return {"parent": parent, "child_slot": slot, "preorder": preorder, "depth": depth,
+            "leaf_order": leaf_order, "measure": measure, "lo": lo, "hi": hi,
+            "interior": [v for v in preorder if t.children[v]]}
+
+
+def _assert_flat_fields(t):
+    for name, want in _reference_fields(t).items():
+        assert list(getattr(t, name)) == want, name
+    assert t.interior_array.tolist() == t.interior
+    assert t.leaf_order_array.tolist() == t.leaf_order
+    assert t.leaf_measures.tolist() == [t.measure[x] for x in t.leaf_order]
+    assert t.child_count.tolist() == [len(k) for k in t.children]
+    assert t.measure_array.tolist() == t.measure
+    assert all(t.name_to_id[nm] == v for v, nm in enumerate(t.names))
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(measure=st.floats(-100, 100).map(lambda e: 10.0 ** e)))
+def test_flat_fields_match_reference_random(t):
+    _assert_flat_fields(t)
+
+
+def test_flat_fields_match_reference_deep_caterpillar():
+    _assert_flat_fields(caterpillar(3000, np.random.default_rng(41)))
+
+
+def test_flat_fields_match_reference_wide_star():
+    _assert_flat_fields(star(300, np.random.default_rng(42)))
+
+
+@pytest.mark.parametrize("names, children, measures, declared, error, message", [
+    (["R", "S", "a", "b"], [[2], [3], [], []], {2: 1.0, 3: 1.0}, None,
+     um.MalformedSpec, "expected exactly one root, found 2"),
+    (["R", "a", "b", "X", "Y", "c", "d"], [[1, 2], [], [], [4, 5], [3, 6], [], []],
+     {1: 1.0, 2: 1.0, 5: 1.0, 6: 1.0}, None,
+     um.Cycle, "tree is not connected (unreachable vertices)"),
+    (["R", "a", "b"], [[1, 5], [], []], {1: 1.0, 2: 1.0}, None,
+     um.MalformedSpec, "child index 5 out of range"),
+    (["R", "a", "b"], [[1, 2, 1], [], []], {1: 1.0, 2: 1.0}, None,
+     um.Cycle, "vertex 'a' referenced as child more than once"),
+    (["R", "A", "a", "b"], [[1, 3], [2], [], []], {2: 1.0, 3: 1.0}, None,
+     um.BranchingOne, "interior vertex 'A' has a single child"),
+    (["R", "a", "b"], [[1, 2], [], []], {1: 1.0, 2: 1.0}, {0: 3.0},
+     um.MeasureMismatch, "vertex 'R': declared measure 3.0 != children sum 2.0"),
+])
+def test_tree_errors_keep_type_and_message(names, children, measures, declared, error, message):
+    with pytest.raises(um.TreeError) as e:
+        um.BallTree(names, children, measures, declared_measures=declared)
+    assert type(e.value) is error
+    assert str(e.value) == message

@@ -184,3 +184,92 @@ def test_synthesize_wide_star():
 def test_synthesize_rejects_wrong_length(t2_basis):
     with pytest.raises(ValueError, match="coefficients"):
         t2_basis.synthesize(np.zeros(len(t2_basis) + 1))
+
+
+# ------------------------------------------------------------------ tables
+
+def _helmert_reference(t):
+    """Per-wavelet weighted Helmert construction, one wavelet at a time, in canonical order."""
+    rows = []
+    for I in t.interior:
+        kids = t.children[I]
+        nu = [t.measure[c] for c in kids]
+        s = nu[0]
+        for j in range(1, len(kids)):
+            alpha = 1.0 / math.sqrt(1.0 / s + 1.0 / nu[j])
+            rows.append((I, j, alpha / s, -alpha / nu[j]))
+            s += nu[j]
+    return rows
+
+
+def _assert_tables_match_reference(t):
+    basis = um.build_basis(t)
+    ref = _helmert_reference(t)
+    n_w = len(ref)
+    assert len(basis) == n_w
+    assert basis.vertex.tolist() == [r[0] for r in ref]
+    assert basis.index.tolist() == [r[1] for r in ref]
+    assert basis.pos_val.tolist() == [r[2] for r in ref]   # bit for bit
+    assert basis.neg_val.tolist() == [r[3] for r in ref]
+    row = {(I, j): k for k, (I, j, _, _) in enumerate(ref)}
+    pos_row, neg_row = [n_w] * t.n_vertices, [n_w] * t.n_vertices
+    for I in t.interior:
+        p = len(t.children[I])
+        for m, c in enumerate(t.children[I]):
+            pos_row[c] = row[I, m + 1] if m + 1 < p else n_w
+            neg_row[c] = row[I, m] if m >= 1 else n_w
+    assert basis.pos_row.tolist() == pos_row
+    assert basis.neg_row.tolist() == neg_row
+    top = max((r[1] for r in ref), default=1)
+    assert [sorted(r.tolist()) for r in basis.suffix_rows] == \
+        [[k for k, r in enumerate(ref) if r[1] == j] for j in range(top, 1, -1)]
+    assert [w.coeffs for w in basis.wavelets] == \
+        [(a,) * j + (b,) + (0.0,) * (len(t.children[I]) - 1 - j) for I, j, a, b in ref]
+    assert [(w.vertex, w.index) for w in basis.wavelets] == [r[:2] for r in ref]
+    assert basis.by_vertex == {I: [w for w in basis.wavelets if w.vertex == I]
+                               for I in t.interior}
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(measure=st.floats(-100, 100).map(lambda e: 10.0 ** e)))
+def test_tables_match_helmert_reference_random(t):
+    _assert_tables_match_reference(t)
+
+
+def test_tables_match_helmert_reference_deep_caterpillar():
+    _assert_tables_match_reference(caterpillar(3000, np.random.default_rng(43), symbol=False))
+
+
+def test_tables_match_helmert_reference_wide_star():
+    _assert_tables_match_reference(star(300, np.random.default_rng(44), symbol=False))
+
+
+def _exact_check_outcome(t):
+    """(type, message) of the first wavelet, in canonical order, that fails the construction
+    checks taken as exact sums over its child balls; None if all pass."""
+    for I, j, a, b in _helmert_reference(t):
+        nu = [t.measure[c] for c in t.children[I]]
+        coeffs = [a] * j + [b] + [0.0] * (len(nu) - 1 - j)
+        try:
+            mean = math.fsum(c * m for c, m in zip(coeffs, nu))
+            norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
+            if abs(mean) > 1e-12 * math.fsum(abs(c) * m for c, m in zip(coeffs, nu)):
+                return ArithmeticError, f"wavelet ({t.names[I]}, {j}) not zero-mean: {mean}"
+            if abs(norm - 1.0) > 1e-12:
+                return ArithmeticError, f"wavelet ({t.names[I]}, {j}) not unit-norm: {norm}"
+        except (ArithmeticError, ValueError) as e:
+            return type(e), str(e)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(t=split_trees(measure=st.floats(-300, 300).map(lambda e: 10.0 ** e)))
+def test_construction_checks_decide_as_exact_sums(t):
+    # the vectorised screen may only pass wavelets that the exact sums pass
+    want = _exact_check_outcome(t)
+    if want is None:
+        um.build_basis(t)
+    else:
+        with pytest.raises((ArithmeticError, ValueError)) as e:
+            um.build_basis(t)
+        assert (type(e.value), str(e.value)) == want

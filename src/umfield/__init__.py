@@ -17,7 +17,7 @@ from .tree import (
     NotDescendant,
     OutOfRange,
 )
-from .wavelets import Wavelet, WaveletBasis, build_basis, evaluate, gram_matrix, projector_sum_check
+from .wavelets import WaveletBasis, build_basis, evaluate, gram_matrix, projector_sum_check
 from .pdo import (
     Symbol,
     Spectrum,

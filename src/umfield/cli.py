@@ -23,12 +23,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 class _CliError(Exception):
     """Usage or input error the CLI reports itself (exit code 2)."""
 
@@ -77,17 +71,13 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def _csv(rows) -> str:
-    return "".join(",".join(_fmt(c) for c in row) + "\n" for row in rows)
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_validate(args) -> int:
     t = _load_tree(args)
     if not args.quiet:
         print(f"leaves: {t.n_leaves}")
-        print(f"total_measure: {_fmt(t.total_measure)}")
+        print(f"total_measure: {t.total_measure:.17g}")
         print(f"interior: {len(t.interior)}")
         print(f"depth: {max(t.depth)}")
     return EXIT_OK
@@ -95,7 +85,7 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t, s, sp = _load(args)
-    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values, sp.lam
+    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values, sp.lam.tolist()
     _emit(args, "vertex_id,depth,nu,T,lambda\n" + "".join(
         [f"{names[v]},{depth[v]},{nu[v]:.17g},{T[v]:.17g},{lam[v]:.17g}\n" for v in t.interior]))
     return EXIT_OK
@@ -104,26 +94,31 @@ def cmd_spectrum(args) -> int:
 def cmd_wavelets(args) -> int:
     t = _load_tree(args)
     basis = wavmod.build_basis(t)
-    rows = [("vertex_id", "j", "child_id", "coefficient")]
-    for w in basis.wavelets:
-        for c, child in zip(w.coeffs, t.children[w.vertex]):
-            rows.append((t.names[w.vertex], w.index, t.names[child], c))
-    _emit(args, _csv(rows))
+    names, children = t.names, t.children
+    lines = ["vertex_id,j,child_id,coefficient\n"]
+    # row (I, j) is pos_val on the first j children of I, neg_val on child j, 0 after
+    for I, j, a, b in zip(basis.vertex.tolist(), basis.index.tolist(),
+                          basis.pos_val.tolist(), basis.neg_val.tolist()):
+        cells = [f"{names[I]},{j},{names[c]}," for c in children[I]]
+        lines += [f"{cell}{a:.17g}\n" for cell in cells[:j]]
+        lines += [f"{cells[j]}{b:.17g}\n"] + [f"{cell}0\n" for cell in cells[j + 1:]]
+    _emit(args, "".join(lines))
     return EXIT_OK
 
 
 def cmd_kernel(args) -> int:
     t, _, sp = _load(args)
     kernel = fieldmod.covariance_kernel(t, sp)
+    K = kernel.values.tolist()
     if args.pairs == "profile":
-        names, nu, K = t.names, t.measure, kernel.values
+        names, nu = t.names, t.measure
         text = "vertex_id,nu,K\n" + "".join(
             [f"{names[v]},{nu[v]:.17g},{K[v]:.17g}\n" for v in t.preorder])
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
-        sup_cells = [f"{name},{_fmt(k)}\n" for name, k in zip(t.names, kernel.values)]
+        sup_cells = [f"{name},{k:.17g}\n" for name, k in zip(t.names, K)]
         leaf_cells = [t.names[x] + "," for x in t.leaf_order]
-        lines = [_csv([("x", "y", "sup_vertex", "K")])]
+        lines = ["x,y,sup_vertex,K\n"]
         for i, x_cell in enumerate(leaf_cells):
             lines += [x_cell + y_cell + sup_cells[s_v]
                       for y_cell, s_v in zip(leaf_cells[i:], t.sup_row(i))]
@@ -193,12 +188,13 @@ def _verify_eigen(args):
 def _verify_kernel(args):
     t, _, sp = _load(args)
     kernel = fieldmod.covariance_kernel(t, sp)
+    K = kernel.values.tolist()
     basis = wavmod.build_basis(t)
     resid = 0.0
     for i, x in enumerate(t.leaf_order):
-        for y in t.leaf_order[i:]:
+        for y, S in zip(t.leaf_order[i:], t.sup_row(i)):
             bf = fieldmod.kernel_bruteforce(t, sp, basis, x, y)
-            resid = max(resid, abs(kernel.values[t.sup(x, y)] - bf))
+            resid = max(resid, abs(K[S] - bf))
     return {"residual": resid}, resid / max(1.0, kernel.max_abs()), 1e-10
 
 

@@ -15,9 +15,10 @@ the variance at a point is the pure ancestor sum).  ``covariance_kernel``
 evaluates it for every vertex in one top-down O(n) pass: the ancestor sum of
 a vertex is its parent's plus one term, carried down the tree as the exact
 partials that ``math.fsum`` keeps, so each value is the same correctly
-rounded sum as the per-vertex ``kernel_value``.  ``kernel_value`` walks the
+rounded sum as the per-vertex ``kernel_value``.  The kernel, like the
+spectrum it reads, is an array over all vertices.  ``kernel_value`` walks the
 ancestors of one vertex and is kept as the path-sum reference; the direct
-wavelet sum ``kernel_bruteforce`` is the independent oracle.
+sum over the wavelet rows, ``kernel_bruteforce``, is the independent oracle.
 
 Because K depends on a pair only through its sup, every pair sum reduces to
 subtree sums.  ``bilinear_form``, the covariance of two tested functions
@@ -50,22 +51,19 @@ class PreconditionViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceKernel:
-    """Kernel value per vertex; K(x, y) for leaves is values[sup(x, y)]."""
+    """Kernel value per vertex, an array of length n_vertices; K(x, y) for leaves
+    is values[sup(x, y)]."""
     tree: BallTree
-    values: tuple[float, ...]
-
-    def value(self, S: int) -> float:
-        return self.values[S]
+    values: np.ndarray
 
     def leaf_matrix(self) -> np.ndarray:
         """Full n_leaves x n_leaves covariance matrix in leaf_order indexing."""
-        vals = np.asarray(self.values)
-        return vals[self.tree.sup_index_matrix()]
+        return self.values[self.tree.sup_index_matrix()]
 
     def max_abs(self) -> float:
-        return float(np.abs(np.asarray(self.values)).max())
+        return float(np.abs(self.values).max())
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,7 @@ class EmpiricalCovariance:
 
 def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
     """The eigenvalue of each wavelet, in canonical order."""
-    lam_at = np.zeros(basis.tree.n_vertices)
-    lam_at[list(sp.lam)] = list(sp.lam.values())
-    lam = lam_at[basis.vertex]
+    lam = sp.lam[basis.vertex]
     if np.any(lam <= 0.0):
         bad = int(basis.vertex[np.argmin(lam)])
         raise ZeroEigenvalue(
@@ -121,21 +117,21 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     I = S
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
         if not t.is_leaf(S):
-            lam = sp.lam[S]
+            lam = float(sp.lam[S])
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
             terms.append(-(lam ** -2) / t.measure[S])
         below = S
         I = t.parent[S]
         while I != -1:
-            lam = sp.lam[I]
+            lam = float(sp.lam[I])
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
             terms.append(lam ** -2 * (1.0 / t.measure[below] - 1.0 / t.measure[I]))
             below = I
             I = t.parent[I]
     except OverflowError:
-        raise ZeroEigenvalue(f"eigenvalue {sp.lam[I]!r} at vertex {t.names[I]!r} is too small: "
+        raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
                              "its inverse square overflows") from None
     try:  # an infinite term reaches fsum as inf, or as ValueError for -inf + inf
         k = math.fsum(terms)
@@ -143,7 +139,8 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
         k = math.nan
     if not math.isfinite(k):
         I = _overflowing_term_vertex(t, S, terms)
-        raise ZeroEigenvalue(f"eigenvalue {sp.lam[I]!r} at vertex {t.names[I]!r} is too small: "
+        lam = float(sp.lam[I])
+        raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
                              f"the kernel value at vertex {t.names[S]!r} overflows")
     return k
 
@@ -184,6 +181,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     handed to ``kernel_value``, which names the vertex to blame.
     """
     values = [0.0] * t.n_vertices
+    lams = sp.lam.tolist()
     # (lambda^-2, partials of its path sum) of each interior vertex with children still to visit
     carry = {}
     for v in t.preorder:
@@ -196,7 +194,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         else:
             partials, term, terms = [], 0.0, []
         if t.children[v]:
-            lam = sp.lam[v]
+            lam = lams[v]
             try:  # float ** raises OverflowError when lambda^-2 leaves the float range
                 inv2 = lam ** -2 if lam > 0.0 else math.nan
             except OverflowError:
@@ -208,15 +206,15 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         except (ValueError, OverflowError):
             k = math.nan
         values[v] = k if math.isfinite(k) else kernel_value(t, sp, v)
-    return CovarianceKernel(t, tuple(values))
+    return CovarianceKernel(t, np.array(values))
 
 
 def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
                       x: int, y: int) -> float:
-    """Reference oracle: direct sum over all wavelets, constant mode excluded."""
-    _lambda_vector(sp, basis)
-    return math.fsum(sp.lam[w.vertex] ** -2 * evaluate(basis, w, x) * evaluate(basis, w, y)
-                     for w in basis.wavelets)
+    """Reference oracle: direct sum over all wavelet rows, constant mode excluded."""
+    lam = _lambda_vector(sp, basis).tolist()
+    return math.fsum(lam[k] ** -2 * evaluate(basis, k, x) * evaluate(basis, k, y)
+                     for k in range(len(basis)))
 
 
 def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldSample:
@@ -268,7 +266,7 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
     leaves = t.leaf_order_array
     F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
     G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
-    K = np.array(kernel.values)
+    K = kernel.values
     terms = [K[leaves] * F[leaves] * G[leaves]]
     for below, parents in reversed(t.slot_levels):
         # F[parents] and G[parents] hold the sums over the later siblings of below

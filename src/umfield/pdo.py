@@ -20,6 +20,8 @@ where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
 lost to cancellation against the parent's measure.
 
+A ``Symbol`` is the validated mapping the tree document gives; past it the
+symbol and the eigenvalues are arrays over all vertices, 0 on the leaves.
 The dense O(n^2) application is kept as the reference oracle.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +52,27 @@ class Symbol:
                 raise ValueError(f"symbol value at vertex {v} must be nonnegative, got {t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalue per interior vertex."""
-    lam: dict[int, float]
+    """Eigenvalue per vertex, an array of length n_vertices; 0 on leaves."""
+    lam: np.ndarray
 
 
-def _check_symbol(t: BallTree, s: Symbol) -> None:
+def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
+    """The symbol as an array over all vertices, 0 on leaves, once its keys are
+    checked to be exactly the interior vertices of t."""
     n, children = t.n_vertices, t.children
-    for v in s.values:
+    T = np.zeros(n)
+    for v, val in s.values.items():
         if not 0 <= v < n:
             raise ValueError(f"symbol defined on unknown vertex {v!r}")
         if not children[v]:
             raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
+        T[v] = val
     if len(s.values) < len(t.interior):  # every key is an interior vertex by now
         missing = [v for v in t.interior if v not in s.values]
         raise ValueError(f"symbol missing on interior vertices {missing}")
+    return T
 
 
 def symbol_from_tree(t: BallTree) -> Symbol:
@@ -73,7 +80,7 @@ def symbol_from_tree(t: BallTree) -> Symbol:
     if t.symbol_hint is None:
         raise ValueError("tree document carries no symbol values")
     s = Symbol(dict(t.symbol_hint))
-    _check_symbol(t, s)
+    _symbol_array(t, s)
     return s
 
 
@@ -86,50 +93,42 @@ def random_symbol(t: BallTree, seed, low: float = 0.0, high: float = 2.0) -> Sym
     return Symbol({v: float(rng.uniform(low, high)) for v in t.interior})
 
 
-def _symbol_sup_matrix(t: BallTree, s: Symbol) -> np.ndarray:
-    """T(sup(x, y)) over leaf pairs; zero on the diagonal (sup is a leaf there)."""
-    tvals = np.zeros(t.n_vertices)
-    for v, val in s.values.items():
-        tvals[v] = val
-    TS = tvals[t.sup_index_matrix()]
-    np.fill_diagonal(TS, 0.0)
-    return TS
-
-
 def apply_dense(t: BallTree, s: Symbol, f) -> np.ndarray:
     """O(n^2) reference application of the operator to a leaf-value vector."""
-    _check_symbol(t, s)
+    T = _symbol_array(t, s)
     f = np.asarray(f, dtype=float)
     if f.shape != (t.n_leaves,):
         raise DimensionMismatch(f"expected vector of length {t.n_leaves}, got shape {f.shape}")
-    TS = _symbol_sup_matrix(t, s)
+    TS = T[t.sup_index_matrix()]  # T(sup(x, y)); 0 on the diagonal, where sup is a leaf
     nu = t.leaf_measures
     return f * (TS @ nu) - TS @ (f * nu)
 
 
 def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
     """Matrix M with (Tf) = M f in the standard leaf basis."""
-    _check_symbol(t, s)
-    TS = _symbol_sup_matrix(t, s)
+    TS = _symbol_array(t, s)[t.sup_index_matrix()]
     nu = t.leaf_measures
     return np.diag(TS @ nu) - TS * nu
 
 
 def spectrum(t: BallTree, s: Symbol) -> Spectrum:
-    """Eigenvalues for all interior vertices: one preorder pass for the outer sums A."""
-    _check_symbol(t, s)
-    T, nu, parent = s.values, t.measure, t.parent
+    """Eigenvalues as an array over all vertices, 0 on leaves: one preorder pass for the
+    outer sums A."""
+    T_arr = _symbol_array(t, s)
+    T, parent = T_arr.tolist(), t.parent
     earlier, later = t.sibling_measures
     sigma = (earlier + later).tolist()
     A = [0.0] * t.n_vertices
     for v in itertools.islice(t.interior, 1, None):  # preorder: parent precedes child
         p = parent[v]
         A[v] = A[p] + T[p] * sigma[v]
-    lam = {I: A[I] + T[I] * nu[I] for I in t.interior}
-    if not all(map(math.isfinite, lam.values())):
-        I = next(I for I in t.interior if not math.isfinite(lam[I]))
+    with np.errstate(over="ignore"):  # an overflow is named below
+        lam = np.array(A) + T_arr * t.measure_array
+    bad = ~np.isfinite(lam[t.interior_array])
+    if bad.any():
+        I = int(t.interior_array[np.argmax(bad)])  # the first in preorder
         raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
-                         f"T = {T[I]!r}, measure = {nu[I]!r}")
+                         f"T = {T[I]!r}, measure = {t.measure[I]!r}")
     return Spectrum(lam)
 
 
@@ -153,14 +152,13 @@ def verify_eigen(t: BallTree, s: Symbol, b: WaveletBasis) -> float:
     Residual per wavelet: max|T psi - lambda psi| / max(1, lambda); the
     constant function must map to (numerically) zero.
     """
-    _check_symbol(t, s)
     sp = spectrum(t, s)
-    TS = _symbol_sup_matrix(t, s)
+    TS = _symbol_array(t, s)[t.sup_index_matrix()]
     nu = t.leaf_measures
     row = TS @ nu
     W = b.wavelet_leaf_matrix()
     TW = W * row - (W * nu) @ TS  # TS symmetric
-    lam = np.array([sp.lam[w.vertex] for w in b.wavelets])
+    lam = sp.lam[b.vertex]
     resid = np.abs(TW - lam[:, None] * W).max(axis=1) / np.maximum(1.0, lam)
     const = np.full(t.n_leaves, b.constant_value)
     const_resid = np.abs(const * row - TS @ (const * nu)).max()

@@ -7,10 +7,10 @@ of the leaf-function space under the measure-weighted inner product.
 
 The basis is held as flat tables with one row per wavelet, filled with one
 vectorised step per child slot; ``WaveletBasis.synthesize`` sums
-coefficients back to leaf values from them in O(n).  The per-wavelet
-``Wavelet`` objects (``wavelets``, ``by_vertex``) are a view derived from
-the tables on first use, for the oracles: ``evaluate``, ``projector_sum_check``
-and the dense wavelet matrix, kept as the reference.
+coefficients back to leaf values from them in O(n).  The oracles read the
+rows too: ``evaluate`` gives the value of row k at a leaf from the leaf
+spans in O(1), ``projector_sum_check`` sums the rows of one vertex, and the
+dense wavelet matrix, kept as the reference, writes two leaf slices per row.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -21,9 +21,7 @@ field law) only sees the projector.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +34,6 @@ _CHECK_TOL = 1e-10    # projector identity check
 _SCREEN_MAX_J = 1000
 
 
-@dataclass(frozen=True)
-class Wavelet:
-    """One basis vector: per-child coefficients at an interior vertex."""
-    vertex: int
-    index: int                  # j in 1..p-1
-    coeffs: tuple[float, ...]   # value on each child ball, canonical order
-
-
 class WaveletBasis:
     """All wavelets of a tree plus the constant mode, in canonical order.
 
@@ -52,7 +42,8 @@ class WaveletBasis:
     tables is wavelet ``index[k]`` of vertex ``vertex[k]``.  With s the summed
     measure of the vertex's first j children, nu that of child j (from 0) and
     alpha = (1/s + 1/nu)^(-1/2), it is ``pos_val[k]`` = alpha/s on the first j
-    children and ``neg_val[k]`` = -alpha/nu on child j.
+    children and ``neg_val[k]`` = -alpha/nu on child j.  The rows of vertex I
+    are ``first_row[I]`` to ``first_row[I] + p - 2``, p its number of children.
     """
 
     def __init__(self, tree: BallTree):
@@ -61,7 +52,7 @@ class WaveletBasis:
         interior = t.interior_array
         n_here = t.child_count[interior] - 1
         n_w = int(n_here.sum())
-        first_row = np.zeros(t.n_vertices, dtype=np.intp)
+        first_row = self.first_row = np.zeros(t.n_vertices, dtype=np.intp)
         first_row[interior] = np.cumsum(n_here) - n_here
         self.vertex = np.empty(n_w, dtype=np.intp)
         self.index = np.empty(n_w, dtype=np.intp)
@@ -114,21 +105,6 @@ class WaveletBasis:
         if abs(norm - 1.0) > _BUILD_RTOL:
             raise ArithmeticError(f"wavelet ({t.names[I]}, {j}) not unit-norm: {norm}")
 
-    @functools.cached_property
-    def wavelets(self) -> list[Wavelet]:
-        """The rows as Wavelet objects, in canonical order."""
-        children = self.tree.children
-        return [Wavelet(I, j, _helmert_coeffs(len(children[I]), j, a, b))
-                for I, j, a, b in zip(self.vertex.tolist(), self.index.tolist(),
-                                      self.pos_val.tolist(), self.neg_val.tolist())]
-
-    @functools.cached_property
-    def by_vertex(self) -> dict[int, list[Wavelet]]:
-        out: dict[int, list[Wavelet]] = {}
-        for w in self.wavelets:
-            out.setdefault(w.vertex, []).append(w)
-        return out
-
     def synthesize(self, coeffs) -> np.ndarray:
         """Leaf values sum_k coeffs[..., k] psi_k, in leaf_order indexing.
 
@@ -156,11 +132,13 @@ class WaveletBasis:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
         if self._wavelet_matrix is None:
             t = self.tree
+            lo, hi, children = t.lo, t.hi, t.children
             W = np.zeros((len(self), t.n_leaves))
-            for r, w in enumerate(self.wavelets):
-                for c, child in zip(w.coeffs, t.children[w.vertex]):
-                    if c != 0.0:
-                        W[r, t.lo[child]:t.hi[child]] = c
+            for r, (I, j, a, b) in enumerate(zip(self.vertex.tolist(), self.index.tolist(),
+                                                 self.pos_val.tolist(), self.neg_val.tolist())):
+                c = children[I][j]
+                W[r, lo[I]:lo[c]] = a
+                W[r, lo[c]:hi[c]] = b
             self._wavelet_matrix = W
         return self._wavelet_matrix
 
@@ -198,17 +176,16 @@ def build_basis(tree: BallTree) -> WaveletBasis:
     return WaveletBasis(tree)
 
 
-def evaluate(basis: WaveletBasis, w: Wavelet, x: int) -> float:
-    """Value of wavelet w at leaf x; 0 outside the ball of w.vertex."""
+def evaluate(basis: WaveletBasis, k: int, x: int) -> float:
+    """Value of wavelet row k at leaf x; 0 outside the ball of its vertex."""
     t = basis.tree
     t._check_leaf(x)
-    v = x
-    while v != w.vertex:
-        if v == t.root:
-            return 0.0
-        prev = v
-        v = t.parent[v]
-    return w.coeffs[t.child_slot[prev]]
+    I = int(basis.vertex[k])
+    c = t.children[I][basis.index[k]]
+    i = t.lo[x]
+    if not t.lo[I] <= i < t.hi[c]:
+        return 0.0
+    return float(basis.pos_val[k] if i < t.lo[c] else basis.neg_val[k])
 
 
 def gram_matrix(basis: WaveletBasis) -> np.ndarray:
@@ -227,8 +204,9 @@ def projector_sum_check(tree: BallTree, I: int, x: int, y: int,
     if basis is None:
         basis = build_basis(tree)
     t = basis.tree
-    lhs = math.fsum(evaluate(basis, w, x) * evaluate(basis, w, y)
-                    for w in basis.by_vertex[I])
+    k0 = int(basis.first_row[I])
+    lhs = math.fsum(evaluate(basis, k, x) * evaluate(basis, k, y)
+                    for k in range(k0, k0 + len(t.children[I]) - 1))
     rhs = 0.0
     if t.is_ancestor_or_equal(I, x) and t.is_ancestor_or_equal(I, y):
         rhs -= 1.0 / t.measure[I]

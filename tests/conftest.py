@@ -45,10 +45,10 @@ def leaf_vec(t, **named_values):
     return v
 
 
-def dense_row(basis, w):
-    """Dense leaf vector of a single wavelet (via evaluate, the slow path)."""
+def dense_row(basis, k):
+    """Dense leaf vector of wavelet row k (via evaluate, the slow path)."""
     t = basis.tree
-    return np.array([um.evaluate(basis, w, x) for x in t.leaf_order])
+    return np.array([um.evaluate(basis, k, x) for x in t.leaf_order])
 
 
 def random_trees(seeds, max_depth=4, max_branching=3):

@@ -189,6 +189,20 @@ def test_tiny_eigenvalue_kernel_rejected(capsys):
               ["kernel DOC --pairs profile", "kernel DOC", "verify markov DOC"], "vertex 'R'")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("kernel tiny_symbol.json --pairs profile",
+     "eigenvalue 1e-200 at vertex 'R' is too small: its inverse square overflows"),
+    ("kernel tiny_eigen.json --pairs profile",
+     "eigenvalue 2e-100 at vertex 'R' is too small: the kernel value at vertex 'R' overflows"),
+    ("spectrum huge_symbol.json",
+     "eigenvalue at vertex 'R' overflows: T = 1e+300, measure = 20000000000.0"),
+])
+def test_numeric_error_message(capsys, command, message):
+    # the figures in the message print as Python floats, not as numpy scalars
+    name, doc, *rest = command.split()
+    assert run(capsys, name, str(FIXTURES / doc), *rest) == (2, "", f"error: {message}\n")
+
+
 def test_wavelet_construction_check(capsys):
     # alpha/s = 1e-150 / 1e300 underflows to 0, so wavelet (R, 1) has mean -1e-150 and scale 1e-150
     code, out, err = run(capsys, "sample", str(FIXTURES / "lopsided_wavelet.json"))

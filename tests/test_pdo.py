@@ -30,10 +30,10 @@ def test_apply_dense_kills_constants(t2, t2_symbol):
 
 
 def test_apply_dense_on_wavelets(t2, t2_symbol, t2_basis, t2_ids):
-    wA = t2_basis.by_vertex[t2_ids["A"]][0]
+    wA = t2_basis.first_row[t2_ids["A"]]
     fA = dense_row(t2_basis, wA)
     assert um.apply_dense(t2, t2_symbol, fA) == pytest.approx(1.5 * fA, abs=1e-12)
-    wR = t2_basis.by_vertex[t2_ids["R"]][0]
+    wR = t2_basis.first_row[t2_ids["R"]]
     fR = dense_row(t2_basis, wR)
     assert um.apply_dense(t2, t2_symbol, fR) == pytest.approx(1.0 * fR, abs=1e-12)
 
@@ -119,10 +119,10 @@ def test_spectrum_positivity():
     for seed, t in enumerate(random_trees(range(6))):
         s = um.random_symbol(t, 50 + seed, 0.0, 3.0)
         sp = um.spectrum(t, s)
-        assert all(l >= -1e-15 for l in sp.lam.values())
+        assert all(l >= -1e-15 for l in sp.lam[t.interior_array])
         s_pos = um.random_symbol(t, 50 + seed, 0.5, 3.0)
         sp_pos = um.spectrum(t, s_pos)
-        assert all(l > 0 for l in sp_pos.lam.values())
+        assert all(l > 0 for l in sp_pos.lam[t.interior_array])
 
 
 def test_self_adjointness():
@@ -157,7 +157,7 @@ def test_verify_eigen_homogeneous():
 
 def test_zero_symbol_spectrum_is_zero(t2):
     sp = um.spectrum(t2, um.constant_symbol(t2, 0.0))
-    assert all(l == 0.0 for l in sp.lam.values())
+    assert all(l == 0.0 for l in sp.lam[t2.interior_array])
 
 
 # ---------------------------------------------------------------- convergence

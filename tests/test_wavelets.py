@@ -14,14 +14,15 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _wavelet_at(basis, vertex):
-    return basis.by_vertex[vertex][0]
+    return int(basis.first_row[vertex])
 
 
 def test_t2_wavelet_values(t2, t2_basis, t2_ids):
-    wA = _wavelet_at(t2_basis, t2_ids["A"])
-    assert wA.coeffs == pytest.approx((SQRT2, -SQRT2), rel=1e-15)
-    wR = _wavelet_at(t2_basis, t2_ids["R"])
-    assert wR.coeffs == pytest.approx((1.0, -1.0), rel=1e-15)
+    b = t2_basis
+    wA = _wavelet_at(b, t2_ids["A"])
+    assert (b.pos_val[wA], b.neg_val[wA]) == pytest.approx((SQRT2, -SQRT2), rel=1e-15)
+    wR = _wavelet_at(b, t2_ids["R"])
+    assert (b.pos_val[wR], b.neg_val[wR]) == pytest.approx((1.0, -1.0), rel=1e-15)
 
 
 def test_three_equal_children():
@@ -30,7 +31,7 @@ def test_three_equal_children():
                      {"id": "c", "measure": 1 / 3}]}
     t = um.parse_tree(doc)
     basis = um.build_basis(t)
-    assert len(basis.wavelets) == 2
+    assert len(basis) == 2
     W = basis.wavelet_leaf_matrix()
     G = (W * t.leaf_measures) @ W.T
     assert np.abs(G - np.eye(2)).max() < 1e-14
@@ -47,7 +48,7 @@ def test_evaluate_examples(t2, t2_basis, t2_ids):
 
 def test_evaluate_foreign_leaf(t2, t2_basis, t2_ids):
     with pytest.raises(um.ForeignLeaf):
-        um.evaluate(t2_basis, t2_basis.wavelets[0], t2_ids["A"])
+        um.evaluate(t2_basis, 0, t2_ids["A"])
 
 
 def test_gram_identity_t2(t2_basis):
@@ -60,15 +61,15 @@ def test_gram_identity_random():
     for t in random_trees(range(5)):
         basis = um.build_basis(t)
         G = um.gram_matrix(basis)
-        assert np.abs(G - np.eye(len(basis.wavelets) + 1)).max() < 1e-10
+        assert np.abs(G - np.eye(len(basis) + 1)).max() < 1e-10
 
 
 def test_wavelet_counts():
     for t in random_trees(range(8)):
         basis = um.build_basis(t)
         for I in t.interior:
-            assert len(basis.by_vertex[I]) == t.branching(I) - 1
-        assert len(basis.wavelets) == t.n_leaves - 1
+            assert np.count_nonzero(basis.vertex == I) == t.branching(I) - 1
+        assert len(basis) == t.n_leaves - 1
 
 
 def test_zero_mean_all_wavelets():
@@ -81,10 +82,31 @@ def test_zero_mean_all_wavelets():
         assert np.all(np.abs(means) <= 1e-12 * scale)
 
 
+def _assert_leaf_matrix_matches_evaluate(basis):
+    W = basis.wavelet_leaf_matrix()
+    assert W.shape == (len(basis), basis.tree.n_leaves)
+    for k in range(len(basis)):
+        assert np.array_equal(W[k], dense_row(basis, k))
+
+
 def test_leaf_matrix_matches_evaluate(t2, t2_basis):
-    W = t2_basis.wavelet_leaf_matrix()
-    for r, w in enumerate(t2_basis.wavelets):
-        assert W[r] == pytest.approx(dense_row(t2_basis, w), abs=0)
+    _assert_leaf_matrix_matches_evaluate(t2_basis)
+
+
+@settings(deadline=None, max_examples=40)
+@given(t=split_trees())
+def test_leaf_matrix_matches_evaluate_random(t):
+    _assert_leaf_matrix_matches_evaluate(um.build_basis(t))
+
+
+def test_leaf_matrix_matches_evaluate_deep_caterpillar():
+    _assert_leaf_matrix_matches_evaluate(
+        um.build_basis(caterpillar(1500, np.random.default_rng(23), symbol=False)))
+
+
+def test_leaf_matrix_matches_evaluate_wide_star():
+    _assert_leaf_matrix_matches_evaluate(
+        um.build_basis(star(300, np.random.default_rng(24), symbol=False)))
 
 
 def test_projector_sum_examples(t2, t2_ids, t2_basis):
@@ -143,8 +165,7 @@ def test_completeness_reconstruction():
 
 def test_projector_check_rejects_corruption(t2, t2_ids):
     basis = um.build_basis(t2)
-    w = basis.by_vertex[t2_ids["A"]][0]
-    object.__setattr__(w, "coeffs", (w.coeffs[0] * 1.01, w.coeffs[1]))
+    basis.pos_val[basis.first_row[t2_ids["A"]]] *= 1.01
     with pytest.raises(ArithmeticError):
         um.projector_sum_check(t2, t2_ids["A"], t2_ids["a1"], t2_ids["a2"], basis=basis)
 
@@ -223,11 +244,11 @@ def _assert_tables_match_reference(t):
     top = max((r[1] for r in ref), default=1)
     assert [sorted(r.tolist()) for r in basis.suffix_rows] == \
         [[k for k, r in enumerate(ref) if r[1] == j] for j in range(top, 1, -1)]
-    assert [w.coeffs for w in basis.wavelets] == \
-        [(a,) * j + (b,) + (0.0,) * (len(t.children[I]) - 1 - j) for I, j, a, b in ref]
-    assert [(w.vertex, w.index) for w in basis.wavelets] == [r[:2] for r in ref]
-    assert basis.by_vertex == {I: [w for w in basis.wavelets if w.vertex == I]
-                               for I in t.interior}
+    first_row = [0] * t.n_vertices
+    for k, (I, j, _, _) in enumerate(ref):
+        if j == 1:
+            first_row[I] = k
+    assert basis.first_row.tolist() == first_row
 
 
 @settings(deadline=None, max_examples=100)

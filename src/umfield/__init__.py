@@ -16,6 +16,8 @@ from .tree import (
     ForeignLeaf,
     NotDescendant,
     OutOfRange,
+    TooManyLeaves,
+    DENSE_MAX_LEAVES,
 )
 from .wavelets import WaveletBasis, build_basis, evaluate, gram_matrix, projector_sum_check
 from .pdo import (

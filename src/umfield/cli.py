@@ -130,12 +130,16 @@ def cmd_kernel(args) -> int:
 def cmd_sample(args) -> int:
     t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
-    leaf_cells = [t.names[x] + "," for x in t.leaf_order]
+    n = t.n_leaves
+    row = "%d,%s,%.17g\n" * n
+    cells = [None] * (3 * n)  # (index, leaf name, value) per row, interleaved
+    cells[1::3] = [t.names[x] for x in t.leaf_order]
     lines = ["sample_index,leaf_id,value\n"]
     for i in range(args.count):
         stream = np.random.SeedSequence([args.seed, i])
-        values = fieldmod.sample_field(t, sp, basis, stream).values.tolist()
-        lines += [f"{i},{cell}{x:.17g}\n" for cell, x in zip(leaf_cells, values)]
+        cells[0::3] = [i] * n
+        cells[2::3] = fieldmod.sample_field(t, sp, basis, stream).values.tolist()
+        lines.append(row % tuple(cells))
     _emit(args, "".join(lines))
     return EXIT_OK
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import BallTree
+from .tree import BallTree, check_dense
 from .wavelets import WaveletBasis, evaluate
 from .pdo import Symbol, Spectrum, apply_dense
 
@@ -182,25 +182,26 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     """
     values = [0.0] * t.n_vertices
     lams = sp.lam.tolist()
+    parent, hi, measure, count = t.parent, t.hi, t.measure, t.child_count.tolist()
     # (lambda^-2, partials of its path sum) of each interior vertex with children still to visit
     carry = {}
     for v in t.preorder:
-        p = t.parent[v]
+        p = parent[v]
         if p != -1:
-            last = t.child_slot[v] == len(t.children[p]) - 1
+            last = hi[v] == hi[p]  # the last child's leaf span ends with its parent's
             inv2, partials = carry.pop(p) if last else carry[p]
-            term = inv2 * (1.0 / t.measure[v] - 1.0 / t.measure[p])
+            term = inv2 * (1.0 / measure[v] - 1.0 / measure[p])
             terms = partials + [term]
         else:
             partials, term, terms = [], 0.0, []
-        if t.children[v]:
+        if count[v]:
             lam = lams[v]
             try:  # float ** raises OverflowError when lambda^-2 leaves the float range
                 inv2 = lam ** -2 if lam > 0.0 else math.nan
             except OverflowError:
                 inv2 = math.inf
             carry[v] = (inv2, _grow(partials, term))
-            terms.append(-inv2 / t.measure[v])
+            terms.append(-inv2 / measure[v])
         try:  # a non-finite term reaches fsum as inf, or as ValueError for -inf + inf
             k = math.fsum(terms)
         except (ValueError, OverflowError):
@@ -315,6 +316,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     """
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
+    check_dense(t.n_leaves, "Monte Carlo covariance")
     lam = _lambda_vector(sp, basis)
     kernel = covariance_kernel(t, sp)  # before the draws: a too-small eigenvalue fails fast
     rng = np.random.default_rng(seed)

@@ -47,7 +47,10 @@ class Symbol:
     values: dict[int, float]
 
     def __post_init__(self):
-        for v, t in self.values.items():
+        vals = np.array(list(self.values.values()))
+        if vals.dtype.kind in "biuf" and np.all(vals >= 0) and np.all(np.isfinite(vals)):
+            return
+        for v, t in self.values.items():  # name the first culprit
             if not (t >= 0.0) or not math.isfinite(t):
                 raise ValueError(f"symbol value at vertex {v} must be nonnegative, got {t}")
 
@@ -60,17 +63,23 @@ class Spectrum:
 
 def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
     """The symbol as an array over all vertices, 0 on leaves, once its keys are
-    checked to be exactly the interior vertices of t."""
-    n, children = t.n_vertices, t.children
+    checked to be exactly the interior vertices of t (with numpy; a loop names
+    the first culprit)."""
+    n, vals = t.n_vertices, s.values
+    keys = np.array(list(vals))
     T = np.zeros(n)
-    for v, val in s.values.items():
+    if (keys.dtype.kind in "iu" and len(keys) == len(t.interior)
+            and keys.min() >= 0 and keys.max() < n and t.child_count[keys].all()):
+        T[keys] = list(vals.values())
+        return T
+    for v, val in vals.items():
         if not 0 <= v < n:
             raise ValueError(f"symbol defined on unknown vertex {v!r}")
-        if not children[v]:
+        if t.is_leaf(v):
             raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
         T[v] = val
-    if len(s.values) < len(t.interior):  # every key is an interior vertex by now
-        missing = [v for v in t.interior if v not in s.values]
+    if len(vals) < len(t.interior):  # every key is an interior vertex by now
+        missing = [v for v in t.interior if v not in vals]
         raise ValueError(f"symbol missing on interior vertices {missing}")
     return T
 
@@ -85,7 +94,7 @@ def symbol_from_tree(t: BallTree) -> Symbol:
 
 
 def constant_symbol(t: BallTree, c: float) -> Symbol:
-    return Symbol({v: c for v in t.interior})
+    return Symbol(dict.fromkeys(t.interior, c))
 
 
 def random_symbol(t: BallTree, seed, low: float = 0.0, high: float = 2.0) -> Symbol:

@@ -10,13 +10,23 @@ leaves.
 The canonical ultrametric is d(x, y) = measure(sup(x, y)) for x != y, where
 sup is the lowest common ancestor.
 
-A ``BallTree`` is stored flat: one list per per-vertex field, indexed by
-vertex id, for scalar lookups, and numpy arrays (child counts, the leaf
-order, the interior vertices in preorder, the vertex groups of
-``slot_levels`` and ``sibling_slots``) for the vectorised passes.  Building
-it takes one depth-first pass and one bottom-up measure pass in Python; the
-rest is whole-array numpy.  Every leaf set is a contiguous run of the leaf
-order, given by the per-vertex bounds ``lo`` and ``hi``.
+A ``BallTree`` is built from flat arrays: the names, the child counts and
+the child ids of all vertices concatenated in vertex order (a CSR layout:
+the children of v are ``child_ids[child_first[v]:child_first[v] +
+child_count[v]]``), and the leaf measures.  ``parse_tree`` makes them in one
+pass over the document's nodes and ``generate_homogeneous`` in closed form.
+The constructor ranks the tree's Euler tour, an enter and an exit event per
+vertex, by pointer jumping: ceil(log2(2n)) whole-array steps, whatever the
+depth, give every event its place in the tour, and preorder, depth and the
+leaf bounds ``lo``/``hi`` are counts of the events before a place.  Only the
+measures take a Python pass, one exact ``fsum`` per interior vertex,
+bottom-up.  Every leaf set is a contiguous run of the leaf order, given by
+``lo`` and ``hi``.
+
+The vectorised passes read numpy arrays; scalar queries read list views of
+them, each made on first read, so a run builds only the lists it uses.  The
+per-vertex child tuples ``children`` and the name index ``name_to_id`` are
+built on first read too.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -70,10 +81,26 @@ class OutOfRange(TreeError):
     pass
 
 
+class TooManyLeaves(ValueError):
+    """A dense oracle was asked for a tree with more than DENSE_MAX_LEAVES leaves."""
+
+
 # Declared interior measures in input files are validated against the exact
 # children sum at this relative tolerance (decimal literals round-trip well
 # below it); the stored values are always the derived sums.
 _DECLARED_MEASURE_RTOL = 1e-9
+
+# The dense oracles (sup_index_matrix, the wavelet matrix, the Monte Carlo
+# covariance) refuse larger trees before allocating: one n_leaves^2 float64
+# array is 128 MiB at this size.
+DENSE_MAX_LEAVES = 4096
+
+
+def check_dense(n_leaves: int, what: str) -> None:
+    """Raise TooManyLeaves if a dense n_leaves^2 ``what`` would pass DENSE_MAX_LEAVES."""
+    if n_leaves > DENSE_MAX_LEAVES:
+        raise TooManyLeaves(f"the dense {what} is limited to {DENSE_MAX_LEAVES} leaves; "
+                            f"this tree has {n_leaves}")
 
 
 def _first_duplicate(names):
@@ -81,12 +108,13 @@ def _first_duplicate(names):
     return next(x for x in names if x in seen or seen.add(x))
 
 
-def _raise_edge_error(names, children) -> None:
-    """Raise the error for the first child entry, in document order, that is out of range or repeated."""
+def _raise_edge_error(names, count, kids) -> None:
+    """Raise the error for the first child entry, in vertex order, that is out of range or repeated."""
     n = len(names)
     has_parent = [False] * n
-    for v, kids in enumerate(children):
-        for c in kids:
+    kids = iter(kids.tolist())
+    for v, k in enumerate(count.tolist()):
+        for c in itertools.islice(kids, k):
             if not 0 <= c < n:
                 raise MalformedSpec(f"child index {c} out of range")
             if c == v or has_parent[c]:
@@ -96,63 +124,126 @@ def _raise_edge_error(names, children) -> None:
 
 def _leaf_measure_array(names, leaf_ids, leaf_measures) -> np.ndarray:
     """The leaves' measures as floats, checked; if one is bad, the loop names the first."""
-    try:
-        m = np.array([float(leaf_measures[v]) for v in leaf_ids])
-    except (KeyError, TypeError, ValueError):
-        m = None
+    m = np.asarray(leaf_measures, dtype=float)
+    if m.shape != leaf_ids.shape:
+        raise MalformedSpec(f"{len(leaf_ids)} leaves but {len(m)} leaf measures")
     with np.errstate(divide="ignore", over="ignore"):
-        if m is not None and np.all(m > 0.0) and np.all(np.isfinite(1.0 / m)) \
-                and np.all(np.isfinite(m)):
+        if np.all(m > 0.0) and np.all(np.isfinite(m)) and np.all(np.isfinite(1.0 / m)):
             return m
-    checked = []
-    for v in leaf_ids:
-        if v not in leaf_measures:
-            raise MalformedSpec(f"leaf {names[v]!r} has no measure")
-        x = float(leaf_measures[v])
+    for v, x in zip(leaf_ids.tolist(), m.tolist()):
         if not (x > 0.0) or not math.isfinite(x):
             raise NonPositiveMeasure(f"leaf {names[v]!r} has measure {x}")
         if not math.isfinite(1.0 / x):
             raise OutOfRange(f"leaf {names[v]!r} has measure {x}, whose reciprocal overflows")
-        checked.append(x)
-    return np.array(checked)
+    return m
+
+
+def _tour_places(count, first, kids, owner, root) -> np.ndarray:
+    """The place of every Euler-tour event in the tour: event v enters vertex v, event n + v leaves it.
+
+    Each event's successor is local to the CSR: enter(v) is followed by
+    enter(first child), or by exit(v) at a leaf; exit(v) by enter(next
+    sibling), or by exit(parent) after the last child; exit(root) ends the
+    tour.  List ranking by pointer jumping (Wyllie; see Tarjan & Vishkin,
+    SIAM J. Comput. 14, 1985) doubles every link per round, so after
+    ceil(log2(2n)) rounds each event has counted the events from it to the
+    end.  An event that has not reached the end by then lies on a cycle that
+    the root does not reach.
+    """
+    n = len(count)
+    end = 2 * n  # a sentinel after exit(root), linked to itself
+    nxt = np.empty(end + 1, dtype=np.intp)
+    nxt[:n] = np.arange(n, end)
+    inner = np.flatnonzero(count)
+    nxt[inner] = kids[first[inner]]
+    after = n + owner  # the exit of the parent, unless a next sibling comes first
+    sib = np.flatnonzero(np.arange(1, len(kids) + 1) < (first + count)[owner])
+    after[sib] = kids[sib + 1]
+    nxt[n + kids] = after
+    nxt[n + root] = end
+    nxt[end] = end
+    left = np.ones(end + 1, dtype=np.intp)  # events from this one to the end of the tour
+    left[end] = 0
+    for _ in range((end - 1).bit_length()):
+        left += left[nxt]
+        nxt = nxt[nxt]
+    if np.any(nxt[:end] != end):
+        raise Cycle("tree is not connected (unreachable vertices)")
+    return end - left[:end]
+
+
+def _euler_ranks(count, first, kids, owner, root):
+    """Preorder, depth and the leaf bounds lo/hi, read off the places of the tour events.
+
+    Depth is the number of enters minus exits before enter(v), and lo and hi
+    count the leaf enters before enter(v) and before exit(v).
+    """
+    n = len(count)
+    place = _tour_places(count, first, kids, owner, root)
+    enter, leave = place[:n], place[n:]
+    vertex_at = np.full(2 * n, n, dtype=np.intp)  # the vertex entered at each place
+    vertex_at[enter] = np.arange(n)
+    order = vertex_at[vertex_at < n]
+    rank = np.empty(n, dtype=np.intp)  # enters before enter(v)
+    rank[order] = np.arange(n)
+    leaves_before = np.zeros(2 * n + 1, dtype=np.intp)  # leaf enters before each place
+    leaves_before[enter[count == 0] + 1] = 1
+    np.cumsum(leaves_before, out=leaves_before)
+    return order, 2 * rank - enter, leaves_before[enter], leaves_before[leave]
+
+
+def _list_view(array_name: str):
+    """A per-vertex list made from the array attribute ``array_name`` on first read.
+
+    Scalar loops index Python lists much faster than numpy arrays, and a
+    list is built only for the fields a caller reads this way.
+    """
+    return functools.cached_property(lambda self: getattr(self, array_name).tolist())
 
 
 class BallTree:
-    """Immutable rooted measured tree of balls, stored as flat per-vertex sequences.
+    """Immutable rooted measured tree of balls, stored as flat per-vertex arrays.
 
-    Vertex ids are dense integers in document/construction order.  Each
-    per-vertex field is one list indexed by vertex id: ``parent`` (-1 at the
-    root), ``depth``, ``child_slot`` (position within the parent's child
-    list), ``measure``, ``lo`` and ``hi``.  ``children`` is the per-vertex
-    child sequences (lists or tuples) as handed over, not copied, and
-    ``child_count`` their lengths as an array.  Leaf vectors used throughout
-    the package are indexed by ``leaf_order`` (depth-first order following
-    the canonical child order), so the leaves under any vertex v are the
-    contiguous slice ``leaf_order[lo[v]:hi[v]]``.  ``preorder``, ``interior``
-    (in preorder) and ``leaf_order`` are lists; ``interior_array`` and
-    ``leaf_order_array`` hold the last two as arrays.  A caller that has
-    built the name index already (``parse_tree``) passes it as ``name_to_id``.
+    Built from ``names``, the per-vertex ``child_count`` and the flat
+    ``child_ids`` (the children of each vertex in turn, in vertex order),
+    and ``leaf_measures``, one per leaf in vertex order.  Vertex ids are
+    dense integers in document/construction order.  Leaf vectors used
+    throughout the package are indexed by ``leaf_order`` (depth-first order
+    following the canonical child order), so the leaves under any vertex v
+    are the contiguous slice ``leaf_order[lo[v]:hi[v]]``.
+
+    The CSR arrays ``child_count``, ``child_first`` and ``child_ids`` are
+    kept as given; ``child_slot`` is each vertex's position in its parent's
+    child list.  The ranked fields are arrays: ``parent_array`` (-1 at the
+    root), ``depth_array``, ``lo_array``, ``hi_array``, and the vertex
+    sequences ``preorder_array``, ``interior_array`` (in preorder) and
+    ``leaf_order_array``.  Each has a list view without the suffix
+    (``parent``, ``depth``, ...) for scalar loops, made on first read.
+    ``measure`` is a list, from the exact bottom-up pass, and
+    ``measure_array`` its array.  ``children`` (one tuple per vertex) and
+    ``name_to_id`` are also built on first read; a caller that has the name
+    index already (``parse_tree``) passes it as ``name_to_id``.
     """
 
-    def __init__(self, names, children, leaf_measures, *, declared_measures=None,
+    def __init__(self, names, child_count, child_ids, leaf_measures, *, declared_measures=None,
                  symbol_hint=None, label="", name_to_id=None):
         n = len(names)
         if n == 0:
             raise MalformedSpec("empty tree")
-        if name_to_id is None:
-            name_to_id = {nm: v for v, nm in enumerate(names)}
-        if len(name_to_id) != n:
+        if len(set(names) if name_to_id is None else name_to_id) != n:
             raise DuplicateId(f"duplicate vertex id {_first_duplicate(names)!r}")
+        if name_to_id is not None:
+            self.name_to_id = name_to_id
 
-        # CSR view of the child lists: the children of v are kids[first[v]:first[v] + count[v]]
-        count = np.fromiter(map(len, children), dtype=np.intp, count=n)
+        count = np.asarray(child_count, dtype=np.intp)
+        kids = np.asarray(child_ids, dtype=np.intp)
+        if count.shape != (n,) or kids.ndim != 1 or count.min() < 0 or count.sum() != len(kids):
+            raise MalformedSpec(f"{len(kids)} child ids do not match the child counts")
         first = np.cumsum(count) - count
-        kids = np.fromiter(itertools.chain.from_iterable(children), dtype=np.intp,
-                           count=int(count.sum()))
         owner = np.repeat(np.arange(n), count)
         if len(kids) and (kids.min() < 0 or kids.max() >= n
                           or np.bincount(kids).max() > 1 or np.any(kids == owner)):
-            _raise_edge_error(names, children)
+            _raise_edge_error(names, count, kids)
         parent = np.full(n, -1, dtype=np.intp)
         parent[kids] = owner
         roots = np.flatnonzero(parent < 0)
@@ -165,42 +256,23 @@ class BallTree:
         slot = np.zeros(n, dtype=np.intp)
         slot[kids] = np.arange(len(kids)) - first[owner]
 
-        order = []  # depth-first preorder, canonical child order
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids_v = children[v]
-            if kids_v:
-                stack += kids_v[::-1]
-        if len(order) != n:
-            raise Cycle("tree is not connected (unreachable vertices)")
-        parent = parent.tolist()
-        depth = [0] * n
-        for v in itertools.islice(order, 1, None):
-            depth[v] = depth[parent[v]] + 1
-
+        order, depth, lo, hi = _euler_ranks(count, first, kids, owner, root)
         is_leaf = count == 0
         leaf_ids = np.flatnonzero(is_leaf)
-        leaf_m = _leaf_measure_array(names, leaf_ids.tolist(), leaf_measures)
+        leaf_order = order[is_leaf[order]]
+        interior_a = order[~is_leaf[order]]
+
+        leaf_m = _leaf_measure_array(names, leaf_ids, leaf_measures)
         at_leaves = np.zeros(n)
         at_leaves[leaf_ids] = leaf_m
         measure = at_leaves.tolist()
-        order_a = np.array(order, dtype=np.intp)
-        leaf_pre = is_leaf[order_a]
-        leaf_order = order_a[leaf_pre]
-        lo = np.empty(n, dtype=np.intp)
-        lo[order_a] = np.cumsum(leaf_pre) - leaf_pre  # leaves before v in preorder
-        hi = (lo + 1).tolist()  # right at the leaves; interior vertices get theirs below
-        lo = lo.tolist()
-        interior_a = order_a[~leaf_pre]
         interior = interior_a.tolist()
+        kid_list = kids.tolist()
         get = measure.__getitem__
         try:
-            for v in reversed(interior):  # children before parents
-                kids_v = children[v]
-                measure[v] = math.fsum(map(get, kids_v))
-                hi[v] = hi[kids_v[-1]]
+            for v, a, b in zip(reversed(interior), reversed(first[interior_a].tolist()),
+                               reversed((first + count)[interior_a].tolist())):
+                measure[v] = math.fsum(map(get, kid_list[a:b]))  # children before parents
         except OverflowError:
             raise OutOfRange(f"measure of vertex {names[v]!r} overflows") from None
 
@@ -212,28 +284,44 @@ class BallTree:
 
         self.label = label
         self.names = names
-        self.name_to_id = name_to_id
-        self.children = children
         self.child_count = count
-        self._kids = kids
-        self._first = first
-        self.parent = parent
-        self.depth = depth
-        self.child_slot = slot.tolist()
+        self.child_first = first
+        self.child_ids = kids
+        self.child_slot = slot
+        self.parent_array = parent
+        self.depth_array = depth
+        self.lo_array = lo
+        self.hi_array = hi
         self.measure = measure
         self.root = root
-        self.preorder = order
-        self.interior = interior
-        self.leaf_order = leaf_order.tolist()
+        self.preorder_array = order
         self.interior_array = interior_a
+        self.interior = interior  # its list view, made already for the measure pass
         self.leaf_order_array = leaf_order
-        self.lo = lo
-        self.hi = hi
         self.symbol_hint = dict(symbol_hint) if symbol_hint else None
         self.n_vertices = n
-        self.n_leaves = len(self.leaf_order)
+        self.n_leaves = len(leaf_order)
         self.total_measure = measure[root]
         self.leaf_measures = at_leaves[leaf_order]
+
+    parent = _list_view("parent_array")
+    depth = _list_view("depth_array")
+    lo = _list_view("lo_array")
+    hi = _list_view("hi_array")
+    preorder = _list_view("preorder_array")
+    interior = _list_view("interior_array")
+    leaf_order = _list_view("leaf_order_array")
+
+    @functools.cached_property
+    def name_to_id(self) -> dict:
+        return dict(zip(self.names, range(self.n_vertices)))
+
+    @functools.cached_property
+    def children(self) -> list[tuple[int, ...]]:
+        """The child ids of each vertex as a tuple, from the CSR arrays."""
+        kids = self.child_ids.tolist()
+        return [tuple(kids[a:a + k])
+                for a, k in zip(self.child_first.tolist(), self.child_count.tolist())]
 
     @functools.cached_property
     def leaves(self) -> frozenset:
@@ -248,17 +336,19 @@ class BallTree:
     def slot_levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The non-root vertices in groups of one depth and one child slot, with their parents.
 
-        Groups come by depth, then by slot.  No two vertices of a group share
-        a parent, so ``a[parents] += a[group]`` adds each vertex once.
-        Top-down passes walk the groups forward; bottom-up passes walk them
-        backward, so each parent takes its children from the last to the first.
+        Groups come by depth, then by slot, and hold their vertices in id
+        order.  No two vertices of a group share a parent, so
+        ``a[parents] += a[group]`` adds each vertex once.  Top-down passes walk
+        the groups forward; bottom-up passes walk them backward, so each
+        parent takes its children from the last to the first.
         """
-        n = self.n_vertices
-        key = np.array(self.depth) * n + np.array(self.child_slot)
+        width = max(int(self.child_count.max()), 1)
+        key = self.depth_array * width + self.child_slot
+        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
+        key = key.astype(np.min_scalar_type(int(key.max())))
         below = np.argsort(key, kind="stable")[1:]  # the root, alone at depth 0, sorts first
         key = key[below]
-        parent = np.array(self.parent)
-        return [(group, parent[group])
+        return [(group, self.parent_array[group])
                 for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
 
     @functools.cached_property
@@ -273,8 +363,8 @@ class BallTree:
         parents = np.flatnonzero(self.child_count > 1)
         j = 1
         while len(parents):
-            at = self._first[parents] + j
-            out.append((parents, self._kids[at], self._kids[at - 1]))
+            at = self.child_first[parents] + j
+            out.append((parents, self.child_ids[at], self.child_ids[at - 1]))
             j += 1
             parents = parents[self.child_count[parents] > j]
         return out
@@ -298,13 +388,13 @@ class BallTree:
     # ---------------------------------------------------------------- queries
 
     def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+        return not self.child_count[v]
 
     def branching(self, v: int) -> int:
-        return len(self.children[v])
+        return int(self.child_count[v])
 
     def _check_leaf(self, x: int) -> None:
-        if not (0 <= x < self.n_vertices) or self.children[x]:
+        if not (0 <= x < self.n_vertices) or self.child_count[x]:
             raise ForeignLeaf(f"vertex {x} is not a leaf of this tree")
 
     def sup(self, x: int, y: int) -> int:
@@ -354,8 +444,9 @@ class BallTree:
         return 0.0 if x == y else self.measure[s]
 
     def sup_index_matrix(self) -> np.ndarray:
-        """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing."""
+        """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing (dense oracle)."""
         n = self.n_leaves
+        check_dense(n, "sup-vertex matrix")
         S = np.empty((n, n), dtype=np.int64)
         for i, leaf in enumerate(self.leaf_order):
             S[i, i] = leaf
@@ -389,12 +480,37 @@ class BallTree:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _raise_node_error(nodes, names, ids) -> None:
+    """Raise the error for the first node, in document order, whose fields do not parse."""
+    for name, node in zip(names, nodes):
+        kids = node.get("children")
+        if kids:
+            if not isinstance(kids, (list, tuple)):
+                raise MalformedSpec(f"vertex {name!r}: children {kids!r} is not a list")
+            for c in kids:
+                if str(c) not in ids:
+                    raise MalformedSpec(f"unknown child id {str(c)!r}")
+            fields = [key for key in ("measure", "T") if key in node]
+        elif "measure" not in node:
+            raise MalformedSpec(f"leaf {name!r} has no measure")
+        else:
+            fields = ["measure"]
+        for key in fields:
+            try:
+                float(node[key])
+            except (TypeError, ValueError):
+                raise MalformedSpec(f"vertex {name!r}: {key} {node[key]!r} is not a number") from None
+
+
 def parse_tree(doc) -> BallTree:
     """Parse a tree-spec document (JSON text or an already-decoded dict).
 
-    Interior nodes carry "children" (and optionally the operator symbol value
-    "T"); leaves carry a positive "measure".  Declared interior measures are
-    validated against the children sum, never trusted.
+    Interior nodes carry a "children" list (and optionally the operator
+    symbol value "T"); leaves carry a positive "measure".  Numbers may be
+    given as numeric strings.  Declared interior measures are validated
+    against the children sum, never trusted.  Each field is read once, for
+    all nodes together; when one does not parse, a loop over the nodes names
+    the first culprit in document order.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -404,38 +520,32 @@ def parse_tree(doc) -> BallTree:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedSpec('document must be an object with a "nodes" list')
 
-    raw = doc["nodes"]
-    names = []
-    for node in raw:
-        if not isinstance(node, dict) or "id" not in node:
-            raise MalformedSpec('every node needs an "id"')
-        names.append(str(node["id"]))
-    ids = {nm: i for i, nm in enumerate(names)}
+    nodes = doc["nodes"]
+    try:
+        names = [str(node["id"]) for node in nodes]  # a list or string node raises TypeError
+    except (TypeError, KeyError):
+        raise MalformedSpec('every node needs an "id"') from None
+    ids = dict(zip(names, range(len(names))))
     if len(ids) != len(names):
         raise DuplicateId(f"duplicate vertex id {_first_duplicate(names)!r}")
 
-    children = []
-    leaf_measures = {}
-    declared = {}
-    symbol_hint = {}
-    for v, node in enumerate(raw):
-        kids = node.get("children")
-        if kids:
-            try:
-                children.append(tuple([ids[str(c)] for c in kids]))
-            except KeyError as e:
-                raise MalformedSpec(f"unknown child id {e.args[0]!r}") from None
-            if "measure" in node:
-                declared[v] = float(node["measure"])
-            if "T" in node:
-                symbol_hint[v] = float(node["T"])
-        else:
-            children.append(())
-            if "measure" not in node:
-                raise MalformedSpec(f"leaf {names[v]!r} has no measure")
-            leaf_measures[v] = float(node["measure"])
+    kid_lists = [node.get("children") or () for node in nodes]
+    try:
+        if not set(map(type, kid_lists)) <= {list, tuple}:
+            raise TypeError("children is not a list")
+        count = list(map(len, kid_lists))
+        kids = itertools.chain.from_iterable(kid_lists)
+        child_ids = list(map(ids.__getitem__, map(str, kids)))
+        leaves = itertools.compress(nodes, map(operator.not_, count))
+        leaf_measures = list(map(float, map(operator.itemgetter("measure"), leaves)))
+        interior = list(itertools.compress(range(len(nodes)), count))
+        declared = {v: float(nodes[v]["measure"]) for v in interior if "measure" in nodes[v]}
+        symbol_hint = {v: float(nodes[v]["T"]) for v in interior if "T" in nodes[v]}
+    except (TypeError, ValueError, KeyError, OverflowError):
+        _raise_node_error(nodes, names, ids)
+        raise
 
-    return BallTree(names, children, leaf_measures, declared_measures=declared,
+    return BallTree(names, count, child_ids, leaf_measures, declared_measures=declared,
                     symbol_hint=symbol_hint or None, label=str(doc.get("name", "")),
                     name_to_id=ids)
 
@@ -449,27 +559,33 @@ def generate_homogeneous(p: int, depth: int, total_measure: float) -> BallTree:
     """Perfect p-ary tree of the given depth; all leaves carry equal measure.
 
     Models a truncated p-adic ball: p^depth atoms of measure total / p^depth.
+    Vertex ids are the preorder, in closed form: a vertex of level l heads a
+    subtree of size(l) = (p^(depth - l + 1) - 1) / (p - 1) vertices, and its
+    child i has id v + 1 + i size(l + 1).  Child i of the vertex named nm is
+    named nm + "." + i.
     """
     if p < 2 or depth < 1 or not total_measure > 0:
         raise OutOfRange(f"need p >= 2, depth >= 1, total_measure > 0; "
                          f"got ({p}, {depth}, {total_measure})")
-    names = []
-    children = []
-    leaf_measures = {}
+    size = [(p ** (depth - l + 1) - 1) // (p - 1) for l in range(depth + 2)]
+    n = size[0]
+    names = np.empty(n, dtype=object)
+    level = np.empty(n, dtype=np.intp)
+    ids = np.zeros(1, dtype=np.intp)
+    level_names = ["R"]
+    suffixes = [f".{i}" for i in range(p)]
+    for l in range(depth + 1):  # ids and names level by level, each level in id order
+        names[ids] = level_names
+        level[ids] = l
+        if l < depth:
+            ids = (ids[:, None] + 1 + np.arange(p) * size[l + 1]).ravel()
+            level_names = [nm + s for nm in level_names for s in suffixes]
+    interior = np.flatnonzero(level < depth)
+    step = np.array(size[1:], dtype=np.intp)[level[interior]]
+    kids = (interior[:, None] + 1 + np.arange(p) * step[:, None]).ravel()
+    count = np.where(level < depth, p, 0)
     atom = total_measure / p ** depth
-
-    def add(name: str, level: int) -> int:
-        v = len(names)
-        names.append(name)
-        children.append(())
-        if level < depth:
-            children[v] = tuple(add(f"{name}.{i}", level + 1) for i in range(p))
-        else:
-            leaf_measures[v] = atom
-        return v
-
-    add("R", 0)
-    return BallTree(names, children, leaf_measures,
+    return BallTree(names.tolist(), count, kids, np.full(p ** depth, atom),
                     label=f"homogeneous(p={p},depth={depth})")
 
 
@@ -486,7 +602,7 @@ def generate_random(seed, max_depth: int, max_branching: int) -> BallTree:
     rng = random.Random(seed)
     names = []
     children = []
-    leaf_measures = {}
+    leaf_measures = []  # in vertex order: a leaf draws its measure when it gets its id
 
     def add(level: int) -> int:
         v = len(names)
@@ -496,8 +612,9 @@ def generate_random(seed, max_depth: int, max_branching: int) -> BallTree:
         if interior:
             children[v] = tuple([add(level + 1) for _ in range(rng.randint(2, max_branching))])
         else:
-            leaf_measures[v] = rng.uniform(0.1, 1.0)
+            leaf_measures.append(rng.uniform(0.1, 1.0))
         return v
 
     add(0)
-    return BallTree(names, children, leaf_measures, label=f"random(seed={seed})")
+    return BallTree(names, list(map(len, children)), list(itertools.chain.from_iterable(children)),
+                    leaf_measures, label=f"random(seed={seed})")

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .tree import BallTree
+from .tree import BallTree, check_dense
 
 _BUILD_RTOL = 1e-12   # zero-mean / unit-norm check at construction
 _CHECK_TOL = 1e-10    # projector identity check
@@ -132,6 +132,7 @@ class WaveletBasis:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
         if self._wavelet_matrix is None:
             t = self.tree
+            check_dense(t.n_leaves, "wavelet matrix")
             lo, hi, children = t.lo, t.hi, t.children
             W = np.zeros((len(self), t.n_leaves))
             for r, (I, j, a, b) in enumerate(zip(self.vertex.tolist(), self.index.tolist(),

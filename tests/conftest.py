@@ -51,6 +51,35 @@ def dense_row(basis, k):
     return np.array([um.evaluate(basis, k, x) for x in t.leaf_order])
 
 
+def from_children(names, children, leaf_measures, **kw):
+    """BallTree from per-vertex child lists and a {leaf id: measure} map."""
+    return um.BallTree(names, [len(k) for k in children], [c for k in children for c in k],
+                       [leaf_measures[v] for v, k in enumerate(children) if not k], **kw)
+
+
+def homogeneous_reference(p, depth, total_measure):
+    """The recursive generator that ``generate_homogeneous`` replaced: a vertex gets its id
+    when it is reached in preorder, and child i of the vertex named nm is named nm.i.
+
+    Returns the names, the child lists and the {leaf id: measure} map.
+    """
+    names, children, measures = [], [], {}
+    atom = total_measure / p ** depth
+
+    def add(name, level):
+        v = len(names)
+        names.append(name)
+        children.append([])
+        if level < depth:
+            children[v] = [add(f"{name}.{i}", level + 1) for i in range(p)]
+        else:
+            measures[v] = atom
+        return v
+
+    add("R", 0)
+    return names, children, measures
+
+
 def random_trees(seeds, max_depth=4, max_branching=3):
     for seed in seeds:
         yield um.generate_random(seed, max_depth, max_branching)
@@ -72,8 +101,8 @@ def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
         children.extend([] for _ in range(k))
     measures = {v: draw(measure) for v, kids in enumerate(children) if not kids}
     hint = None if symbol is None else {v: draw(symbol) for v, kids in enumerate(children) if kids}
-    return um.BallTree([f"v{v}" for v in range(len(children))], children, measures,
-                       symbol_hint=hint)
+    return from_children([f"v{v}" for v in range(len(children))], children, measures,
+                         symbol_hint=hint)
 
 
 def caterpillar(depth, rng, symbol=True):
@@ -100,6 +129,6 @@ def caterpillar(depth, rng, symbol=True):
 def star(n_children, rng, symbol=True):
     """Root over n_children leaves with measures uniform in [0.1, 1.0]; with ``symbol``, T = 1.5."""
     measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, n_children + 1)}
-    return um.BallTree([f"v{v}" for v in range(n_children + 1)],
-                       [list(range(1, n_children + 1))] + [[]] * n_children, measures,
-                       symbol_hint={0: 1.5} if symbol else None)
+    return from_children([f"v{v}" for v in range(n_children + 1)],
+                         [list(range(1, n_children + 1))] + [[]] * n_children, measures,
+                         symbol_hint={0: 1.5} if symbol else None)

@@ -220,3 +220,31 @@ def test_sibling_mass_below_parent_ulp_kept(capsys):
     code, out, err = run(capsys, "sample", doc)
     assert code == 0 and err == ""
     assert len(out.strip().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("null_measure.json", "vertex 'a': measure None is not a number"),
+    ("list_symbol.json", "vertex 'A': T [1] is not a number"),
+    ("string_children.json", "vertex 'R': children 'ab' is not a list"),
+    ("text_measure.json", "vertex 'b': measure 'x' is not a number"),
+])
+def test_unparsable_field_rejected(capsys, doc, message):
+    path = str(FIXTURES / doc)
+    for command in ("validate", "sample"):
+        assert run(capsys, command, path) == (
+            2, "", f"error: invalid tree document {path}: {message}\n")
+
+
+def test_numeric_strings_parse(capsys):
+    # numeric_strings.json is T2.json with some numbers written as strings
+    doc = str(FIXTURES / "numeric_strings.json")
+    assert run(capsys, "spectrum", doc) == run(capsys, "spectrum", T2)
+
+
+@pytest.mark.parametrize("command", ["verify equation", "verify eigen", "verify ortho",
+                                     "mc-cov --n 2"])
+def test_dense_check_refuses_large_tree(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--gen", "2:13:1")
+    assert code == 2 and out == "" and err.count("\n") == 1  # one error line, no traceback
+    assert err.startswith("error: the dense ")
+    assert err.endswith(" is limited to 4096 leaves; this tree has 8192\n")

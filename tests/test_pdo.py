@@ -54,6 +54,25 @@ def test_symbol_rejects_leaf_entry(t2, t2_ids):
         um.spectrum(t2, s)
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_symbol_names_the_bad_value(value):
+    with pytest.raises(ValueError) as e:
+        um.Symbol({0: 1.0, 3: 2.0, 5: value, 6: -3.0})
+    assert str(e.value) == f"symbol value at vertex 5 must be nonnegative, got {value}"
+
+
+@pytest.mark.parametrize("values, message", [
+    ({0: 1.0, 1: 1.0, 3: 1.0, 2: 1.0}, "symbol defined on leaf 'a1'"),
+    ({0: 1.0, 3: 1.0, 2: 1.0}, "symbol defined on leaf 'a1'"),  # as many keys as interior vertices
+    ({0: 1.0}, "symbol missing on interior vertices [1, 2]"),
+    ({0: 1.0, 1: 1.0, 2: 1.0, 9: 1.0}, "symbol defined on unknown vertex 9"),
+])
+def test_symbol_keys_name_the_culprit(t2, values, message):
+    with pytest.raises(ValueError) as e:
+        um.spectrum(t2, um.Symbol(values))
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("key", [-1, 7, 99])
 def test_symbol_rejects_unknown_vertex(t2, key):
     s = um.Symbol({**{v: 1.0 for v in t2.interior}, key: 1.0})

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import caterpillar, split_trees, star
+from conftest import caterpillar, from_children, homogeneous_reference, split_trees, star
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -207,11 +207,11 @@ def test_sup_row_matches_sup():
 
 # ------------------------------------------------------------ flat fields
 
-def _reference_fields(t):
-    """Every per-vertex field by plain loops over the child lists, one vertex at a time."""
-    n = t.n_vertices
+def _reference_fields(children, leaf_measures):
+    """Every per-vertex field by a plain iterative DFS over the child lists, one vertex at a time."""
+    n = len(children)
     parent, slot = [-1] * n, [0] * n
-    for v, kids in enumerate(t.children):
+    for v, kids in enumerate(children):
         for i, c in enumerate(kids):
             parent[c], slot[c] = v, i
     root = parent.index(-1)
@@ -219,47 +219,125 @@ def _reference_fields(t):
     while stack:
         v = stack.pop()
         preorder.append(v)
-        for c in reversed(t.children[v]):
+        for c in reversed(children[v]):
             depth[c] = depth[v] + 1
             stack.append(c)
-    leaf_order = [v for v in preorder if not t.children[v]]
+    leaf_order = [v for v in preorder if not children[v]]
     measure, lo, hi = [0.0] * n, [0] * n, [0] * n
     for i, x in enumerate(leaf_order):
-        measure[x], lo[x], hi[x] = t.measure[x], i, i + 1
+        measure[x], lo[x], hi[x] = leaf_measures[x], i, i + 1
     for v in reversed(preorder):
-        kids = t.children[v]
+        kids = children[v]
         if kids:
             measure[v] = math.fsum(measure[c] for c in kids)
             lo[v] = min(lo[c] for c in kids)
             hi[v] = max(hi[c] for c in kids)
     return {"parent": parent, "child_slot": slot, "preorder": preorder, "depth": depth,
             "leaf_order": leaf_order, "measure": measure, "lo": lo, "hi": hi,
-            "interior": [v for v in preorder if t.children[v]]}
+            "interior": [v for v in preorder if children[v]]}
 
 
-def _assert_flat_fields(t):
-    for name, want in _reference_fields(t).items():
+def _shuffled(t, rng):
+    """The tree t with its vertex ids permuted at random, so that ids are not in preorder;
+    returns the new tree with the child lists and leaf measures it was built from."""
+    perm = rng.permutation(t.n_vertices).tolist()  # old id -> new id
+    names, children = [None] * t.n_vertices, [None] * t.n_vertices
+    for v, kids in enumerate(t.children):
+        names[perm[v]] = t.names[v]
+        children[perm[v]] = [perm[c] for c in kids]
+    measures = {perm[x]: t.measure[x] for x in t.leaf_order}
+    return from_children(names, children, measures), children, measures
+
+
+def _assert_flat_fields(t, children, leaf_measures):
+    ref = _reference_fields(children, leaf_measures)
+    for name, want in ref.items():
         assert list(getattr(t, name)) == want, name
-    assert t.interior_array.tolist() == t.interior
-    assert t.leaf_order_array.tolist() == t.leaf_order
+    for name in ("parent", "depth", "lo", "hi", "preorder", "interior", "leaf_order"):
+        assert getattr(t, f"{name}_array").tolist() == ref[name], name
+    assert t.root == ref["preorder"][0]
+    assert t.children == [tuple(kids) for kids in children]
     assert t.leaf_measures.tolist() == [t.measure[x] for x in t.leaf_order]
-    assert t.child_count.tolist() == [len(k) for k in t.children]
+    assert t.child_count.tolist() == [len(k) for k in children]
     assert t.measure_array.tolist() == t.measure
-    assert all(t.name_to_id[nm] == v for v, nm in enumerate(t.names))
+    assert t.total_measure == t.measure[t.root]
+    assert t.name_to_id == {nm: v for v, nm in enumerate(t.names)}
+
+
+def _assert_flat_fields_shuffled(t, seed):
+    _assert_flat_fields(t, [list(k) for k in t.children], {x: t.measure[x] for x in t.leaf_order})
+    _assert_flat_fields(*_shuffled(t, np.random.default_rng(seed)))
 
 
 @settings(deadline=None, max_examples=100)
-@given(t=split_trees(measure=st.floats(-100, 100).map(lambda e: 10.0 ** e)))
-def test_flat_fields_match_reference_random(t):
-    _assert_flat_fields(t)
+@given(t=split_trees(measure=st.floats(-100, 100).map(lambda e: 10.0 ** e)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_fields_match_reference_random(t, seed):
+    _assert_flat_fields_shuffled(t, seed)
 
 
 def test_flat_fields_match_reference_deep_caterpillar():
-    _assert_flat_fields(caterpillar(3000, np.random.default_rng(41)))
+    _assert_flat_fields_shuffled(caterpillar(3000, np.random.default_rng(41)), 1)
 
 
 def test_flat_fields_match_reference_wide_star():
-    _assert_flat_fields(star(300, np.random.default_rng(42)))
+    _assert_flat_fields_shuffled(star(300, np.random.default_rng(42)), 2)
+
+
+def test_flat_fields_match_reference_40001_vertex_caterpillar():
+    t = caterpillar(20000, np.random.default_rng(43), symbol=False)
+    assert t.n_vertices == 40001
+    _assert_flat_fields_shuffled(t, 3)
+
+
+def test_single_leaf_tree():
+    t = from_children(["x"], [[]], {0: 2.0})
+    assert (t.root, t.preorder, t.depth, t.lo, t.hi, t.interior) == (0, [0], [0], [0], [1], [])
+    assert t.total_measure == 2.0 and t.leaf_order == [0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_generate_homogeneous_matches_recursive_reference(p, depth):
+    names, children, measures = homogeneous_reference(p, depth, 3.0)
+    t = um.generate_homogeneous(p, depth, 3.0)
+    assert t.names == names
+    assert t.label == f"homogeneous(p={p},depth={depth})"
+    _assert_flat_fields(t, children, measures)
+    assert t.preorder == list(range(t.n_vertices))
+
+
+def _slot_levels_reference(t):
+    """slot_levels as first built: np.array over the lists, an argsort of depth * n + slot."""
+    n = t.n_vertices
+    key = np.array(t.depth) * n + np.array(t.child_slot.tolist())
+    below = np.argsort(key, kind="stable")[1:]
+    key = key[below]
+    parent = np.array(t.parent)
+    return [(group, parent[group])
+            for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
+
+
+def _assert_slot_levels(t):
+    got, want = t.slot_levels, _slot_levels_reference(t)
+    assert len(got) == len(want)
+    for (group, parents), (ref_group, ref_parents) in zip(got, want):
+        assert group.dtype == parents.dtype == np.intp
+        assert group.tolist() == ref_group.tolist()
+        assert parents.tolist() == ref_parents.tolist()
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_slot_levels_match_reference_random(t, seed):
+    _assert_slot_levels(t)
+    _assert_slot_levels(_shuffled(t, np.random.default_rng(seed))[0])
+
+
+def test_slot_levels_match_reference_extremes():
+    _assert_slot_levels(caterpillar(3000, np.random.default_rng(44), symbol=False))
+    _assert_slot_levels(star(300, np.random.default_rng(45), symbol=False))
+    _assert_slot_levels(um.generate_homogeneous(3, 5, 1.0))
 
 
 @pytest.mark.parametrize("names, children, measures, declared, error, message", [
@@ -279,6 +357,54 @@ def test_flat_fields_match_reference_wide_star():
 ])
 def test_tree_errors_keep_type_and_message(names, children, measures, declared, error, message):
     with pytest.raises(um.TreeError) as e:
-        um.BallTree(names, children, measures, declared_measures=declared)
+        from_children(names, children, measures, declared_measures=declared)
     assert type(e.value) is error
     assert str(e.value) == message
+
+
+def _leaf(name, m=1.0):
+    return {"id": name, "measure": m}
+
+
+def _node(name, kids, **fields):
+    return {"id": name, "children": kids, **fields}
+
+
+@pytest.mark.parametrize("nodes, error, message", [
+    ([_node("R", ["a", "b"]), _leaf("a"), _leaf("a"), _leaf("b")],
+     um.DuplicateId, "duplicate vertex id 'a'"),
+    ([_node("R", ["a", "zz"]), _leaf("a")], um.MalformedSpec, "unknown child id 'zz'"),
+    ([_node("R", ["A", "b"]), _node("A", ["a"]), _leaf("a"), _leaf("b")],
+     um.BranchingOne, "interior vertex 'A' has a single child"),
+    ([_node("R", ["a", "b"]), _node("a", ["R", "b"]), _leaf("b")],
+     um.Cycle, "vertex 'b' referenced as child more than once"),
+    ([_node("R", ["R", "a"]), _leaf("a")], um.Cycle, "vertex 'R' referenced as child more than once"),
+    ([_node("R", ["a", "b"]), _leaf("a"), _leaf("b"), _node("X", ["Y", "c"]),
+      _node("Y", ["X", "Z"]), _node("Z", ["d", "e"]), _leaf("c"), _leaf("d"), _leaf("e")],
+     um.Cycle, "tree is not connected (unreachable vertices)"),
+    ([_node("R", ["a", "S"]), _node("S", ["R", "b"]), _leaf("a"), _leaf("b")],
+     um.MalformedSpec, "expected exactly one root, found 0"),
+    # several faults: the first node in document order is blamed, as by the old per-node loop
+    ([_node("R", ["a", "b"]), {"id": "a"}, _node("b", ["c", "zz"]), _leaf("c")],
+     um.MalformedSpec, "leaf 'a' has no measure"),
+    ([_node("R", ["a", "b"]), _node("a", ["c", "zz"]), {"id": "b"}, _leaf("c")],
+     um.MalformedSpec, "unknown child id 'zz'"),
+    ([_node("R", ["A", "b"]), _node("A", ["a"]), _leaf("a", -1.0), _leaf("b")],
+     um.BranchingOne, "interior vertex 'A' has a single child"),
+    ([_node("R", ["a", "b"], measure="q"), _node("a", ["c", "d"], T=[1]), _leaf("b", 0.0)],
+     um.MalformedSpec, "vertex 'R': measure 'q' is not a number"),
+    ([_node("R", ["a", "b"]), _leaf("a"), ["b"]], um.MalformedSpec, 'every node needs an "id"'),
+])
+def test_parse_errors_keep_type_and_message(nodes, error, message):
+    with pytest.raises(um.TreeError) as e:
+        um.parse_tree(json.dumps({"nodes": nodes}))
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_parse_reads_numbers_given_as_strings_and_integer_ids():
+    doc = {"nodes": [{"id": 0, "children": [1, 2], "T": "1"}, {"id": 1, "measure": 1},
+                     {"id": 2, "measure": "2.5e-1"}]}
+    t = um.parse_tree(json.dumps(doc))
+    assert t.names == ["0", "1", "2"] and t.children == [(1, 2), (), ()]
+    assert t.measure == [1.25, 1.0, 0.25] and t.symbol_hint == {0: 1.0}

@@ -8,6 +8,7 @@ numbers are written with 17 significant digits so output is diff-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -111,9 +112,12 @@ def cmd_kernel(args) -> int:
     kernel = fieldmod.covariance_kernel(t, sp)
     K = kernel.values.tolist()
     if args.pairs == "profile":
-        names, nu = t.names, t.measure
-        text = "vertex_id,nu,K\n" + "".join(
-            [f"{names[v]},{nu[v]:.17g},{K[v]:.17g}\n" for v in t.preorder])
+        order = t.preorder
+        cells = [None] * (3 * len(order))  # (name, nu, K) per row, interleaved
+        cells[0::3] = map(t.names.__getitem__, order)
+        cells[1::3] = map(t.measure.__getitem__, order)
+        cells[2::3] = map(K.__getitem__, order)
+        text = "vertex_id,nu,K\n" + "%s,%.17g,%.17g\n" * len(order) % tuple(cells)
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
         sup_cells = [f"{name},{k:.17g}\n" for name, k in zip(t.names, K)]
@@ -213,6 +217,7 @@ def _verify_markov(args):
         raise _CliError(f"--trials must be at least 1, got {args.trials}")
     t, _, sp = _load(args)
     kernel = fieldmod.covariance_kernel(t, sp)
+    k_max, m2 = kernel.max_abs(), t.total_measure ** 2
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     done = 0
@@ -222,8 +227,7 @@ def _verify_markov(args):
             break
         I, J, f, g = inst
         res = fieldmod.markov_check(t, kernel, I, J, f, g)
-        scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * kernel.max_abs()
-                    * t.total_measure ** 2)
+        scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * k_max * m2)
         worst = max(worst, abs(res.value) / scale)
         done += 1
     return {"trials": done, "seed": args.seed, "max_scaled_value": worst}, worst, 1e-12
@@ -254,6 +258,7 @@ def cmd_verify(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache  # built once per process: main is also called in-process, once per command
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("tree", nargs="?", help="tree-spec JSON file")

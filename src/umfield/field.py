@@ -12,13 +12,15 @@ sup vertex and has the closed form
 
 with the leading term dropped when S is a leaf (leaves carry no wavelets, so
 the variance at a point is the pure ancestor sum).  ``covariance_kernel``
-evaluates it for every vertex in one top-down O(n) pass: the ancestor sum of
-a vertex is its parent's plus one term, carried down the tree as the exact
-partials that ``math.fsum`` keeps, so each value is the same correctly
-rounded sum as the per-vertex ``kernel_value``.  The kernel, like the
-spectrum it reads, is an array over all vertices.  ``kernel_value`` walks the
-ancestors of one vertex and is kept as the path-sum reference; the direct
-sum over the wavelet rows, ``kernel_bruteforce``, is the independent oracle.
+evaluates it for every vertex in ceil(log2(depth + 1)) whole-array rounds:
+the ancestor sums are taken by pointer jumping as double-double sums that
+also bound what they drop, and each value the bound proves to be the
+correctly rounded sum is kept; the rest, rare, go to ``kernel_value``.  So
+each value is the same correctly rounded sum as the per-vertex
+``kernel_value``.  The kernel, like the spectrum it reads, is an array over
+all vertices.  ``kernel_value`` walks the ancestors of one vertex and is
+kept as the path-sum reference; the direct sum over the wavelet rows,
+``kernel_bruteforce``, is the independent oracle.
 
 Because K depends on a pair only through its sup, every pair sum reduces to
 subtree sums.  ``bilinear_form``, the covariance of two tested functions
@@ -156,58 +158,97 @@ def _overflowing_term_vertex(t: BallTree, S: int, terms: list) -> int:
     return bad[0] if bad else max(zip(chain, terms), key=lambda vx: abs(vx[1]))[0]
 
 
-def _grow(partials: list, x: float) -> list:
-    """Exact partials of sum(partials) + x: Shewchuk's step, as inside math.fsum."""
-    out = []
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            out.append(lo)
-        x = hi
-    if x:
-        out.append(x)
-    return out
+def _inv_square(lam: float) -> float:
+    """lambda^-2 by Python ``pow``, as ``kernel_value`` takes it; nan for lambda <= 0 and inf
+    past the float range.  numpy's ``** -2.0`` differs from it in the last bit on some values."""
+    try:
+        return lam ** -2 if lam > 0.0 else math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and the exact error e = a + b - s, elementwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _dd_add(hi, lo, err, b_hi, b_lo, b_err):
+    """Double-double sum of (hi, lo) and (b_hi, b_lo), with a bound on what it drops.
+
+    The two high parts and the two low parts are added by TwoSum, the low
+    error folded into the high one by a third TwoSum, and the result
+    renormalised by a fourth, so fl(hi + lo) = hi.  The errors of the second
+    and third are the only parts dropped; their magnitudes go into the bound,
+    which is exactly 0 as long as every addition was exact.
+    """
+    s, t = _two_sum(hi, b_hi)
+    w, w_err = _two_sum(lo, b_lo)
+    t, t_err = _two_sum(t, w)
+    hi, lo = _two_sum(s, t)
+    return hi, lo, err + b_err + np.abs(w_err) + np.abs(t_err)
 
 
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
-    """Kernel value at every vertex in one preorder pass, O(n_vertices).
+    """Kernel value at every vertex in ceil(log2(depth + 1)) whole-array rounds.
 
-    Each vertex takes its parent's path sum, held as exact partials, plus its
-    own path term; fsum rounds that exact sum once, so every value is bit for
-    bit ``kernel_value``.  A vertex whose terms or value are not finite is
-    handed to ``kernel_value``, which names the vertex to blame.
+    Each non-root vertex v has the path term lambda_p^-2 (1/nu(v) - 1/nu(p))
+    of its parent p, computed as ``kernel_value`` computes it.  The path sums
+    from the root down are taken by pointer jumping (Wyllie; the ranking in
+    ``tree._tour_places``): every vertex adds the sum held by its current
+    ancestor link and doubles the link, the root linked to itself with sum
+    0, so after k rounds a vertex holds the sum of the 2^k vertices up from
+    it.  Each addition is a double-double one (``_dd_add``) that also sums
+    the magnitudes of the residuals it drops into a bound; the own term
+    -lambda^-2 / nu is added the same way.
+
+    The reference value, ``kernel_value``, is fsum of the same float terms:
+    the exact sum X rounded once to nearest, ties to even.  Let hi, lo be
+    the final pair, so hi = fl(hi + lo), and e the bound.  X - (hi + lo) is
+    the sum of the dropped residuals.  e adds their magnitudes in floats,
+    and each of its few hundred additions of non-negative numbers rounds
+    down by at most a relative 2^-53, so |X - (hi + lo)| <= 2e.  hi is X
+    rounded when
+    - e = 0: no residual was dropped, so X = hi + lo and hi = fl(X), ties
+      included;
+    - |lo| + 2e < h, with h half the gap from |hi| to the next float toward
+      zero (the smaller of its two gaps): then |X - hi| < h, and no other
+      float is as close to X.  h is a power of two (or 0, which decides
+      nothing), so the float comparison implies the exact one.
+    fsum raises on an intermediate overflow that the order here may miss,
+    so a value is also taken only if |hi| and the own term are below
+    2^1022.  The path terms are non-negative, so each prefix sum fsum forms
+    lies between the own term and X, each term is below 2^1023, and no sum
+    inside fsum reaches 2^1024.  Every other vertex, undecided or not
+    finite, goes to ``kernel_value`` in preorder, which gives the same
+    value or names the same vertex to blame.
     """
-    values = [0.0] * t.n_vertices
-    lams = sp.lam.tolist()
-    parent, hi, measure, count = t.parent, t.hi, t.measure, t.child_count.tolist()
-    # (lambda^-2, partials of its path sum) of each interior vertex with children still to visit
-    carry = {}
-    for v in t.preorder:
-        p = parent[v]
-        if p != -1:
-            last = hi[v] == hi[p]  # the last child's leaf span ends with its parent's
-            inv2, partials = carry.pop(p) if last else carry[p]
-            term = inv2 * (1.0 / measure[v] - 1.0 / measure[p])
-            terms = partials + [term]
-        else:
-            partials, term, terms = [], 0.0, []
-        if count[v]:
-            lam = lams[v]
-            try:  # float ** raises OverflowError when lambda^-2 leaves the float range
-                inv2 = lam ** -2 if lam > 0.0 else math.nan
-            except OverflowError:
-                inv2 = math.inf
-            carry[v] = (inv2, _grow(partials, term))
-            terms.append(-inv2 / measure[v])
-        try:  # a non-finite term reaches fsum as inf, or as ValueError for -inf + inf
-            k = math.fsum(terms)
-        except (ValueError, OverflowError):
-            k = math.nan
-        values[v] = k if math.isfinite(k) else kernel_value(t, sp, v)
-    return CovarianceKernel(t, np.array(values))
+    n, root = t.n_vertices, t.root
+    parent = t.parent_array.copy()
+    parent[root] = root
+    m = t.measure_array
+    inv_m = 1.0 / m
+    inv2 = np.zeros(n)
+    inv2[t.interior_array] = list(map(_inv_square, sp.lam[t.interior_array].tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and nan go to kernel_value
+        hi = inv2[parent] * (inv_m - inv_m[parent])
+        hi[root] = 0.0
+        lo = np.zeros(n)
+        err = np.zeros(n)
+        for _ in range(int(t.depth_array.max()).bit_length()):
+            hi, lo, err = _dd_add(hi, lo, err, hi[parent], lo[parent], err[parent])
+            parent = parent[parent]
+        own = -inv2 / m
+        hi, lo, err = _dd_add(hi, lo, err, own, 0.0, 0.0)
+        a = np.abs(hi)
+        h = 0.5 * (a - np.nextafter(a, 0.0))
+        decided = ((a < 2.0 ** 1022) & (np.abs(own) < 2.0 ** 1022)
+                   & ((err == 0.0) | (np.abs(lo) + 2.0 * err < h)))
+    order = t.preorder_array
+    for v in order[~decided[order]].tolist():
+        hi[v] = kernel_value(t, sp, v)
+    return CovarianceKernel(t, hi)
 
 
 def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,

@@ -340,13 +340,16 @@ class BallTree:
         order.  No two vertices of a group share a parent, so
         ``a[parents] += a[group]`` adds each vertex once.  Top-down passes walk
         the groups forward; bottom-up passes walk them backward, so each
-        parent takes its children from the last to the first.
+        parent takes its children from the last to the first.  A one-vertex
+        tree has no group.
         """
         width = max(int(self.child_count.max()), 1)
         key = self.depth_array * width + self.child_slot
         # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
         key = key.astype(np.min_scalar_type(int(key.max())))
         below = np.argsort(key, kind="stable")[1:]  # the root, alone at depth 0, sorts first
+        if not len(below):
+            return []
         key = key[below]
         return [(group, self.parent_array[group])
                 for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,17 @@ def test_output_determinism(capsys):
     a = run(capsys, "kernel", T2)
     b = run(capsys, "kernel", T2)
     assert a == b
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; options of one call must not reach the next
+    golden = Path(__file__).resolve().parent / "golden"
+    profile, pairs = tmp_path / "profile.csv", tmp_path / "pairs.csv"
+    assert main(["kernel", T2, "--pairs", "profile", "--out", str(profile)]) == 0
+    assert main(["kernel", T2, "--out", str(pairs)]) == 0
+    assert run(capsys, "kernel", T2)[1].encode() == pairs.read_bytes()
+    assert profile.read_bytes() == (golden / "kernel-profile-T2.stdout").read_bytes()
+    assert pairs.read_bytes() == (golden / "kernel-all-T2.stdout").read_bytes()
 
 
 def test_verify_markov_needs_trials(capsys):

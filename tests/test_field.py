@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,74 @@ def test_covariance_kernel_is_path_sum_deep_caterpillar():
 def test_covariance_kernel_is_path_sum_wide_star():
     t = star(300, np.random.default_rng(32))
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(t=split_trees(measure=_log_uniform(-300, 300), symbol=_log_uniform(-50, 50)))
+def test_covariance_kernel_is_path_sum_extreme(t):
+    # values this wide overflow, or leave the double-double screen undecided,
+    # so covariance_kernel hands vertices to kernel_value
+    try:
+        sp = um.spectrum(t, um.symbol_from_tree(t))
+    except um.OutOfRange:
+        assume(False)
+    _assert_kernel_is_path_sum(t, sp)
+
+
+_dd_part = st.floats(-1e300, 1e300).flatmap(
+    lambda x: st.sampled_from([x, x * 2.0 ** -60, x * 2.0 ** -107, 0.0]))
+
+
+@settings(max_examples=500)
+@given(parts=st.lists(_dd_part, min_size=4, max_size=4))
+def test_dd_add_bounds_what_it_drops(parts):
+    a_hi, a_lo, b_hi, b_lo = map(np.float64, parts)
+    hi, lo, err = um.field._dd_add(a_hi, a_lo, 0.0, b_hi, b_lo, 0.0)
+    exact = sum(map(Fraction, parts))
+    assert hi + lo == hi
+    assert abs(exact - Fraction(hi) - Fraction(lo)) <= 2 * err  # err is itself rounded
+    assert err or exact == Fraction(hi) + Fraction(lo)
+
+
+def _count_fallbacks(monkeypatch):
+    """The vertices covariance_kernel hands to kernel_value, in call order."""
+    calls = []
+    path_sum = um.field.kernel_value
+
+    def counted(t, sp, S):
+        calls.append(S)
+        return path_sum(t, sp, S)
+
+    monkeypatch.setattr(um.field, "kernel_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, depth", [(2, 10), (3, 6)])
+def test_covariance_kernel_decides_ties_homogeneous(p, depth, monkeypatch):
+    # equal measures make many path sums exact half-ulp ties, decided by the zero bound
+    t = um.generate_homogeneous(p, depth, 1.0)
+    calls = _count_fallbacks(monkeypatch)
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.constant_symbol(t, 1.0)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("depth", [255, 256, 257, 1024])
+def test_covariance_kernel_round_count_caterpillar(depth, monkeypatch):
+    # depths around 2^k: one pointer-jumping round fewer misses a term
+    t = caterpillar(depth, np.random.default_rng(depth))
+    calls = _count_fallbacks(monkeypatch)
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert calls == []
+
+
+def test_covariance_kernel_falls_back_near_overflow(monkeypatch):
+    # lambda_R^-2 = 1e8 over nu(R) = 2e-300: every value is finite but past 2^1022
+    doc = {"nodes": [{"id": "R", "children": ["a", "b"], "T": 5e295},
+                     {"id": "a", "measure": 1e-300}, {"id": "b", "measure": 1e-300}]}
+    t = um.parse_tree(doc)
+    calls = _count_fallbacks(monkeypatch)
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert calls == t.preorder
 
 
 def _kernel_error(doc):

@@ -294,6 +294,7 @@ def test_single_leaf_tree():
     t = from_children(["x"], [[]], {0: 2.0})
     assert (t.root, t.preorder, t.depth, t.lo, t.hi, t.interior) == (0, [0], [0], [0], [1], [])
     assert t.total_measure == 2.0 and t.leaf_order == [0]
+    assert t.slot_levels == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -79,8 +79,8 @@ def cmd_validate(args) -> int:
     if not args.quiet:
         print(f"leaves: {t.n_leaves}")
         print(f"total_measure: {t.total_measure:.17g}")
-        print(f"interior: {len(t.interior)}")
-        print(f"depth: {max(t.depth)}")
+        print(f"interior: {len(t.interior_array)}")
+        print(f"depth: {int(t.depth_array.max())}")
     return EXIT_OK
 
 

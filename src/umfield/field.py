@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ddsum import dd_add, screen
 from .tree import BallTree, check_dense
 from .wavelets import WaveletBasis, evaluate
 from .pdo import Symbol, Spectrum, apply_dense
@@ -117,16 +118,17 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     """
     terms = []
     I = S
+    lam_at = sp.lam.item
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
         if not t.is_leaf(S):
-            lam = float(sp.lam[S])
+            lam = lam_at(S)
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
             terms.append(-(lam ** -2) / t.measure[S])
         below = S
         I = t.parent[S]
         while I != -1:
-            lam = float(sp.lam[I])
+            lam = lam_at(I)
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
             terms.append(lam ** -2 * (1.0 / t.measure[below] - 1.0 / t.measure[I]))
@@ -141,7 +143,7 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
         k = math.nan
     if not math.isfinite(k):
         I = _overflowing_term_vertex(t, S, terms)
-        lam = float(sp.lam[I])
+        lam = lam_at(I)
         raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
                              f"the kernel value at vertex {t.names[S]!r} overflows")
     return k
@@ -167,29 +169,6 @@ def _inv_square(lam: float) -> float:
         return math.inf
 
 
-def _two_sum(a, b):
-    """Knuth's TwoSum: s = fl(a + b) and the exact error e = a + b - s, elementwise."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _dd_add(hi, lo, err, b_hi, b_lo, b_err):
-    """Double-double sum of (hi, lo) and (b_hi, b_lo), with a bound on what it drops.
-
-    The two high parts and the two low parts are added by TwoSum, the low
-    error folded into the high one by a third TwoSum, and the result
-    renormalised by a fourth, so fl(hi + lo) = hi.  The errors of the second
-    and third are the only parts dropped; their magnitudes go into the bound,
-    which is exactly 0 as long as every addition was exact.
-    """
-    s, t = _two_sum(hi, b_hi)
-    w, w_err = _two_sum(lo, b_lo)
-    t, t_err = _two_sum(t, w)
-    hi, lo = _two_sum(s, t)
-    return hi, lo, err + b_err + np.abs(w_err) + np.abs(t_err)
-
-
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     """Kernel value at every vertex in ceil(log2(depth + 1)) whole-array rounds.
 
@@ -199,30 +178,21 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     ``tree._tour_places``): every vertex adds the sum held by its current
     ancestor link and doubles the link, the root linked to itself with sum
     0, so after k rounds a vertex holds the sum of the 2^k vertices up from
-    it.  Each addition is a double-double one (``_dd_add``) that also sums
-    the magnitudes of the residuals it drops into a bound; the own term
-    -lambda^-2 / nu is added the same way.
+    it.  Each addition is a double-double one (``ddsum.dd_add``, into
+    buffers the rounds reuse) that also sums the magnitudes of the residuals
+    it drops into a bound; the own term -lambda^-2 / nu is added the same
+    way.
 
-    The reference value, ``kernel_value``, is fsum of the same float terms:
-    the exact sum X rounded once to nearest, ties to even.  Let hi, lo be
-    the final pair, so hi = fl(hi + lo), and e the bound.  X - (hi + lo) is
-    the sum of the dropped residuals.  e adds their magnitudes in floats,
-    and each of its few hundred additions of non-negative numbers rounds
-    down by at most a relative 2^-53, so |X - (hi + lo)| <= 2e.  hi is X
-    rounded when
-    - e = 0: no residual was dropped, so X = hi + lo and hi = fl(X), ties
-      included;
-    - |lo| + 2e < h, with h half the gap from |hi| to the next float toward
-      zero (the smaller of its two gaps): then |X - hi| < h, and no other
-      float is as close to X.  h is a power of two (or 0, which decides
-      nothing), so the float comparison implies the exact one.
-    fsum raises on an intermediate overflow that the order here may miss,
-    so a value is also taken only if |hi| and the own term are below
-    2^1022.  The path terms are non-negative, so each prefix sum fsum forms
-    lies between the own term and X, each term is below 2^1023, and no sum
-    inside fsum reaches 2^1024.  Every other vertex, undecided or not
-    finite, goes to ``kernel_value`` in preorder, which gives the same
-    value or names the same vertex to blame.
+    The reference value, ``kernel_value``, is fsum of the same float terms,
+    and ``ddsum.screen`` keeps each value it proves equal to it (the error
+    argument is in the ``ddsum`` docstring).  fsum raises on an intermediate
+    overflow that the order here may miss, so a value is also taken only if
+    the own term is below 2^1022, as the screen asks of the value.  The path
+    terms are non-negative, so each prefix sum fsum forms lies between the
+    own term and X, each term is below 2^1023, and no sum inside fsum
+    reaches 2^1024.  Every other vertex, undecided or not finite, goes to
+    ``kernel_value`` in preorder, which gives the same value or names the
+    same vertex to blame.
     """
     n, root = t.n_vertices, t.root
     parent = t.parent_array.copy()
@@ -236,15 +206,18 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         hi[root] = 0.0
         lo = np.zeros(n)
         err = np.zeros(n)
+        up = (np.empty(n), np.empty(n), np.empty(n))  # the sums held at the ancestor links
+        work = (np.empty(n), np.empty(n), np.empty(n), np.empty(n))
+        link = np.empty_like(parent)
         for _ in range(int(t.depth_array.max()).bit_length()):
-            hi, lo, err = _dd_add(hi, lo, err, hi[parent], lo[parent], err[parent])
-            parent = parent[parent]
+            for x, b in zip((hi, lo, err), up):
+                np.take(x, parent, out=b)
+            dd_add(hi, lo, err, *up, work)
+            np.take(parent, parent, out=link)
+            parent, link = link, parent
         own = -inv2 / m
-        hi, lo, err = _dd_add(hi, lo, err, own, 0.0, 0.0)
-        a = np.abs(hi)
-        h = 0.5 * (a - np.nextafter(a, 0.0))
-        decided = ((a < 2.0 ** 1022) & (np.abs(own) < 2.0 ** 1022)
-                   & ((err == 0.0) | (np.abs(lo) + 2.0 * err < h)))
+        dd_add(hi, lo, err, own, 0.0, 0.0, work)
+        decided = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
     order = t.preorder_array
     for v in order[~decided[order]].tolist():
         hi[v] = kernel_value(t, sp, v)

@@ -18,7 +18,11 @@ carried down the tree:
 
 where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
-lost to cancellation against the parent's measure.
+lost to cancellation against the parent's measure.  A is carried over the
+depth groups of the tree (``BallTree.depth_groups``): one whole-array step
+per wide level, and a scalar loop over each run of narrow levels, so a deep
+chain costs no numpy step per level.  Each A is the same single rounding of
+the same floats in either form.
 
 A ``Symbol`` is the validated mapping the tree document gives; past it the
 symbol and the eigenvalues are arrays over all vertices, 0 on the leaves.
@@ -27,7 +31,6 @@ The dense O(n^2) application is kept as the reference oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +71,7 @@ def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
     n, vals = t.n_vertices, s.values
     keys = np.array(list(vals))
     T = np.zeros(n)
-    if (keys.dtype.kind in "iu" and len(keys) == len(t.interior)
+    if (keys.dtype.kind in "iu" and len(keys) == len(t.interior_array)
             and keys.min() >= 0 and keys.max() < n and t.child_count[keys].all()):
         T[keys] = list(vals.values())
         return T
@@ -78,7 +81,7 @@ def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
         if t.is_leaf(v):
             raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
         T[v] = val
-    if len(vals) < len(t.interior):  # every key is an interior vertex by now
+    if len(vals) < len(t.interior_array):  # every key is an interior vertex by now
         missing = [v for v in t.interior if v not in vals]
         raise ValueError(f"symbol missing on interior vertices {missing}")
     return T
@@ -94,7 +97,7 @@ def symbol_from_tree(t: BallTree) -> Symbol:
 
 
 def constant_symbol(t: BallTree, c: float) -> Symbol:
-    return Symbol(dict.fromkeys(t.interior, c))
+    return Symbol(dict.fromkeys(t.interior_array.tolist(), c))
 
 
 def random_symbol(t: BallTree, seed, low: float = 0.0, high: float = 2.0) -> Symbol:
@@ -121,23 +124,42 @@ def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
 
 
 def spectrum(t: BallTree, s: Symbol) -> Spectrum:
-    """Eigenvalues as an array over all vertices, 0 on leaves: one preorder pass for the
-    outer sums A."""
-    T_arr = _symbol_array(t, s)
-    T, parent = T_arr.tolist(), t.parent
+    """Eigenvalues as an array over all vertices, 0 on leaves.
+
+    The outer sums A are carried top-down over ``BallTree.depth_groups``:
+    A[g] = A[parent] + T[parent] sigma[g] is one whole-array step for a wide
+    level and a scalar loop over a group of narrow ones.  Each A is the same
+    single rounding of the same floats either way, so the values do not
+    depend on the grouping.
+    """
+    T = _symbol_array(t, s)
+    parent, root = t.parent_array, t.root
     earlier, later = t.sibling_measures
-    sigma = (earlier + later).tolist()
-    A = [0.0] * t.n_vertices
-    for v in itertools.islice(t.interior, 1, None):  # preorder: parent precedes child
-        p = parent[v]
-        A[v] = A[p] + T[p] * sigma[v]
-    with np.errstate(over="ignore"):  # an overflow is named below
-        lam = np.array(A) + T_arr * t.measure_array
+    sigma = earlier + later
+    A = np.zeros(t.n_vertices)
+    place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        for g, wide in t.depth_groups:
+            if g[0] == root:  # A(root) = 0
+                g = g[1:]
+            p = parent[g]
+            if wide:
+                A[g] = A[p] + T[p] * sigma[g]
+                continue
+            # the group's values, then its parents'; by depth, a parent comes before its children
+            place[p] = len(g) + np.arange(len(p))
+            place[g] = np.arange(len(g))
+            vals = [0.0] * len(g) + A[p].tolist()
+            for i, (q, tq, sv) in enumerate(zip(place[p].tolist(), T[p].tolist(),
+                                                sigma[g].tolist())):
+                vals[i] = vals[q] + tq * sv
+            A[g] = vals[:len(g)]
+        lam = A + T * t.measure_array
     bad = ~np.isfinite(lam[t.interior_array])
     if bad.any():
         I = int(t.interior_array[np.argmax(bad)])  # the first in preorder
         raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
-                         f"T = {T[I]!r}, measure = {t.measure[I]!r}")
+                         f"T = {T.item(I)!r}, measure = {t.measure_array.item(I)!r}")
     return Spectrum(lam)
 
 

@@ -18,10 +18,16 @@ pass over the document's nodes and ``generate_homogeneous`` in closed form.
 The constructor ranks the tree's Euler tour, an enter and an exit event per
 vertex, by pointer jumping: ceil(log2(2n)) whole-array steps, whatever the
 depth, give every event its place in the tour, and preorder, depth and the
-leaf bounds ``lo``/``hi`` are counts of the events before a place.  Only the
-measures take a Python pass, one exact ``fsum`` per interior vertex,
-bottom-up.  Every leaf set is a contiguous run of the leaf order, given by
-``lo`` and ``hi``.
+leaf bounds ``lo``/``hi`` are counts of the events before a place.  Every
+leaf set is a contiguous run of the leaf order, given by ``lo`` and ``hi``.
+
+Each interior measure is fsum of its children's measures, the exact sum
+rounded once.  The measures are taken bottom-up over ``depth_groups``, the
+interior vertices grouped by depth: a wide level adds its children slot by
+slot as double-double sums (``ddsum``) and keeps every value the screen
+proves equal to fsum, calling fsum for the rest; consecutive narrow levels
+form one group walked by a scalar fsum loop.  A measure that overflows is
+named by the per-vertex loop in reversed preorder.
 
 The vectorised passes read numpy arrays; scalar queries read list views of
 them, each made on first read, so a run builds only the lists it uses.  The
@@ -39,6 +45,8 @@ import operator
 import random
 
 import numpy as np
+
+from .ddsum import dd_add, screen, two_sum
 
 
 class TreeError(ValueError):
@@ -94,6 +102,13 @@ _DECLARED_MEASURE_RTOL = 1e-9
 # covariance) refuse larger trees before allocating: one n_leaves^2 float64
 # array is 128 MiB at this size.
 DENSE_MAX_LEAVES = 4096
+
+# A depth level is walked by one vectorised step per child slot when it has at
+# least this many interior vertices per slot step; narrower levels take the
+# scalar loop (BallTree.depth_groups).  A binary level's vectorised measure step
+# costs about 28 us, as much as 35 vertices of the scalar fsum loop at 0.8 us
+# each; the spectrum's break-even is lower, and timings were flat from 8 to 64.
+_WIDE_LEVEL = 32
 
 
 def check_dense(n_leaves: int, what: str) -> None:
@@ -192,6 +207,67 @@ def _euler_ranks(count, first, kids, owner, root):
     return order, 2 * rank - enter, leaves_before[enter], leaves_before[leave]
 
 
+def _measure_overflow(t, m) -> OutOfRange:
+    """The error for the first interior vertex, in reversed preorder, whose fsum overflows."""
+    measure = m.tolist()
+    kids, first, count = t.child_ids.tolist(), t.child_first.tolist(), t.child_count.tolist()
+    try:
+        for v in reversed(t.interior_array.tolist()):  # children before parents
+            measure[v] = math.fsum(measure[c] for c in kids[first[v]:first[v] + count[v]])
+    except OverflowError:
+        return OutOfRange(f"measure of vertex {t.names[v]!r} overflows")
+    raise AssertionError("no measure overflows")
+
+
+def _fill_measures(t, m) -> None:
+    """Write into m, which holds the leaf measures, each interior vertex's fsum of its children's.
+
+    Bottom-up over ``t.depth_groups``.  A wide level adds its children slot
+    by slot: slot 1 to slot 0 by TwoSum, exactly, and later slots by
+    ``dd_add`` over the prefix of vertices that have them; the values
+    ``screen`` does not keep are taken by fsum before the level above reads
+    them.  A vertex with two children never falls back below 2^1022: its sum
+    drops nothing.  A narrow group is one scalar fsum per vertex, children
+    before parents, over a list that holds the group's values and then its
+    children's.
+    """
+    kids, first, count = t.child_ids, t.child_first, t.child_count
+    place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
+    try:
+        for g, wide in reversed(t.depth_groups):
+            if not wide:
+                g = g[::-1]
+                c = count[g]
+                ends = np.cumsum(c)
+                ch = kids[np.repeat(first[g] - (ends - c), c) + np.arange(ends[-1])]
+                place[ch] = len(g) + np.arange(len(ch))
+                place[g] = np.arange(len(g))  # a child in the group reads the group's value
+                vals = [0.0] * len(g) + m[ch].tolist()
+                get = vals.__getitem__
+                at = place[ch].tolist()
+                a = 0
+                for i, b in enumerate(ends.tolist()):
+                    vals[i] = math.fsum(map(get, at[a:b]))
+                    a = b
+                m[g] = vals[:len(g)]
+                continue
+            f, c = first[g], count[g]  # c is non-increasing along the level
+            hi, lo, err = np.empty(len(g)), np.empty(len(g)), np.zeros(len(g))
+            work = [np.empty(len(g)) for _ in range(4)]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to fsum
+                two_sum(m[kids[f]], m[kids[f + 1]], hi, lo, work[0])
+                for j in range(2, int(c[0])):
+                    k = int(np.count_nonzero(c > j))
+                    dd_add(hi[:k], lo[:k], err[:k], m[kids[f[:k] + j]], 0.0, 0.0,
+                           [w[:k] for w in work])
+                keep = screen(hi, lo, err)
+            m[g] = hi
+            for v in g[~keep].tolist():
+                m[v] = math.fsum(m[kids[first[v]:first[v] + count[v]]].tolist())
+    except OverflowError:
+        raise _measure_overflow(t, m) from None
+
+
 def _list_view(array_name: str):
     """A per-vertex list made from the array attribute ``array_name`` on first read.
 
@@ -215,14 +291,14 @@ class BallTree:
     The CSR arrays ``child_count``, ``child_first`` and ``child_ids`` are
     kept as given; ``child_slot`` is each vertex's position in its parent's
     child list.  The ranked fields are arrays: ``parent_array`` (-1 at the
-    root), ``depth_array``, ``lo_array``, ``hi_array``, and the vertex
-    sequences ``preorder_array``, ``interior_array`` (in preorder) and
+    root), ``depth_array``, ``lo_array``, ``hi_array``, ``measure_array``
+    (from the exact bottom-up pass), and the vertex sequences
+    ``preorder_array``, ``interior_array`` (in preorder) and
     ``leaf_order_array``.  Each has a list view without the suffix
-    (``parent``, ``depth``, ...) for scalar loops, made on first read.
-    ``measure`` is a list, from the exact bottom-up pass, and
-    ``measure_array`` its array.  ``children`` (one tuple per vertex) and
-    ``name_to_id`` are also built on first read; a caller that has the name
-    index already (``parse_tree``) passes it as ``name_to_id``.
+    (``parent``, ``measure``, ...) for scalar loops, made on first read.
+    ``children`` (one tuple per vertex) and ``name_to_id`` are also built on
+    first read; a caller that has the name index already (``parse_tree``)
+    passes it as ``name_to_id``.
     """
 
     def __init__(self, names, child_count, child_ids, leaf_measures, *, declared_measures=None,
@@ -263,24 +339,6 @@ class BallTree:
         interior_a = order[~is_leaf[order]]
 
         leaf_m = _leaf_measure_array(names, leaf_ids, leaf_measures)
-        at_leaves = np.zeros(n)
-        at_leaves[leaf_ids] = leaf_m
-        measure = at_leaves.tolist()
-        interior = interior_a.tolist()
-        kid_list = kids.tolist()
-        get = measure.__getitem__
-        try:
-            for v, a, b in zip(reversed(interior), reversed(first[interior_a].tolist()),
-                               reversed((first + count)[interior_a].tolist())):
-                measure[v] = math.fsum(map(get, kid_list[a:b]))  # children before parents
-        except OverflowError:
-            raise OutOfRange(f"measure of vertex {names[v]!r} overflows") from None
-
-        if declared_measures:
-            for v, m in declared_measures.items():
-                if abs(m - measure[v]) > _DECLARED_MEASURE_RTOL * abs(measure[v]):
-                    raise MeasureMismatch(
-                        f"vertex {names[v]!r}: declared measure {m} != children sum {measure[v]}")
 
         self.label = label
         self.names = names
@@ -292,19 +350,28 @@ class BallTree:
         self.depth_array = depth
         self.lo_array = lo
         self.hi_array = hi
-        self.measure = measure
         self.root = root
         self.preorder_array = order
         self.interior_array = interior_a
-        self.interior = interior  # its list view, made already for the measure pass
         self.leaf_order_array = leaf_order
         self.symbol_hint = dict(symbol_hint) if symbol_hint else None
         self.n_vertices = n
         self.n_leaves = len(leaf_order)
-        self.total_measure = measure[root]
-        self.leaf_measures = at_leaves[leaf_order]
+
+        m = self.measure_array = np.zeros(n)
+        m[leaf_ids] = leaf_m
+        _fill_measures(self, m)
+        if declared_measures:
+            for v, d in declared_measures.items():
+                mv = m.item(v)
+                if abs(d - mv) > _DECLARED_MEASURE_RTOL * abs(mv):
+                    raise MeasureMismatch(
+                        f"vertex {names[v]!r}: declared measure {d} != children sum {mv}")
+        self.total_measure = m.item(root)
+        self.leaf_measures = m[leaf_order]
 
     parent = _list_view("parent_array")
+    measure = _list_view("measure_array")
     depth = _list_view("depth_array")
     lo = _list_view("lo_array")
     hi = _list_view("hi_array")
@@ -328,9 +395,36 @@ class BallTree:
         return frozenset(self.leaf_order)
 
     @functools.cached_property
-    def measure_array(self) -> np.ndarray:
-        """``measure`` as a numpy array, for vectorised passes."""
-        return np.fromiter(self.measure, dtype=float, count=self.n_vertices)
+    def depth_groups(self) -> list[tuple[np.ndarray, bool]]:
+        """The interior vertices in groups by depth, top-down, each with a flag: wide or not.
+
+        A wide level is a group of its own, its vertices by decreasing child
+        count and then in preorder, so those with more than j children are a
+        prefix; a level pass takes it in whole-array steps.  Consecutive narrow
+        levels form one group, which lists every parent before its children,
+        and a pass walks it vertex by vertex.  A level is wide when it has at
+        least ``_WIDE_LEVEL`` vertices per slot step of the measure pass (its
+        largest child count less one), so a deep chain of one-vertex levels is
+        one scalar loop and not a numpy step per level, and a few vertices with
+        many children take fsum.
+        """
+        inner = self.interior_array
+        if not len(inner):
+            return []
+        depth = self.depth_array[inner]
+        size = np.bincount(depth)  # interior vertices per level; no level between is empty
+        if size.max() >= _WIDE_LEVEL:  # else no level is wide
+            count = self.child_count[inner]
+            top = int(count.max())
+            key = depth * top + (top - count)
+            key = key.astype(np.min_scalar_type(int(key.max())))
+            order = inner[np.argsort(key, kind="stable")]
+            start = np.cumsum(size) - size
+            wide = size >= _WIDE_LEVEL * (self.child_count[order[start]] - 1)
+            if wide.any():
+                cut = np.flatnonzero(wide[1:] | wide[:-1]) + 1  # the levels that start a group
+                return list(zip(np.split(order, start[cut]), wide[np.r_[0, cut]].tolist()))
+        return [(inner, False)]  # one narrow group, in preorder
 
     @functools.cached_property
     def slot_levels(self) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -132,3 +132,71 @@ def star(n_children, rng, symbol=True):
     return from_children([f"v{v}" for v in range(n_children + 1)],
                          [list(range(1, n_children + 1))] + [[]] * n_children, measures,
                          symbol_hint={0: 1.5} if symbol else None)
+
+
+def preorder_spectrum(t, s):
+    """The eigenvalues by the per-vertex preorder recurrence that the level passes replaced:
+    A(root) = 0, A(v) = A(parent) + T(parent) sigma(v) with sigma the summed sibling measures,
+    and lambda = A + T nu.  Returns a list over all vertices."""
+    T = um.pdo._symbol_array(t, s).tolist()
+    earlier, later = t.sibling_measures
+    sigma = (earlier + later).tolist()
+    A = [0.0] * t.n_vertices
+    for v in t.interior[1:]:  # preorder: parent precedes child
+        p = t.parent[v]
+        A[v] = A[p] + T[p] * sigma[v]
+    return [a + x * m for a, x, m in zip(A, T, t.measure)]
+
+
+def log_uniform_measures(exponent):
+    """A strategy for a seeded draw of n leaf measures 10^e, e uniform in [-x, x] for an x drawn
+    from ``exponent``; returns the function n -> measures."""
+    def draw_n(seed, x):
+        return lambda n: (10.0 ** np.random.default_rng(seed).uniform(-x, x, n)).tolist()
+
+    return st.tuples(st.integers(0, 2 ** 32 - 1), exponent).map(lambda sx: draw_n(*sx))
+
+
+@st.composite
+def wide_stars(draw, measures=log_uniform_measures(st.floats(0, 300))):
+    """A root over 1000-3000 leaves, T = 1.5."""
+    n = draw(st.integers(1000, 3000))
+    m = draw(measures)(n)
+    return from_children([f"v{v}" for v in range(n + 1)], [list(range(1, n + 1))] + [[]] * n,
+                         dict(zip(range(1, n + 1), m)), symbol_hint={0: 1.5})
+
+
+@st.composite
+def hung_caterpillars(draw, measures=log_uniform_measures(st.floats(0, 300))):
+    """A bush (each interior vertex with 2 to ``arity`` children, ``arity`` drawn from 2-4) of
+    depth 5-7, a caterpillar of 1-80 levels hung under one of its leaves, and a second bush of
+    depth 0-6 under the caterpillar's last vertex.  The bushes' lower levels are mostly wide
+    enough for whole-array steps and the caterpillar's are narrow.  T is log-uniform over
+    1e-3...1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arity = draw(st.integers(2, 4))
+    children = [[]]
+
+    def grow(v, depth):
+        level = [v]
+        for _ in range(depth):
+            below = []
+            for u in level:
+                k = int(rng.integers(2, arity + 1))
+                children[u] = list(range(len(children), len(children) + k))
+                children.extend([] for _ in range(k))
+                below += children[u]
+            level = below
+        return level
+
+    leaves = grow(0, draw(st.integers(5, 7)))
+    v = leaves[draw(st.integers(0, len(leaves) - 1))]
+    for _ in range(draw(st.integers(1, 80))):
+        children[v] = [len(children), len(children) + 1]
+        children.extend([[], []])
+        v = children[v][int(rng.integers(2))]
+    grow(v, draw(st.integers(0, 6)))
+    leaf_ids = [u for u, kids in enumerate(children) if not kids]
+    hint = {u: float(10.0 ** rng.uniform(-3, 3)) for u, kids in enumerate(children) if kids}
+    return from_children([f"v{u}" for u in range(len(children))], children,
+                         dict(zip(leaf_ids, draw(measures)(len(leaf_ids)))), symbol_hint=hint)

@@ -96,7 +96,10 @@ _dd_part = st.floats(-1e300, 1e300).flatmap(
 @given(parts=st.lists(_dd_part, min_size=4, max_size=4))
 def test_dd_add_bounds_what_it_drops(parts):
     a_hi, a_lo, b_hi, b_lo = map(np.float64, parts)
-    hi, lo, err = um.field._dd_add(a_hi, a_lo, 0.0, b_hi, b_lo, 0.0)
+    hi, lo, err = (np.array([x]) for x in (a_hi, a_lo, 0.0))
+    um.ddsum.dd_add(hi, lo, err, np.array([b_hi]), np.array([b_lo]), 0.0,
+                    [np.empty(1) for _ in range(4)])
+    hi, lo, err = hi[0], lo[0], err[0]
     exact = sum(map(Fraction, parts))
     assert hi + lo == hi
     assert abs(exact - Fraction(hi) - Fraction(lo)) <= 2 * err  # err is itself rounded

@@ -5,7 +5,10 @@ import pytest
 
 import umfield as um
 
-from conftest import dense_row, random_trees
+from hypothesis import given, settings, strategies as st
+
+from conftest import (dense_row, hung_caterpillars, preorder_spectrum, random_trees, split_trees,
+                      wide_stars)
 
 
 def _sym_eigvals(t, s):
@@ -114,6 +117,56 @@ def test_spectrum_recurrence_consistency():
         p = t.parent[I]
         assert sp.lam[I] - sp.lam[p] == pytest.approx(
             t.measure[I] * (s.values[I] - s.values[p]), rel=1e-12, abs=1e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@pytest.mark.parametrize("family", [
+    wide_stars(),
+    split_trees(measure=st.floats(-300, 300).map(lambda e: 10.0 ** e),
+                symbol=st.floats(-50, 50).map(lambda e: 10.0 ** e)),
+    hung_caterpillars(),
+], ids=["star", "split-1e300", "hung-caterpillar"])
+@given(data=st.data())
+def test_spectrum_is_preorder_recurrence(family, data):
+    t = data.draw(family)
+    s = um.symbol_from_tree(t)
+    ref = preorder_spectrum(t, s)
+    if not all(map(math.isfinite, ref)):
+        with pytest.raises(um.OutOfRange):
+            um.spectrum(t, s)
+        return
+    assert um.spectrum(t, s).lam.tolist() == ref
+
+
+def test_spectrum_is_preorder_recurrence_chain_bush_chain():
+    # a 40-level caterpillar, a 2^10-leaf binary tree under its last vertex and another
+    # 40-level caterpillar under that tree's last leaf: narrow levels, wide ones, narrow again
+    children = [[]]
+
+    def split(v):
+        children[v] = [len(children), len(children) + 1]
+        children.extend([[], []])
+        return children[v]
+
+    def chain(v, n):
+        for _ in range(n):
+            v = split(v)[1]
+        return v
+
+    def bush(v, depth):
+        level = [v]
+        for _ in range(depth):
+            level = [c for u in level for c in split(u)]
+        return level[-1]
+
+    chain(bush(chain(0, 40), 10), 40)
+    n_leaves = sum(not kids for kids in children)
+    t = um.BallTree([f"v{v}" for v in range(len(children))], [len(k) for k in children],
+                    [c for k in children for c in k],
+                    np.random.default_rng(5).uniform(0.1, 1.0, n_leaves))
+    assert [wide for _, wide in t.depth_groups] == [False, True, True, True, True, True, False]
+    s = um.random_symbol(t, 5, 0.5, 2.0)
+    assert um.spectrum(t, s).lam.tolist() == preorder_spectrum(t, s)
 
 
 def test_spectrum_geometric_symbol_vs_dense():

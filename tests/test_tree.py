@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import caterpillar, from_children, homogeneous_reference, split_trees, star
+from conftest import (caterpillar, from_children, homogeneous_reference, hung_caterpillars,
+                      split_trees, star, wide_stars)
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -306,6 +307,125 @@ def test_generate_homogeneous_matches_recursive_reference(p, depth):
     assert t.label == f"homogeneous(p={p},depth={depth})"
     _assert_flat_fields(t, children, measures)
     assert t.preorder == list(range(t.n_vertices))
+
+
+# sums of these lie on or next to rounding ties, where a double-double sum can be undecided
+_TIES = [1.0, 2.0 ** -53, 2.0 ** -106, 3 * 2.0 ** -54, 2.0 ** -52, 1.0 + 2.0 ** -52]
+_tie_measures = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: lambda n: np.random.default_rng(seed).choice(_TIES, n).tolist())
+
+
+def _assert_measures_are_fsum(t):
+    """Each measure is fsum of the children's, taken one vertex at a time in reversed preorder."""
+    ref = _reference_fields([list(k) for k in t.children], {x: t.measure[x] for x in t.leaf_order})
+    assert t.measure == ref["measure"]
+    assert t.measure_array.tolist() == t.measure
+
+
+@settings(deadline=None, max_examples=40)
+@pytest.mark.parametrize("family", [
+    wide_stars(),
+    split_trees(measure=st.floats(-300, 300).map(lambda e: 10.0 ** e)),
+    hung_caterpillars(),
+    hung_caterpillars(measures=_tie_measures),
+], ids=["star", "split-1e300", "hung-caterpillar", "hung-caterpillar-ties"])
+@given(data=st.data())
+def test_measures_are_fsum_of_children(family, data):
+    _assert_measures_are_fsum(data.draw(family))
+
+
+def _count_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(xs):
+        calls.append(None)
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("measures", [
+    lambda rng, n: rng.uniform(0.1, 1.0, n),
+    lambda rng, n: 10.0 ** rng.uniform(-300, 300, n),
+    lambda rng, n: rng.choice(_TIES, n),
+], ids=["1", "1e300", "ties"])
+def test_binary_wide_levels_never_fall_back(measures, monkeypatch):
+    # a sum of two floats drops no residual, so the screen keeps every one
+    base = um.generate_homogeneous(2, 12, 1.0)
+    m = measures(np.random.default_rng(12), base.n_leaves)
+    calls = _count_fsum(monkeypatch)
+    t = um.BallTree(base.names, base.child_count, base.child_ids, m)
+    monkeypatch.undo()
+    assert sum(wide for _, wide in t.depth_groups) == 7  # depths 5 to 11
+    assert len(calls) == sum(len(g) for g, wide in t.depth_groups if not wide) == 31
+    _assert_measures_are_fsum(t)
+
+
+def test_undecided_wide_level_takes_fsum(monkeypatch):
+    # each of the 81 vertices at depth 4 of a ternary tree has the leaves 1, 2^-53 and 2^-106,
+    # whose sum lies just past the tie 1 + 2^-53: the double-double sum leaves it undecided
+    base = um.generate_homogeneous(3, 5, 1.0)
+    calls = _count_fsum(monkeypatch)
+    t = um.BallTree(base.names, base.child_count, base.child_ids,
+                    [1.0, 2.0 ** -53, 2.0 ** -106] * 81)
+    monkeypatch.undo()
+    assert [(len(g), wide) for g, wide in t.depth_groups] == [(40, False), (81, True)]
+    assert len(calls) == 40 + 81
+    assert {t.measure[v] for v in t.depth_groups[1][0].tolist()} == {1.0 + 2.0 ** -52}
+    _assert_measures_are_fsum(t)
+
+
+def _two_overflows(deep_first, deep_wide):
+    """A root over a vertex B whose two leaves overflow and a subtree L with one vertex D, eight
+    levels down, whose two leaves overflow; D sits in a binary bush (a wide level) or at the
+    end of a caterpillar (a narrow one).  deep_first puts L before B."""
+    names, children, measures = ["R"], [[]], {}
+
+    def add(parent, name, m=None):
+        children[parent].append(len(names))
+        names.append(name)
+        children.append([])
+        if m is not None:
+            measures[len(names) - 1] = m
+        return len(names) - 1
+
+    def deep():
+        level = [add(0, "L")]
+        for d in range(6):
+            if deep_wide:
+                level = [add(u, f"u{len(names)}") for u in level for _ in range(2)]
+            else:
+                add(level[0], f"x{d}", 1.0)
+                level = [add(level[0], f"L{d}")]
+        for i, u in enumerate(level):
+            d = add(u, f"D{i}")
+            add(u, f"y{i}", 1.0)
+            add(d, f"d{i}", 1e308 if i == 0 else 1.0)
+            add(d, f"e{i}", 1e308 if i == 0 else 1.0)
+
+    def shallow():
+        b = add(0, "B")
+        add(b, "b1", 1e308)
+        add(b, "b2", 1e308)
+
+    for part in (deep, shallow) if deep_first else (shallow, deep):
+        part()
+    return names, children, measures
+
+
+@pytest.mark.parametrize("deep_wide", [True, False], ids=["wide", "narrow"])
+@pytest.mark.parametrize("deep_first, culprit", [(True, "B"), (False, "D0")])
+def test_measure_overflow_names_first_in_reversed_preorder(deep_first, culprit, deep_wide):
+    names, children, measures = _two_overflows(deep_first, deep_wide)
+    with pytest.raises(um.OutOfRange) as e:
+        from_children(names, children, measures)
+    assert str(e.value) == f"measure of vertex {culprit!r} overflows"
+    if deep_wide:  # D0 is in a wide level, which the level pass reaches before B
+        t = from_children(names, children, dict.fromkeys(measures, 1.0))
+        wide = [g for g, w in t.depth_groups if w]
+        assert any(names.index("D0") in g.tolist() for g in wide)
 
 
 def _slot_levels_reference(t):

@@ -134,16 +134,17 @@ def cmd_kernel(args) -> int:
 def cmd_sample(args) -> int:
     t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
-    n = t.n_leaves
-    row = "%d,%s,%.17g\n" * n
-    cells = [None] * (3 * n)  # (index, leaf name, value) per row, interleaved
-    cells[1::3] = [t.names[x] for x in t.leaf_order]
+    names = list(map(t.names.__getitem__, t.leaf_order))
+    if "%" in "".join(names):  # the names go into a %-format template
+        names = [name.replace("%", "%%") for name in names]
+    cell = ",%.17g\n"
     lines = ["sample_index,leaf_id,value\n"]
     for i in range(args.count):
         stream = np.random.SeedSequence([args.seed, i])
-        cells[0::3] = [i] * n
-        cells[2::3] = fieldmod.sample_field(t, sp, basis, stream).values.tolist()
-        lines.append(row % tuple(cells))
+        # the rows "i,name,%.17g\n" of sample i as one template, formatted against the values alone
+        template = f"{i}," + f"{cell}{i},".join(names) + cell
+        values = fieldmod.sample_field(t, sp, basis, stream).values
+        lines.append(template % tuple(values.tolist()))
     _emit(args, "".join(lines))
     return EXIT_OK
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .ddsum import dd_add, screen
 from .tree import BallTree, check_dense
-from .wavelets import WaveletBasis, evaluate
+from .wavelets import WaveletBasis
 from .pdo import Symbol, Spectrum, apply_dense
 
 
@@ -226,10 +226,30 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
 
 def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
                       x: int, y: int) -> float:
-    """Reference oracle: direct sum over all wavelet rows, constant mode excluded."""
-    lam = _lambda_vector(sp, basis).tolist()
-    return math.fsum(lam[k] ** -2 * evaluate(basis, k, x) * evaluate(basis, k, y)
-                     for k in range(len(basis)))
+    """Reference oracle: direct sum over the wavelet rows, constant mode excluded.
+
+    A row of vertex I is 0 outside the ball I, so only the rows of sup(x, y)
+    and its ancestors can be non-zero at both leaves.  The sum takes those
+    rows alone, each value read off the leaf spans as ``evaluate`` reads it;
+    the rows left out add exact zeros, which do not change the fsum.
+    """
+    lam = _lambda_vector(sp, basis)
+    S = t.sup(x, y)  # checks that x and y are leaves
+    lo, hi, children, parent = t.lo, t.hi, t.children, t.parent
+    pos, neg = basis.pos_val, basis.neg_val
+    i, j = lo[x], lo[y]
+    terms = []
+    I = parent[S] if t.is_leaf(S) else S  # a leaf carries no rows
+    while I != -1:
+        k = int(basis.first_row[I])
+        for c in children[I][1:]:  # row k is wavelet j of I: pos_val before child j, neg_val on it
+            a, b = pos.item(k), neg.item(k)
+            ex = a if i < lo[c] else b if i < hi[c] else 0.0
+            ey = a if j < lo[c] else b if j < hi[c] else 0.0
+            terms.append(lam.item(k) ** -2 * ex * ey)
+            k += 1
+        I = parent[I]
+    return math.fsum(terms)
 
 
 def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldSample:

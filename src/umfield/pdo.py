@@ -32,7 +32,7 @@ The dense O(n^2) application is kept as the reference oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,13 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Symbol:
-    """Nonnegative symbol values on interior vertices."""
+    """Nonnegative symbol values on interior vertices.
+
+    The checked array over a tree's vertices is kept with the last tree it
+    was built for (``_symbol_array``), so a pipeline builds it once.
+    """
     values: dict[int, float]
+    _array: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(list(self.values.values()))
@@ -65,25 +70,29 @@ class Spectrum:
 
 
 def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
-    """The symbol as an array over all vertices, 0 on leaves, once its keys are
-    checked to be exactly the interior vertices of t (with numpy; a loop names
-    the first culprit)."""
+    """The symbol as a read-only array over all vertices, 0 on leaves, once its
+    keys are checked to be exactly the interior vertices of t (with numpy; a
+    loop names the first culprit).  Built once per tree and kept on ``s``."""
+    if s._array is not None and s._array[0] is t:
+        return s._array[1]
     n, vals = t.n_vertices, s.values
     keys = np.array(list(vals))
     T = np.zeros(n)
     if (keys.dtype.kind in "iu" and len(keys) == len(t.interior_array)
             and keys.min() >= 0 and keys.max() < n and t.child_count[keys].all()):
         T[keys] = list(vals.values())
-        return T
-    for v, val in vals.items():
-        if not 0 <= v < n:
-            raise ValueError(f"symbol defined on unknown vertex {v!r}")
-        if t.is_leaf(v):
-            raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
-        T[v] = val
-    if len(vals) < len(t.interior_array):  # every key is an interior vertex by now
-        missing = [v for v in t.interior if v not in vals]
-        raise ValueError(f"symbol missing on interior vertices {missing}")
+    else:
+        for v, val in vals.items():
+            if not 0 <= v < n:
+                raise ValueError(f"symbol defined on unknown vertex {v!r}")
+            if t.is_leaf(v):
+                raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
+            T[v] = val
+        if len(vals) < len(t.interior_array):  # every key is an interior vertex by now
+            missing = [v for v in t.interior if v not in vals]
+            raise ValueError(f"symbol missing on interior vertices {missing}")
+    T.flags.writeable = False
+    object.__setattr__(s, "_array", (t, T))  # the dataclass is frozen
     return T
 
 

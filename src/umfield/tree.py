@@ -13,8 +13,12 @@ sup is the lowest common ancestor.
 A ``BallTree`` is built from flat arrays: the names, the child counts and
 the child ids of all vertices concatenated in vertex order (a CSR layout:
 the children of v are ``child_ids[child_first[v]:child_first[v] +
-child_count[v]]``), and the leaf measures.  ``parse_tree`` makes them in one
-pass over the document's nodes and ``generate_homogeneous`` in closed form.
+child_count[v]]``), and the leaf measures.  ``parse_tree`` reads each field
+of the document's nodes once, straight into numpy arrays, and
+``generate_homogeneous`` makes them in closed form.  ``load_tree`` pauses the
+cyclic garbage collector while the document is decoded and parsed: neither
+the decoded dicts nor the tree hold reference cycles, so refcounting frees
+them, and the collector would only walk them again and again as they grow.
 The constructor ranks the tree's Euler tour, an enter and an exit event per
 vertex, by pointer jumping: ceil(log2(2n)) whole-array steps, whatever the
 depth, give every event its place in the tour, and preorder, depth and the
@@ -38,6 +42,7 @@ built on first read too.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -606,8 +611,10 @@ def parse_tree(doc) -> BallTree:
     symbol value "T"); leaves carry a positive "measure".  Numbers may be
     given as numeric strings.  Declared interior measures are validated
     against the children sum, never trusted.  Each field is read once, for
-    all nodes together; when one does not parse, a loop over the nodes names
-    the first culprit in document order.
+    all nodes together, into an array (``np.fromiter``); child ids are
+    matched as strings only when one of them is not a string.  When a field
+    does not parse, a loop over the nodes names the first culprit in
+    document order.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -630,12 +637,19 @@ def parse_tree(doc) -> BallTree:
     try:
         if not set(map(type, kid_lists)) <= {list, tuple}:
             raise TypeError("children is not a list")
-        count = list(map(len, kid_lists))
-        kids = itertools.chain.from_iterable(kid_lists)
-        child_ids = list(map(ids.__getitem__, map(str, kids)))
-        leaves = itertools.compress(nodes, map(operator.not_, count))
-        leaf_measures = list(map(float, map(operator.itemgetter("measure"), leaves)))
-        interior = list(itertools.compress(range(len(nodes)), count))
+        count = np.fromiter(map(len, kid_lists), dtype=np.intp, count=len(nodes))
+        n_kids = int(count.sum())
+        try:  # string child ids index the name map as they are
+            child_ids = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(kid_lists)),
+                                    dtype=np.intp, count=n_kids)
+        except (KeyError, TypeError):  # a numeric or unknown id: match it as a string
+            kids = map(str, itertools.chain.from_iterable(kid_lists))
+            child_ids = np.fromiter(map(ids.__getitem__, kids), dtype=np.intp, count=n_kids)
+        leaf_ids = np.flatnonzero(count == 0).tolist()
+        leaves = map(nodes.__getitem__, leaf_ids)
+        leaf_measures = np.fromiter(map(float, map(operator.itemgetter("measure"), leaves)),
+                                    dtype=float, count=len(leaf_ids))
+        interior = np.flatnonzero(count).tolist()
         declared = {v: float(nodes[v]["measure"]) for v in interior if "measure" in nodes[v]}
         symbol_hint = {v: float(nodes[v]["T"]) for v in interior if "T" in nodes[v]}
     except (TypeError, ValueError, KeyError, OverflowError):
@@ -648,8 +662,24 @@ def parse_tree(doc) -> BallTree:
 
 
 def load_tree(path) -> BallTree:
+    """Read and parse a tree-spec file, with the cyclic garbage collector paused.
+
+    The decoded document and the tree hold no reference cycles, so
+    refcounting frees them; without the pause, the collector walks the
+    document's dicts again and again while ``json.loads`` and
+    ``parse_tree`` allocate them.  The collector's previous state is
+    restored once ``parse_tree`` has returned, when the decoded document is
+    already freed, or has raised.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+        text = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_tree(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def generate_homogeneous(p: int, depth: int, total_measure: float) -> BallTree:

@@ -154,6 +154,24 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     assert pairs.read_bytes() == (golden / "kernel-all-T2.stdout").read_bytes()
 
 
+def _sample_rows(tmp_path, capsys, names):
+    doc = {"nodes": [{"id": "r%", "children": names, "T": 1.0}]
+           + [{"id": name, "measure": 0.5 + i} for i, name in enumerate(names)]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sample", str(path), "--count", "2")
+    assert code == 0 and err == ""
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+def test_sample_writes_percent_names_verbatim(tmp_path, capsys):
+    names = ["a%", "b%%", "c%s", "d%d"]
+    rows = _sample_rows(tmp_path, capsys, names)
+    plain = _sample_rows(tmp_path, capsys, ["a", "b", "c", "d"])
+    assert [(i, name) for i, name, _ in rows] == [(str(i), x) for i in range(2) for x in names]
+    assert [value for _, _, value in rows] == [value for _, _, value in plain]
+
+
 def test_verify_markov_needs_trials(capsys):
     code, out, err = run(capsys, "verify", "markov", T2, "--trials", "0")
     assert code == 2 and out == ""

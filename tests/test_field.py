@@ -44,6 +44,19 @@ def test_kernel_oracle_equivalence_random():
                 assert abs(kern.values[t.sup(x, y)] - bf) <= 1e-10 * scale
 
 
+def test_kernel_bruteforce_is_the_sum_over_all_rows():
+    # the rows off the sup's ancestor path add exact zeros, so leaving them out changes nothing
+    for seed, t in enumerate(random_trees(range(6))):
+        sp = um.spectrum(t, um.random_symbol(t, seed, 1e-3, 1e3))
+        basis = um.build_basis(t)
+        inv_sq = [lam ** -2 for lam in sp.lam[basis.vertex].tolist()]
+        for x in t.leaf_order:
+            for y in t.leaf_order:
+                full = math.fsum(inv_sq[k] * um.evaluate(basis, k, x) * um.evaluate(basis, k, y)
+                                 for k in range(len(basis)))
+                assert um.kernel_bruteforce(t, sp, basis, x, y) == full
+
+
 def _assert_kernel_is_path_sum(t, sp):
     """covariance_kernel equals the per-vertex path sum bit for bit, or both raise."""
     try:

@@ -76,6 +76,14 @@ def test_symbol_keys_name_the_culprit(t2, values, message):
     assert str(e.value) == message
 
 
+def test_symbol_array_built_once_per_tree(t2):
+    s = um.symbol_from_tree(t2)
+    T = um.pdo._symbol_array(t2, s)
+    assert um.pdo._symbol_array(t2, s) is T and not T.flags.writeable
+    with pytest.raises(ValueError, match=r"symbol missing on interior vertices \[5, 8, 9, 12\]"):
+        um.spectrum(um.generate_homogeneous(2, 3, 1.0), s)  # another tree is checked again
+
+
 @pytest.mark.parametrize("key", [-1, 7, 99])
 def test_symbol_rejects_unknown_vertex(t2, key):
     s = um.Symbol({**{v: 1.0 for v in t2.interior}, key: 1.0})

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import math
 
@@ -65,6 +67,43 @@ def test_parse_cycle():
 def test_parse_malformed_json():
     with pytest.raises(um.MalformedSpec):
         um.parse_tree("{not json")
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"nodes": [{"id": "r", "measure": 1.0}]}', None),
+    ("{not json", um.MalformedSpec),
+    ('{"nodes": [{"id": "r", "children": ["r", "x"]}]}', um.MalformedSpec),
+], ids=["valid", "invalid-json", "invalid-tree"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_tree_pauses_and_restores_collector(tmp_path, monkeypatch, text, error, enabled):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    during = []
+    parse = um.tree.parse_tree
+    monkeypatch.setattr(um.tree, "parse_tree",
+                        lambda doc: during.append(gc.isenabled()) or parse(doc))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            um.load_tree(path)
+        assert during == [False] and gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def _doc(nodes, key):
+    return {"nodes": [{"id": key(v), "children": [key(c) for c in x]} if isinstance(x, list)
+                      else {"id": key(v), "measure": x} for v, x in nodes]}
+
+
+def test_parse_integer_ids_build_the_same_arrays():
+    nodes = [(0, [1, 4]), (1, [2, 3]), (2, 0.25), (3, 0.5), (4, [5, 6, 7]), (5, 1.0), (6, 2.0),
+             (7, 0.125)]
+    a, b = um.parse_tree(_doc(nodes, int)), um.parse_tree(_doc(nodes, str))
+    assert a.names == b.names == [str(v) for v, _ in nodes]
+    for field in ("child_count", "child_ids", "parent_array", "measure_array", "leaf_order_array"):
+        assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
 
 
 def test_declared_interior_measure_validated():

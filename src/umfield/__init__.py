@@ -5,7 +5,6 @@ from .tree import (
     parse_tree,
     load_tree,
     generate_homogeneous,
-    generate_random,
     TreeError,
     MalformedSpec,
     DuplicateId,
@@ -25,7 +24,6 @@ from .pdo import (
     Spectrum,
     symbol_from_tree,
     constant_symbol,
-    random_symbol,
     apply_dense,
     dense_operator_matrix,
     spectrum,

@@ -49,7 +49,10 @@ def _load(args):
     """The pipeline up to the spectrum: (tree, symbol, spectrum)."""
     t = _load_tree(args)
     if t.symbol_hint is not None:
-        s = pdomod.symbol_from_tree(t)
+        try:
+            s = pdomod.symbol_from_tree(t)
+        except ValueError as e:
+            raise _CliError(f"invalid tree document {args.tree}: {e}")
     elif args.gen:
         s = pdomod.constant_symbol(t, 1.0)
     else:
@@ -86,7 +89,7 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t, s, sp = _load(args)
-    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values, sp.lam.tolist()
+    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values.tolist(), sp.lam.tolist()
     _emit(args, "vertex_id,depth,nu,T,lambda\n" + "".join(
         [f"{names[v]},{depth[v]},{nu[v]:.17g},{T[v]:.17g},{lam[v]:.17g}\n" for v in t.interior]))
     return EXIT_OK

@@ -24,15 +24,16 @@ per wide level, and a scalar loop over each run of narrow levels, so a deep
 chain costs no numpy step per level.  Each A is the same single rounding of
 the same floats in either form.
 
-A ``Symbol`` is the validated mapping the tree document gives; past it the
-symbol and the eigenvalues are arrays over all vertices, 0 on the leaves.
-The dense O(n^2) application is kept as the reference oracle.
+A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
+leaves, as ``parse_tree`` reads it from the tree document
+(``BallTree.symbol_hint``); the eigenvalues are such an array too.  The
+dense O(n^2) application is kept as the reference oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +45,21 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """Nonnegative symbol values on interior vertices.
+    """The symbol T: one value per vertex, indexed by vertex id, 0 on the leaves.
 
-    The checked array over a tree's vertices is kept with the last tree it
-    was built for (``_symbol_array``), so a pipeline builds it once.
+    ``values`` is a read-only copy of the array it is given, checked to be
+    nonnegative and finite; an error names the first vertex that is not.
     """
-    values: dict[int, float]
-    _array: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        vals = np.array(list(self.values.values()))
-        if vals.dtype.kind in "biuf" and np.all(vals >= 0) and np.all(np.isfinite(vals)):
-            return
-        for v, t in self.values.items():  # name the first culprit
-            if not (t >= 0.0) or not math.isfinite(t):
-                raise ValueError(f"symbol value at vertex {v} must be nonnegative, got {t}")
+    def __init__(self, values):
+        T = np.array(values, dtype=float)
+        ok = (T >= 0.0) & (T < math.inf)
+        if not ok.all():
+            v = int(np.argmin(ok))  # the first culprit
+            raise ValueError(f"symbol value at vertex {v} must be nonnegative, got {T.item(v)}")
+        T.flags.writeable = False
+        self.values = T
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,65 +68,37 @@ class Spectrum:
     lam: np.ndarray
 
 
-def _symbol_array(t: BallTree, s: Symbol) -> np.ndarray:
-    """The symbol as a read-only array over all vertices, 0 on leaves, once its
-    keys are checked to be exactly the interior vertices of t (with numpy; a
-    loop names the first culprit).  Built once per tree and kept on ``s``."""
-    if s._array is not None and s._array[0] is t:
-        return s._array[1]
-    n, vals = t.n_vertices, s.values
-    keys = np.array(list(vals))
-    T = np.zeros(n)
-    if (keys.dtype.kind in "iu" and len(keys) == len(t.interior_array)
-            and keys.min() >= 0 and keys.max() < n and t.child_count[keys].all()):
-        T[keys] = list(vals.values())
-    else:
-        for v, val in vals.items():
-            if not 0 <= v < n:
-                raise ValueError(f"symbol defined on unknown vertex {v!r}")
-            if t.is_leaf(v):
-                raise ValueError(f"symbol defined on leaf {t.names[v]!r}")
-            T[v] = val
-        if len(vals) < len(t.interior_array):  # every key is an interior vertex by now
-            missing = [v for v in t.interior if v not in vals]
-            raise ValueError(f"symbol missing on interior vertices {missing}")
-    T.flags.writeable = False
-    object.__setattr__(s, "_array", (t, T))  # the dataclass is frozen
-    return T
-
-
 def symbol_from_tree(t: BallTree) -> Symbol:
-    """Symbol read off the "T" entries of the tree document."""
-    if t.symbol_hint is None:
+    """Symbol read off the "T" entries of the tree document (``BallTree.symbol_hint``).
+
+    An interior vertex without "T" is NaN there; the error names every such vertex.
+    """
+    T = t.symbol_hint
+    if T is None:
         raise ValueError("tree document carries no symbol values")
-    s = Symbol(dict(t.symbol_hint))
-    _symbol_array(t, s)
-    return s
+    missing = np.flatnonzero(np.isnan(T)).tolist()
+    if missing:
+        raise ValueError(f"symbol missing on interior vertices {[t.names[v] for v in missing]}")
+    return Symbol(T)
 
 
 def constant_symbol(t: BallTree, c: float) -> Symbol:
-    return Symbol(dict.fromkeys(t.interior_array.tolist(), c))
-
-
-def random_symbol(t: BallTree, seed, low: float = 0.0, high: float = 2.0) -> Symbol:
-    rng = np.random.default_rng(seed)
-    return Symbol({v: float(rng.uniform(low, high)) for v in t.interior})
+    return Symbol(np.where(t.child_count > 0, c, 0.0))
 
 
 def apply_dense(t: BallTree, s: Symbol, f) -> np.ndarray:
     """O(n^2) reference application of the operator to a leaf-value vector."""
-    T = _symbol_array(t, s)
     f = np.asarray(f, dtype=float)
     if f.shape != (t.n_leaves,):
         raise DimensionMismatch(f"expected vector of length {t.n_leaves}, got shape {f.shape}")
-    TS = T[t.sup_index_matrix()]  # T(sup(x, y)); 0 on the diagonal, where sup is a leaf
+    TS = s.values[t.sup_index_matrix()]  # T(sup(x, y)); 0 on the diagonal, where sup is a leaf
     nu = t.leaf_measures
     return f * (TS @ nu) - TS @ (f * nu)
 
 
 def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
     """Matrix M with (Tf) = M f in the standard leaf basis."""
-    TS = _symbol_array(t, s)[t.sup_index_matrix()]
+    TS = s.values[t.sup_index_matrix()]
     nu = t.leaf_measures
     return np.diag(TS @ nu) - TS * nu
 
@@ -141,7 +112,7 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     single rounding of the same floats either way, so the values do not
     depend on the grouping.
     """
-    T = _symbol_array(t, s)
+    T = s.values
     parent, root = t.parent_array, t.root
     earlier, later = t.sibling_measures
     sigma = earlier + later
@@ -176,11 +147,12 @@ def eigenvalue_path_sum(t: BallTree, s: Symbol, I: int) -> float:
     """Direct path-sum form of the eigenvalue; reference for spectrum()."""
     if t.is_leaf(I):
         raise ValueError(f"vertex {t.names[I]!r} is a leaf")
-    terms = [s.values[I] * t.measure[I]]
+    T = s.values
+    terms = [T.item(I) * t.measure[I]]
     J = t.parent[I]
     below = I
     while J != -1:
-        terms.append(s.values[J] * (t.measure[J] - t.measure[below]))
+        terms.append(T.item(J) * (t.measure[J] - t.measure[below]))
         below = J
         J = t.parent[J]
     return math.fsum(terms)
@@ -193,7 +165,7 @@ def verify_eigen(t: BallTree, s: Symbol, b: WaveletBasis) -> float:
     constant function must map to (numerically) zero.
     """
     sp = spectrum(t, s)
-    TS = _symbol_array(t, s)[t.sup_index_matrix()]
+    TS = s.values[t.sup_index_matrix()]
     nu = t.leaf_measures
     row = TS @ nu
     W = b.wavelet_leaf_matrix()

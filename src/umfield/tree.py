@@ -15,7 +15,9 @@ the child ids of all vertices concatenated in vertex order (a CSR layout:
 the children of v are ``child_ids[child_first[v]:child_first[v] +
 child_count[v]]``), and the leaf measures.  ``parse_tree`` reads each field
 of the document's nodes once, straight into numpy arrays, and
-``generate_homogeneous`` makes them in closed form.  ``load_tree`` pauses the
+``generate_homogeneous`` makes them in closed form.  The document's operator
+symbol, its "T" values, is read the same way into ``symbol_hint``, one value
+per vertex.  ``load_tree`` pauses the
 cyclic garbage collector while the document is decoded and parsed: neither
 the decoded dicts nor the tree hold reference cycles, so refcounting frees
 them, and the collector would only walk them again and again as they grow.
@@ -47,7 +49,6 @@ import itertools
 import json
 import math
 import operator
-import random
 
 import numpy as np
 
@@ -303,7 +304,9 @@ class BallTree:
     (``parent``, ``measure``, ...) for scalar loops, made on first read.
     ``children`` (one tuple per vertex) and ``name_to_id`` are also built on
     first read; a caller that has the name index already (``parse_tree``)
-    passes it as ``name_to_id``.
+    passes it as ``name_to_id``.  ``symbol_hint`` is kept as given: the
+    document's symbol as an array over all vertices (0 on leaves, NaN on an
+    interior vertex that has no "T"), or None.
     """
 
     def __init__(self, names, child_count, child_ids, leaf_measures, *, declared_measures=None,
@@ -359,7 +362,7 @@ class BallTree:
         self.preorder_array = order
         self.interior_array = interior_a
         self.leaf_order_array = leaf_order
-        self.symbol_hint = dict(symbol_hint) if symbol_hint else None
+        self.symbol_hint = symbol_hint
         self.n_vertices = n
         self.n_leaves = len(leaf_order)
 
@@ -369,7 +372,7 @@ class BallTree:
         if declared_measures:
             for v, d in declared_measures.items():
                 mv = m.item(v)
-                if abs(d - mv) > _DECLARED_MEASURE_RTOL * abs(mv):
+                if not abs(d - mv) <= _DECLARED_MEASURE_RTOL * abs(mv):  # a NaN fails too
                     raise MeasureMismatch(
                         f"vertex {names[v]!r}: declared measure {d} != children sum {mv}")
         self.total_measure = m.item(root)
@@ -566,13 +569,14 @@ class BallTree:
     # ---------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
+        T = [math.nan] * self.n_vertices if self.symbol_hint is None else self.symbol_hint.tolist()
         nodes = []
         for v in range(self.n_vertices):
             node = {"id": self.names[v]}
             if self.children[v]:
                 node["children"] = [self.names[c] for c in self.children[v]]
-                if self.symbol_hint is not None and v in self.symbol_hint:
-                    node["T"] = self.symbol_hint[v]
+                if not math.isnan(T[v]):
+                    node["T"] = T[v]
             else:
                 node["measure"] = self.measure[v]
             nodes.append(node)
@@ -599,27 +603,59 @@ def _raise_node_error(nodes, names, ids) -> None:
             fields = ["measure"]
         for key in fields:
             try:
-                float(node[key])
+                x = float(node[key])
             except (TypeError, ValueError):
                 raise MalformedSpec(f"vertex {name!r}: {key} {node[key]!r} is not a number") from None
+            except OverflowError:  # an integer literal past the float range; too long to repeat
+                raise MalformedSpec(f"vertex {name!r}: {key} is out of the float range") from None
+            if key == "T" and not 0.0 <= x < math.inf:
+                raise MalformedSpec(f"symbol value at vertex {name!r} must be nonnegative, got {x}")
+
+
+def _read_symbol(inner, interior, n):
+    """The "T" values of the interior nodes ``inner`` as a read-only array over all n vertices:
+    0 on the leaves and NaN on an interior vertex without one; None when no node has one.
+
+    Raises ValueError if a value is negative or not finite, for the caller to name.
+    """
+    get_T = operator.itemgetter("T")
+    try:  # every interior node has a "T"
+        given = T = np.fromiter(map(float, map(get_T, inner)), dtype=float, count=len(inner))
+    except KeyError:
+        has_T = np.fromiter(map(operator.contains, inner, itertools.repeat("T")), dtype=bool,
+                            count=len(inner))
+        given = np.fromiter(map(float, map(get_T, itertools.compress(inner, has_T))), dtype=float,
+                            count=int(has_T.sum()))
+        T = np.full(len(inner), math.nan)
+        T[has_T] = given
+    if not np.all((given >= 0.0) & (given < math.inf)):
+        raise ValueError("a symbol value is negative or not finite")
+    if not len(given):
+        return None
+    symbol = np.zeros(n)
+    symbol[interior] = T
+    symbol.flags.writeable = False
+    return symbol
 
 
 def parse_tree(doc) -> BallTree:
     """Parse a tree-spec document (JSON text or an already-decoded dict).
 
     Interior nodes carry a "children" list (and optionally the operator
-    symbol value "T"); leaves carry a positive "measure".  Numbers may be
-    given as numeric strings.  Declared interior measures are validated
-    against the children sum, never trusted.  Each field is read once, for
-    all nodes together, into an array (``np.fromiter``); child ids are
-    matched as strings only when one of them is not a string.  When a field
-    does not parse, a loop over the nodes names the first culprit in
+    symbol value "T", nonnegative and finite); leaves carry a positive
+    "measure".  Numbers may be given as numeric strings.  Declared interior
+    measures are validated against the children sum, never trusted.  Each
+    field is read once, for all nodes together, into an array
+    (``np.fromiter``); child ids are matched as strings only when one of them
+    is not a string.  The "T" values become ``symbol_hint``: 0 on leaves, NaN
+    on an interior vertex without one, or None when no vertex has one.  When
+    a field does not parse, a loop over the nodes names the first culprit in
     document order.
     """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also an integer literal past Python's digit limit
             raise MalformedSpec(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MalformedSpec('document must be an object with a "nodes" list')
@@ -649,16 +685,17 @@ def parse_tree(doc) -> BallTree:
         leaves = map(nodes.__getitem__, leaf_ids)
         leaf_measures = np.fromiter(map(float, map(operator.itemgetter("measure"), leaves)),
                                     dtype=float, count=len(leaf_ids))
-        interior = np.flatnonzero(count).tolist()
-        declared = {v: float(nodes[v]["measure"]) for v in interior if "measure" in nodes[v]}
-        symbol_hint = {v: float(nodes[v]["T"]) for v in interior if "T" in nodes[v]}
+        interior = np.flatnonzero(count)
+        inner = list(map(nodes.__getitem__, interior.tolist()))
+        declared = {v: float(node["measure"])
+                    for v, node in zip(interior.tolist(), inner) if "measure" in node}
+        symbol_hint = _read_symbol(inner, interior, len(nodes))
     except (TypeError, ValueError, KeyError, OverflowError):
         _raise_node_error(nodes, names, ids)
         raise
 
     return BallTree(names, count, child_ids, leaf_measures, declared_measures=declared,
-                    symbol_hint=symbol_hint or None, label=str(doc.get("name", "")),
-                    name_to_id=ids)
+                    symbol_hint=symbol_hint, label=str(doc.get("name", "")), name_to_id=ids)
 
 
 def load_tree(path) -> BallTree:
@@ -714,34 +751,3 @@ def generate_homogeneous(p: int, depth: int, total_measure: float) -> BallTree:
     atom = total_measure / p ** depth
     return BallTree(names.tolist(), count, kids, np.full(p ** depth, atom),
                     label=f"homogeneous(p={p},depth={depth})")
-
-
-def generate_random(seed, max_depth: int, max_branching: int) -> BallTree:
-    """Random valid ball-tree, deterministic given the seed.
-
-    Every interior vertex gets 2..max_branching children; a non-root vertex
-    above max_depth becomes interior with probability 0.6.  Leaf measures
-    are uniform in [0.1, 1.0].
-    """
-    if max_branching < 2 or max_depth < 1:
-        raise OutOfRange(f"need max_branching >= 2 and max_depth >= 1; "
-                         f"got ({max_depth}, {max_branching})")
-    rng = random.Random(seed)
-    names = []
-    children = []
-    leaf_measures = []  # in vertex order: a leaf draws its measure when it gets its id
-
-    def add(level: int) -> int:
-        v = len(names)
-        names.append(f"v{v}")
-        children.append(())
-        interior = level < max_depth and (level == 0 or rng.random() < 0.6)
-        if interior:
-            children[v] = tuple([add(level + 1) for _ in range(rng.randint(2, max_branching))])
-        else:
-            leaf_measures.append(rng.uniform(0.1, 1.0))
-        return v
-
-    add(0)
-    return BallTree(names, list(map(len, children)), list(itertools.chain.from_iterable(children)),
-                    leaf_measures, label=f"random(seed={seed})")

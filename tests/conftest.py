@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,42 @@ def homogeneous_reference(p, depth, total_measure):
     return names, children, measures
 
 
+def generate_random(seed, max_depth, max_branching):
+    """Random ball-tree, deterministic given the seed.
+
+    Every interior vertex gets 2..max_branching children; a non-root vertex
+    above max_depth becomes interior with probability 0.6.  Leaf measures
+    are uniform in [0.1, 1.0].  Vertex ids are the preorder, and each vertex
+    draws its numbers when it gets its id.
+    """
+    rng = random.Random(seed)
+    names, children, leaf_measures = [], [], []
+    stack = [(None, 0)]  # (parent, level) of the vertices still to be reached, next on top
+    while stack:
+        parent, level = stack.pop()
+        v = len(names)
+        names.append(f"v{v}")
+        children.append([])
+        if parent is not None:
+            children[parent].append(v)
+        if level < max_depth and (level == 0 or rng.random() < 0.6):
+            stack += [(v, level + 1)] * rng.randint(2, max_branching)
+        else:
+            leaf_measures.append(rng.uniform(0.1, 1.0))
+    return um.BallTree(names, list(map(len, children)), [c for k in children for c in k],
+                       leaf_measures, label=f"random(seed={seed})")
+
+
 def random_trees(seeds, max_depth=4, max_branching=3):
     for seed in seeds:
-        yield um.generate_random(seed, max_depth, max_branching)
+        yield generate_random(seed, max_depth, max_branching)
+
+
+def random_symbol(t, seed, low=0.0, high=2.0):
+    """Symbol uniform in [low, high) on the interior vertices, drawn in preorder."""
+    T = np.zeros(t.n_vertices)
+    T[t.interior_array] = np.random.default_rng(seed).uniform(low, high, len(t.interior_array))
+    return um.Symbol(T)
 
 
 @st.composite
@@ -90,7 +124,7 @@ def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
     """Random ball-tree grown by splitting a random leaf into 2-6 children.
 
     Leaf measures are drawn from ``measure``; when ``symbol`` is given, every
-    interior vertex carries a "T" value drawn from it.
+    interior vertex carries a "T" value drawn from it, in ``symbol_hint``.
     """
     children = [[]]
     for _ in range(draw(st.integers(1, 10))):
@@ -100,7 +134,9 @@ def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
         children[v] = list(range(len(children), len(children) + k))
         children.extend([] for _ in range(k))
     measures = {v: draw(measure) for v, kids in enumerate(children) if not kids}
-    hint = None if symbol is None else {v: draw(symbol) for v, kids in enumerate(children) if kids}
+    hint = None
+    if symbol is not None:  # a None draw is an interior vertex without "T", NaN in the array
+        hint = np.array([draw(symbol) if kids else 0.0 for kids in children], dtype=float)
     return from_children([f"v{v}" for v in range(len(children))], children, measures,
                          symbol_hint=hint)
 
@@ -131,14 +167,14 @@ def star(n_children, rng, symbol=True):
     measures = {v: float(rng.uniform(0.1, 1.0)) for v in range(1, n_children + 1)}
     return from_children([f"v{v}" for v in range(n_children + 1)],
                          [list(range(1, n_children + 1))] + [[]] * n_children, measures,
-                         symbol_hint={0: 1.5} if symbol else None)
+                         symbol_hint=np.r_[1.5, np.zeros(n_children)] if symbol else None)
 
 
 def preorder_spectrum(t, s):
     """The eigenvalues by the per-vertex preorder recurrence that the level passes replaced:
     A(root) = 0, A(v) = A(parent) + T(parent) sigma(v) with sigma the summed sibling measures,
     and lambda = A + T nu.  Returns a list over all vertices."""
-    T = um.pdo._symbol_array(t, s).tolist()
+    T = s.values.tolist()
     earlier, later = t.sibling_measures
     sigma = (earlier + later).tolist()
     A = [0.0] * t.n_vertices
@@ -163,7 +199,7 @@ def wide_stars(draw, measures=log_uniform_measures(st.floats(0, 300))):
     n = draw(st.integers(1000, 3000))
     m = draw(measures)(n)
     return from_children([f"v{v}" for v in range(n + 1)], [list(range(1, n + 1))] + [[]] * n,
-                         dict(zip(range(1, n + 1), m)), symbol_hint={0: 1.5})
+                         dict(zip(range(1, n + 1), m)), symbol_hint=np.r_[1.5, np.zeros(n)])
 
 
 @st.composite
@@ -197,6 +233,6 @@ def hung_caterpillars(draw, measures=log_uniform_measures(st.floats(0, 300))):
         v = children[v][int(rng.integers(2))]
     grow(v, draw(st.integers(0, 6)))
     leaf_ids = [u for u, kids in enumerate(children) if not kids]
-    hint = {u: float(10.0 ** rng.uniform(-3, 3)) for u, kids in enumerate(children) if kids}
+    hint = np.array([10.0 ** rng.uniform(-3, 3) if kids else 0.0 for kids in children])
     return from_children([f"v{u}" for u in range(len(children))], children,
                          dict(zip(leaf_ids, draw(measures)(len(leaf_ids)))), symbol_hint=hint)

@@ -11,7 +11,7 @@ import pytest
 
 import umfield as um
 
-from conftest import T2_PATH, leaf_vec
+from conftest import T2_PATH, generate_random, leaf_vec, random_symbol
 
 
 def _report(num, name, ok, detail=""):
@@ -29,9 +29,9 @@ def t2():
 
 def _random_suite(seeds, max_depth=4, max_branching=4, low=0.0, high=2.0):
     for seed in seeds:
-        t = um.generate_random(seed, max_depth, max_branching)
+        t = generate_random(seed, max_depth, max_branching)
         assert t.n_leaves <= 256
-        yield t, um.random_symbol(t, seed, low, high)
+        yield t, random_symbol(t, seed, low, high)
 
 
 def test_criterion_1_eigenrelation(t2):
@@ -41,7 +41,7 @@ def test_criterion_1_eigenrelation(t2):
     for t, s in _random_suite(range(1, 51)):
         basis = um.build_basis(t)
         worst = max(worst, um.verify_eigen(t, s, basis))
-        scale = max(s.values.values()) * t.total_measure
+        scale = s.values.max() * t.total_measure
         c = float(np.abs(um.apply_dense(t, s, np.ones(t.n_leaves))).max())
         const_resid = max(const_resid, c / max(1.0, scale))
     _report(1, "eigenrelation", worst <= 1e-9 and const_resid <= 1e-12,
@@ -118,10 +118,10 @@ def test_criterion_6_markovianity(t2):
     rng = np.random.default_rng(2024)
     worst = 0.0
     trials = 0
-    tree_pool = [(um.generate_random(seed, 4, 3), seed) for seed in range(1, 21)]
+    tree_pool = [(generate_random(seed, 4, 3), seed) for seed in range(1, 21)]
     while trials < 1000:
         t, seed = tree_pool[trials % len(tree_pool)]
-        s = um.random_symbol(t, seed, 0.2, 2.0)
+        s = random_symbol(t, seed, 0.2, 2.0)
         kern = um.covariance_kernel(t, um.spectrum(t, s))
         inst = um.random_markov_instance(t, rng)
         if inst is None:
@@ -159,7 +159,7 @@ def test_criterion_7_basis_integrity(t2):
     gram_worst = 0.0
     counts_ok = True
     trees = [t2, um.generate_homogeneous(2, 3, 1.0)]
-    trees += [um.generate_random(seed, 3, 4) for seed in range(1, 11)]
+    trees += [generate_random(seed, 3, 4) for seed in range(1, 11)]
     for t in trees:
         assert t.n_leaves <= 64
         basis = um.build_basis(t)

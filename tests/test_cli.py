@@ -257,12 +257,35 @@ def test_sibling_mass_below_parent_ulp_kept(capsys):
     ("list_symbol.json", "vertex 'A': T [1] is not a number"),
     ("string_children.json", "vertex 'R': children 'ab' is not a list"),
     ("text_measure.json", "vertex 'b': measure 'x' is not a number"),
+    ("overflow_measure.json", "vertex 'b': measure is out of the float range"),
+    ("overflow_declared.json", "vertex 'R': measure is out of the float range"),
+    ("overflow_symbol.json", "vertex 'R': T is out of the float range"),
+    ("nan_declared.json", "vertex 'R': declared measure nan != children sum 1.0"),
+    ("nan_symbol.json", "symbol value at vertex 'c' must be nonnegative, got nan"),
 ])
 def test_unparsable_field_rejected(capsys, doc, message):
     path = str(FIXTURES / doc)
     for command in ("validate", "sample"):
         assert run(capsys, command, path) == (
             2, "", f"error: invalid tree document {path}: {message}\n")
+
+
+def test_missing_symbol_named(capsys):
+    # a tree without "T" on c is a valid tree, but defines no operator
+    path = str(FIXTURES / "missing_symbol.json")
+    assert run(capsys, "validate", path, "--quiet") == (0, "", "")
+    assert run(capsys, "spectrum", path) == (
+        2, "", f"error: invalid tree document {path}: symbol missing on interior vertices ['c']\n")
+
+
+def test_over_long_integer_literal_rejected(tmp_path, capsys):
+    # past Python's limit on integer digits, json.loads raises a ValueError, not a JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text('{"nodes": [{"id": "R", "children": ["a", "b"], "T": 1},'
+                    ' {"id": "a", "measure": 1}, {"id": "b", "measure": 1' + "0" * 5000 + '}]}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: invalid tree document {path}: invalid JSON: Exceeds the limit")
 
 
 def test_numeric_strings_parse(capsys):

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import umfield as um
 
-from conftest import FIXTURES, caterpillar, leaf_vec, random_trees, split_trees, star
+from conftest import (FIXTURES, caterpillar, generate_random, leaf_vec, random_symbol,
+                      random_trees, split_trees, star)
 
 
 def _positive_setup(t, seed):
-    s = um.random_symbol(t, seed, 0.2, 2.0)
+    s = random_symbol(t, seed, 0.2, 2.0)
     sp = um.spectrum(t, s)
     basis = um.build_basis(t)
     return s, sp, basis
@@ -47,7 +48,7 @@ def test_kernel_oracle_equivalence_random():
 def test_kernel_bruteforce_is_the_sum_over_all_rows():
     # the rows off the sup's ancestor path add exact zeros, so leaving them out changes nothing
     for seed, t in enumerate(random_trees(range(6))):
-        sp = um.spectrum(t, um.random_symbol(t, seed, 1e-3, 1e3))
+        sp = um.spectrum(t, random_symbol(t, seed, 1e-3, 1e3))
         basis = um.build_basis(t)
         inv_sq = [lam ** -2 for lam in sp.lam[basis.vertex].tolist()]
         for x in t.leaf_order:
@@ -200,7 +201,7 @@ def test_covariance_kernel_two_bad_eigenvalues_names_one():
 
 
 def test_kernel_sup_dependence():
-    t = um.generate_random(13, 4, 3)
+    t = generate_random(13, 4, 3)
     _, sp, _ = _positive_setup(t, 13)
     seen = {}
     for x in t.leaf_order:
@@ -326,7 +327,7 @@ def test_check_equation_t2(t2, t2_symbol, t2_spectrum, t2_basis):
 
 
 def test_check_equation_random():
-    t = um.generate_random(64, 4, 4)
+    t = generate_random(64, 4, 4)
     s, sp, basis = _positive_setup(t, 64)
     assert um.check_equation(t, s, sp, basis, 3) <= 1e-9
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import umfield as um
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_row, hung_caterpillars, preorder_spectrum, random_trees, split_trees,
-                      wide_stars)
+from conftest import (T2_PATH, dense_row, generate_random, hung_caterpillars, preorder_spectrum,
+                      random_symbol, random_trees, split_trees, wide_stars)
 
 
 def _sym_eigvals(t, s):
@@ -48,47 +49,38 @@ def test_apply_dense_dimension_mismatch(t2, t2_symbol):
 
 def test_symbol_rejects_negative():
     with pytest.raises(ValueError):
-        um.Symbol({0: -1.0})
-
-
-def test_symbol_rejects_leaf_entry(t2, t2_ids):
-    s = um.Symbol({v: 1.0 for v in list(t2.interior) + [t2_ids["a1"]]})
-    with pytest.raises(ValueError):
-        um.spectrum(t2, s)
+        um.Symbol([-1.0])
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
 def test_symbol_names_the_bad_value(value):
     with pytest.raises(ValueError) as e:
-        um.Symbol({0: 1.0, 3: 2.0, 5: value, 6: -3.0})
+        um.Symbol([1.0, 0.0, 0.0, 2.0, 0.0, value, -3.0])
     assert str(e.value) == f"symbol value at vertex 5 must be nonnegative, got {value}"
 
 
-@pytest.mark.parametrize("values, message", [
-    ({0: 1.0, 1: 1.0, 3: 1.0, 2: 1.0}, "symbol defined on leaf 'a1'"),
-    ({0: 1.0, 3: 1.0, 2: 1.0}, "symbol defined on leaf 'a1'"),  # as many keys as interior vertices
-    ({0: 1.0}, "symbol missing on interior vertices [1, 2]"),
-    ({0: 1.0, 1: 1.0, 2: 1.0, 9: 1.0}, "symbol defined on unknown vertex 9"),
-])
-def test_symbol_keys_name_the_culprit(t2, values, message):
+def test_symbol_is_a_read_only_copy():
+    T = np.array([1.0, 0.0, 0.0])
+    s = um.Symbol(T)
+    T[0] = 2.0
+    assert s.values.tolist() == [1.0, 0.0, 0.0] and not s.values.flags.writeable
+
+
+def test_symbol_from_tree_names_missing_vertices():
+    doc = json.loads(T2_PATH.read_text())
+    for node in doc["nodes"]:
+        if node["id"] in ("A", "B"):
+            del node["T"]
     with pytest.raises(ValueError) as e:
-        um.spectrum(t2, um.Symbol(values))
-    assert str(e.value) == message
+        um.symbol_from_tree(um.parse_tree(doc))
+    assert str(e.value) == "symbol missing on interior vertices ['A', 'B']"
 
 
-def test_symbol_array_built_once_per_tree(t2):
-    s = um.symbol_from_tree(t2)
-    T = um.pdo._symbol_array(t2, s)
-    assert um.pdo._symbol_array(t2, s) is T and not T.flags.writeable
-    with pytest.raises(ValueError, match=r"symbol missing on interior vertices \[5, 8, 9, 12\]"):
-        um.spectrum(um.generate_homogeneous(2, 3, 1.0), s)  # another tree is checked again
-
-
-@pytest.mark.parametrize("key", [-1, 7, 99])
-def test_symbol_rejects_unknown_vertex(t2, key):
-    s = um.Symbol({**{v: 1.0 for v in t2.interior}, key: 1.0})
-    with pytest.raises(ValueError, match=f"unknown vertex {key}"):
-        um.spectrum(t2, s)
+def test_constant_symbol_is_zero_on_leaves():
+    t = um.generate_homogeneous(3, 2, 1.0)
+    assert um.constant_symbol(t, 0.5).values.tolist() == [0.5 * (k > 0) for k in t.child_count]
+    with pytest.raises(ValueError, match=r"symbol value at vertex 0 must be nonnegative, got -1.0"):
+        um.constant_symbol(t, -1.0)
 
 
 def test_spectrum_t2(t2, t2_symbol, t2_ids):
@@ -108,7 +100,7 @@ def test_spectrum_constant_symbol():
 
 def test_spectrum_matches_path_sum():
     for seed, t in enumerate(random_trees(range(10))):
-        s = um.random_symbol(t, seed)
+        s = random_symbol(t, seed)
         sp = um.spectrum(t, s)
         for I in t.interior:
             ref = um.eigenvalue_path_sum(t, s, I)
@@ -116,8 +108,8 @@ def test_spectrum_matches_path_sum():
 
 
 def test_spectrum_recurrence_consistency():
-    t = um.generate_random(9, 4, 3)
-    s = um.random_symbol(t, 9)
+    t = generate_random(9, 4, 3)
+    s = random_symbol(t, 9)
     sp = um.spectrum(t, s)
     for I in t.interior:
         if I == t.root:
@@ -173,13 +165,13 @@ def test_spectrum_is_preorder_recurrence_chain_bush_chain():
                     [c for k in children for c in k],
                     np.random.default_rng(5).uniform(0.1, 1.0, n_leaves))
     assert [wide for _, wide in t.depth_groups] == [False, True, True, True, True, True, False]
-    s = um.random_symbol(t, 5, 0.5, 2.0)
+    s = random_symbol(t, 5, 0.5, 2.0)
     assert um.spectrum(t, s).lam.tolist() == preorder_spectrum(t, s)
 
 
 def test_spectrum_geometric_symbol_vs_dense():
     t = um.generate_homogeneous(2, 3, 1.0)
-    s = um.Symbol({I: 4.0 ** t.depth[I] for I in t.interior})
+    s = um.Symbol(np.where(t.child_count > 0, 4.0 ** t.depth_array, 0.0))
     sp = um.spectrum(t, s)
     got = _sym_eigvals(t, s)
     want = _expected_multiset(t, sp)
@@ -188,7 +180,7 @@ def test_spectrum_geometric_symbol_vs_dense():
 
 def test_spectrum_vs_dense_diagonalization_random():
     for seed, t in enumerate(random_trees(range(8))):
-        s = um.random_symbol(t, 100 + seed, 0.0, 2.0)
+        s = random_symbol(t, 100 + seed, 0.0, 2.0)
         sp = um.spectrum(t, s)
         got = _sym_eigvals(t, s)
         want = _expected_multiset(t, sp)
@@ -197,10 +189,10 @@ def test_spectrum_vs_dense_diagonalization_random():
 
 def test_spectrum_positivity():
     for seed, t in enumerate(random_trees(range(6))):
-        s = um.random_symbol(t, 50 + seed, 0.0, 3.0)
+        s = random_symbol(t, 50 + seed, 0.0, 3.0)
         sp = um.spectrum(t, s)
         assert all(l >= -1e-15 for l in sp.lam[t.interior_array])
-        s_pos = um.random_symbol(t, 50 + seed, 0.5, 3.0)
+        s_pos = random_symbol(t, 50 + seed, 0.5, 3.0)
         sp_pos = um.spectrum(t, s_pos)
         assert all(l > 0 for l in sp_pos.lam[t.interior_array])
 
@@ -208,7 +200,7 @@ def test_spectrum_positivity():
 def test_self_adjointness():
     rng = np.random.default_rng(21)
     for seed, t in enumerate(random_trees(range(5))):
-        s = um.random_symbol(t, seed)
+        s = random_symbol(t, seed)
         nu = t.leaf_measures
         f = rng.standard_normal(t.n_leaves)
         g = rng.standard_normal(t.n_leaves)
@@ -222,8 +214,8 @@ def test_verify_eigen_t2(t2, t2_symbol, t2_basis):
 
 
 def test_verify_eigen_random():
-    t = um.generate_random(7, 4, 4)
-    s = um.random_symbol(t, 7)
+    t = generate_random(7, 4, 4)
+    s = random_symbol(t, 7)
     basis = um.build_basis(t)
     assert um.verify_eigen(t, s, basis) <= 1e-9
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (caterpillar, from_children, homogeneous_reference, hung_caterpillars,
-                      split_trees, star, wide_stars)
+from conftest import (caterpillar, from_children, generate_random, homogeneous_reference,
+                      hung_caterpillars, split_trees, star, wide_stars)
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -160,27 +160,22 @@ def test_generate_homogeneous():
 
 
 def test_generate_random_deterministic():
-    a = um.generate_random(1, 3, 4)
-    b = um.generate_random(1, 3, 4)
+    a = generate_random(1, 3, 4)
+    b = generate_random(1, 3, 4)
     assert a.names == b.names
     assert a.children == b.children
     assert a.measure == b.measure
 
 
 def test_generate_random_depth_one():
-    t = um.generate_random(2, 1, 2)
+    t = generate_random(2, 1, 2)
     assert t.n_leaves == 2
     assert t.children[t.root] == tuple(sorted(t.leaves))
 
 
-def test_generate_random_out_of_range():
-    with pytest.raises(um.OutOfRange):
-        um.generate_random(1, 3, 1)
-
-
 def test_roundtrip_serialization():
     for seed in range(5):
-        t = um.generate_random(seed, 4, 3)
+        t = generate_random(seed, 4, 3)
         t2 = um.parse_tree(t.to_json())
         assert t2.names == t.names
         assert t2.children == t.children
@@ -189,19 +184,30 @@ def test_roundtrip_serialization():
 
 def test_roundtrip_preserves_symbol(t2):
     back = um.parse_tree(t2.to_json())
-    assert back.symbol_hint == t2.symbol_hint
+    assert back.symbol_hint.tolist() == t2.symbol_hint.tolist()
+
+
+@settings(deadline=None, max_examples=100)
+@given(split_trees(symbol=st.none() | st.floats(0.0, 1e308)))
+def test_roundtrip_keeps_symbol_hint_bits(t):
+    # a None draw is an interior vertex without "T": NaN in the array, no "T" in the document
+    back = um.parse_tree(t.to_json()).symbol_hint
+    if np.isnan(t.symbol_hint[t.interior_array]).all():
+        assert back is None
+    else:
+        assert back.tobytes() == t.symbol_hint.tobytes()
 
 
 def test_measure_additivity_random():
     for seed in range(10):
-        t = um.generate_random(seed, 4, 4)
+        t = generate_random(seed, 4, 4)
         for I in t.interior:
             kids_sum = math.fsum(t.measure[c] for c in t.children[I])
             assert t.measure[I] == pytest.approx(kids_sum, rel=1e-15)
 
 
 def test_strong_triangle_inequality():
-    t = um.generate_random(3, 3, 3)
+    t = generate_random(3, 3, 3)
     leaves = t.leaf_order
     for x in leaves:
         for y in leaves:
@@ -210,7 +216,7 @@ def test_strong_triangle_inequality():
 
 
 def test_sup_symmetry_and_ancestry():
-    t = um.generate_random(5, 3, 3)
+    t = generate_random(5, 3, 3)
     for x in t.leaf_order:
         for y in t.leaf_order:
             s = t.sup(x, y)
@@ -220,7 +226,7 @@ def test_sup_symmetry_and_ancestry():
 
 
 def test_child_toward_properties():
-    t = um.generate_random(6, 4, 3)
+    t = generate_random(6, 4, 3)
     for x in t.leaf_order:
         v = x
         while v != t.root:
@@ -240,7 +246,7 @@ def test_sup_index_matrix(t2):
 
 def test_sup_row_matches_sup():
     for seed in range(6):
-        t = um.generate_random(seed, 5, 4)
+        t = generate_random(seed, 5, 4)
         for i, x in enumerate(t.leaf_order):
             assert t.sup_row(i) == [t.sup(x, y) for y in t.leaf_order[i:]]
 
@@ -514,6 +520,8 @@ def test_slot_levels_match_reference_extremes():
      um.BranchingOne, "interior vertex 'A' has a single child"),
     (["R", "a", "b"], [[1, 2], [], []], {1: 1.0, 2: 1.0}, {0: 3.0},
      um.MeasureMismatch, "vertex 'R': declared measure 3.0 != children sum 2.0"),
+    (["R", "a", "b"], [[1, 2], [], []], {1: 1.0, 2: 1.0}, {0: math.nan},
+     um.MeasureMismatch, "vertex 'R': declared measure nan != children sum 2.0"),
 ])
 def test_tree_errors_keep_type_and_message(names, children, measures, declared, error, message):
     with pytest.raises(um.TreeError) as e:
@@ -554,6 +562,19 @@ def _node(name, kids, **fields):
     ([_node("R", ["a", "b"], measure="q"), _node("a", ["c", "d"], T=[1]), _leaf("b", 0.0)],
      um.MalformedSpec, "vertex 'R': measure 'q' is not a number"),
     ([_node("R", ["a", "b"]), _leaf("a"), ["b"]], um.MalformedSpec, 'every node needs an "id"'),
+    ([_node("R", ["a", "b"], measure="nan"), _leaf("a"), _leaf("b")],
+     um.MeasureMismatch, "vertex 'R': declared measure nan != children sum 2.0"),
+    # integer literals past the float range are named, not repeated
+    ([_node("R", ["a", "b"]), _leaf("a"), _leaf("b", 10 ** 400)],
+     um.MalformedSpec, "vertex 'b': measure is out of the float range"),
+    ([_node("R", ["a", "b"], measure=-10 ** 400), _leaf("a"), _leaf("b")],
+     um.MalformedSpec, "vertex 'R': measure is out of the float range"),
+    ([_node("R", ["a", "b"], T=10 ** 400), _leaf("a"), _leaf("b")],
+     um.MalformedSpec, "vertex 'R': T is out of the float range"),
+    ([_node("R", ["A", "b"]), _node("A", ["a", "c"], T=-1), _leaf("a"), _leaf("b"), _leaf("c")],
+     um.MalformedSpec, "symbol value at vertex 'A' must be nonnegative, got -1.0"),
+    ([_node("R", ["A", "b"], T="inf"), _node("A", ["a", "c"], T="nan"), _leaf("a"), _leaf("b"),
+      _leaf("c")], um.MalformedSpec, "symbol value at vertex 'R' must be nonnegative, got inf"),
 ])
 def test_parse_errors_keep_type_and_message(nodes, error, message):
     with pytest.raises(um.TreeError) as e:
@@ -567,4 +588,14 @@ def test_parse_reads_numbers_given_as_strings_and_integer_ids():
                      {"id": 2, "measure": "2.5e-1"}]}
     t = um.parse_tree(json.dumps(doc))
     assert t.names == ["0", "1", "2"] and t.children == [(1, 2), (), ()]
-    assert t.measure == [1.25, 1.0, 0.25] and t.symbol_hint == {0: 1.0}
+    assert t.measure == [1.25, 1.0, 0.25] and t.symbol_hint.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_symbol_hint_array():
+    doc = {"nodes": [_node("R", ["A", "b"], T="2"), _node("A", ["a", "c"]), _leaf("a"),
+                     _leaf("b", 2.0), {**_leaf("c"), "T": 5.0}]}
+    t = um.parse_tree(doc)
+    assert t.symbol_hint.tobytes() == np.array([2.0, math.nan, 0.0, 0.0, 0.0]).tobytes()
+    assert not t.symbol_hint.flags.writeable
+    del doc["nodes"][0]["T"]
+    assert um.parse_tree(doc).symbol_hint is None  # a leaf's "T" is not read

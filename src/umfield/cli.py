@@ -80,10 +80,8 @@ def _emit_json(args, obj) -> None:
 def cmd_validate(args) -> int:
     t = _load_tree(args)
     if not args.quiet:
-        print(f"leaves: {t.n_leaves}")
-        print(f"total_measure: {t.total_measure:.17g}")
-        print(f"interior: {len(t.interior_array)}")
-        print(f"depth: {int(t.depth_array.max())}")
+        _emit(args, f"leaves: {t.n_leaves}\ntotal_measure: {t.total_measure:.17g}\n"
+                    f"interior: {len(t.interior_array)}\ndepth: {int(t.depth_array.max())}\n")
     return EXIT_OK
 
 

@@ -24,9 +24,10 @@ kept as the path-sum reference; the direct sum over the wavelet rows,
 
 Because K depends on a pair only through its sup, every pair sum reduces to
 subtree sums.  ``bilinear_form``, the covariance of two tested functions
-behind the Markov check, takes them in one bottom-up O(n) pass and adds
-the per-vertex cross terms with one exact ``math.fsum``; the exact sum over
-all n_leaves^2 pairs is kept only as the reference in the tests.
+behind the Markov check, takes them in one bottom-up O(n) pass over the
+depth levels of ``BallTree.child_runs``, a few whole-array steps per level,
+and adds the per-vertex cross terms with one exact ``math.fsum``; the exact
+sum over all n_leaves^2 pairs is kept only as the reference in the tests.
 
 The operator annihilates constants, so the field is fixed to have zero
 weighted mean and the constant component of the noise has no preimage; the
@@ -289,26 +290,30 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
     With F and G the subtree sums of f nu and g nu, the pairs whose sup is S,
     one leaf under a child c of S and one under a later sibling, add
     K(S) (F(c) G(later siblings) + G(c) F(later siblings)); the pair (x, x)
-    adds K(x) F(x) G(x).  One bottom-up pass over ``BallTree.slot_levels``
-    builds F and G, each parent taking its children from the last to the
-    first, and reads the later-sibling sums on the way.  No term exceeds the
-    absolute sum over the pairs it stands for, and all of them go into one
-    exact fsum, so analytic cancellations (the Markov factorization) survive
-    in floating point.
+    adds K(x) F(x) G(x).  One bottom-up pass over ``BallTree.child_runs``
+    builds F and G, side by side in one array: per level, one gather of the
+    children, one cumulative sum from the last child back, which gives each
+    child its later-sibling sums and each parent its own, and one product for
+    both cross terms.  No term exceeds the absolute sum over the pairs it
+    stands for, and all the nonzero ones go into one exact fsum, so analytic
+    cancellations (the Markov factorization) survive in floating point.
+    Each sum runs from the last child to the first, one level at a time, so
+    no term depends on how a level's parents are grouped or ordered.
     """
-    F = np.zeros(t.n_vertices)
-    G = np.zeros(t.n_vertices)
+    FG = np.zeros((t.n_vertices + 1, 2))  # the last row is the zero pad of the runs
     leaves = t.leaf_order_array
-    F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
-    G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
+    FG[leaves, 0] = np.asarray(f, dtype=float) * t.leaf_measures
+    FG[leaves, 1] = np.asarray(g, dtype=float) * t.leaf_measures
     K = kernel.values
-    terms = [K[leaves] * F[leaves] * G[leaves]]
-    for below, parents in reversed(t.slot_levels):
-        # F[parents] and G[parents] hold the sums over the later siblings of below
-        terms += [K[parents] * F[below] * G[parents], K[parents] * G[below] * F[parents]]
-        F[parents] += F[below]
-        G[parents] += G[below]
-    return math.fsum(np.concatenate(terms))
+    terms = [K[leaves] * FG[leaves, 0] * FG[leaves, 1]]
+    for parents, runs in reversed(t.child_runs):
+        X = FG.take(runs, axis=0)  # (m, P, 2)
+        S = np.cumsum(X[::-1], axis=0)  # S[k]: the sums over the last k + 1 children
+        FG[parents] = S[-1]
+        # child j adds (K F(c)) G(later) and (K G(c)) F(later), its later siblings' sums in S[m - 2 - j]
+        terms.append((K[parents][:, None] * X[:-1] * S[-2::-1, :, ::-1]).ravel())
+    terms = np.concatenate(terms)
+    return math.fsum(terms[terms != 0.0].tolist())  # a zero term leaves an exact sum as it is
 
 
 def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
@@ -331,10 +336,12 @@ def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
             raise PreconditionViolated(
                 f"{name} is not supported in ball {t.names[ball]!r}")
     nu = t.leaf_measures
-    fm = math.fsum(f * nu)
-    gm = math.fsum(g * nu)
-    fscale = math.fsum(np.abs(f) * nu)
-    gscale = math.fsum(np.abs(g) * nu)
+    fw = f[t.lo[I]:t.hi[I]] * nu[t.lo[I]:t.hi[I]]  # f nu is 0 outside the ball
+    gw = g[t.lo[J]:t.hi[J]] * nu[t.lo[J]:t.hi[J]]
+    fm = math.fsum(fw.tolist())
+    gm = math.fsum(gw.tolist())
+    fscale = math.fsum(np.abs(fw).tolist())  # nu > 0, so |f nu| is |f| nu to the bit
+    gscale = math.fsum(np.abs(gw).tolist())
     covered = (abs(fm) <= 1e-12 * max(fscale, 1e-300)
                or abs(gm) <= 1e-12 * max(gscale, 1e-300))
     return MarkovCheck(bilinear_form(t, kernel, f, g), covered)
@@ -400,7 +407,7 @@ def random_markov_instance(t: BallTree, rng) -> tuple[int, int, np.ndarray, np.n
     lo, hi = t.lo[I], t.hi[I]
     f[lo:hi] = rng.standard_normal(hi - lo)
     if hi - lo > 1:
-        f[lo:hi] -= math.fsum(f[lo:hi] * nu[lo:hi]) / math.fsum(nu[lo:hi])
+        f[lo:hi] -= math.fsum((f[lo:hi] * nu[lo:hi]).tolist()) / math.fsum(nu[lo:hi].tolist())
     else:
         f[lo:hi] = 0.0  # zero-mean on a single atom forces the zero function
     g = np.zeros(t.n_leaves)

@@ -110,9 +110,17 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     A[g] = A[parent] + T[parent] sigma[g] is one whole-array step for a wide
     level and a scalar loop over a group of narrow ones.  Each A is the same
     single rounding of the same floats either way, so the values do not
-    depend on the grouping.
+    depend on the grouping.  A symbol of another length than the tree's
+    vertex count raises DimensionMismatch, one with a nonzero leaf entry
+    ValueError naming the first such leaf.
     """
     T = s.values
+    if T.shape != (t.n_vertices,):
+        raise DimensionMismatch(f"expected a symbol of length {t.n_vertices}, got shape {T.shape}")
+    on_leaf = (T != 0.0) & (t.child_count == 0)
+    if on_leaf.any():
+        v = int(np.argmax(on_leaf))
+        raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
     parent, root = t.parent_array, t.root
     earlier, later = t.sibling_measures
     sigma = earlier + later

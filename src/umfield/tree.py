@@ -295,8 +295,7 @@ class BallTree:
     are the contiguous slice ``leaf_order[lo[v]:hi[v]]``.
 
     The CSR arrays ``child_count``, ``child_first`` and ``child_ids`` are
-    kept as given; ``child_slot`` is each vertex's position in its parent's
-    child list.  The ranked fields are arrays: ``parent_array`` (-1 at the
+    kept as given.  The ranked fields are arrays: ``parent_array`` (-1 at the
     root), ``depth_array``, ``lo_array``, ``hi_array``, ``measure_array``
     (from the exact bottom-up pass), and the vertex sequences
     ``preorder_array``, ``interior_array`` (in preorder) and
@@ -337,8 +336,6 @@ class BallTree:
         if np.any(count == 1):
             v = int(np.argmax(count == 1))
             raise BranchingOne(f"interior vertex {names[v]!r} has a single child")
-        slot = np.zeros(n, dtype=np.intp)
-        slot[kids] = np.arange(len(kids)) - first[owner]
 
         order, depth, lo, hi = _euler_ranks(count, first, kids, owner, root)
         is_leaf = count == 0
@@ -353,7 +350,6 @@ class BallTree:
         self.child_count = count
         self.child_first = first
         self.child_ids = kids
-        self.child_slot = slot
         self.parent_array = parent
         self.depth_array = depth
         self.lo_array = lo
@@ -435,26 +431,53 @@ class BallTree:
         return [(inner, False)]  # one narrow group, in preorder
 
     @functools.cached_property
-    def slot_levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The non-root vertices in groups of one depth and one child slot, with their parents.
+    def child_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The interior vertices by depth, top-down, each level with its children slot by slot.
 
-        Groups come by depth, then by slot, and hold their vertices in id
-        order.  No two vertices of a group share a parent, so
-        ``a[parents] += a[group]`` adds each vertex once.  Top-down passes walk
-        the groups forward; bottom-up passes walk them backward, so each
-        parent takes its children from the last to the first.  A one-vertex
-        tree has no group.
+        An entry is ``(parents, runs)``, ``runs`` an (m, P) matrix read from
+        the CSR arrays: ``runs[j]`` holds child j of each of the P parents, so
+        one gather takes a whole level and a sum over the children runs along
+        axis 0.  Top-down passes walk the entries forward, bottom-up passes
+        backward.  A level whose parents share one child count is one entry.
+        Otherwise its parents come by decreasing child count, each column
+        shorter than m is padded at its end with ``n_vertices``, an index past
+        the last vertex for a pass to point at a zero cell, and the level is
+        cut where its padded cells would pass twice its children: the cells
+        total at most 2 (n_vertices - 1).  A one-vertex tree has no entry.
         """
-        width = max(int(self.child_count.max()), 1)
-        key = self.depth_array * width + self.child_slot
-        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
-        key = key.astype(np.min_scalar_type(int(key.max())))
-        below = np.argsort(key, kind="stable")[1:]  # the root, alone at depth 0, sorts first
-        if not len(below):
+        inner = self.interior_array
+        if not len(inner):
             return []
-        key = key[below]
-        return [(group, self.parent_array[group])
-                for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
+        depth = self.depth_array[inner]
+        count = self.child_count[inner]
+        top, low = int(count.max()), int(count.min())
+        key = depth if low == top else depth * (top - low + 1) + (top - count)
+        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
+        by_key = np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")
+        order, count = inner[by_key], count[by_key]
+        first = self.child_first[order]
+        below = np.cumsum(count) if low < top else None  # the children of order[:i + 1]
+        slots = np.arange(top)[:, None]
+        kids = self.child_ids
+        out = []
+        a = 0
+        for b in np.cumsum(np.bincount(depth)).tolist():
+            while a < b:  # one entry per pass, unless padding order[a:b] passes twice the children
+                m = count.item(a)
+                e = b
+                if count.item(b - 1) < m and (b - a) * m > 2 * (below.item(b - 1) - below.item(a) + m):
+                    # the longest prefix that keeps it: the mean count only falls along the level
+                    e = a + int(np.count_nonzero(
+                        np.arange(1, b - a + 1) * m <= 2 * (below[a:b] - below.item(a) + m)))
+                cells = slots[:m] + first[a:e]
+                if count.item(e - 1) == m:
+                    runs = kids[cells]
+                else:
+                    runs = kids.take(cells, mode="clip")
+                    runs[slots[:m] >= count[a:e]] = self.n_vertices
+                out.append((order[a:e], runs))
+                a = e
+        return out
 
     @functools.cached_property
     def sibling_slots(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

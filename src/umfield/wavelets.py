@@ -111,7 +111,10 @@ class WaveletBasis:
         ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
         has shape (..., n_leaves).  Costs O(n_vertices) per row: each child
         ball gets its value from per-parent suffix sums over j, and the
-        values are then accumulated top-down over ``BallTree.slot_levels``.
+        values are then accumulated top-down over ``BallTree.child_runs``,
+        each level adding its parents' values to their child runs in one
+        step.  The pad of the runs points at a cell past the last vertex;
+        what lands there is never read into a vertex.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self)
@@ -123,9 +126,11 @@ class WaveletBasis:
         np.multiply(c, self.neg_val, out=neg[..., :n_w])
         for rows in self.suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
             pos[..., rows - 1] += pos[..., rows]
-        acc = pos[..., self.pos_row] + neg[..., self.neg_row]
-        for group, parents in self.tree.slot_levels:
-            acc[..., group] += acc[..., parents]
+        n = self.tree.n_vertices
+        acc = np.zeros(c.shape[:-1] + (n + 1,))
+        np.add(pos[..., self.pos_row], neg[..., self.neg_row], out=acc[..., :n])
+        for parents, runs in self.tree.child_runs:
+            acc[..., runs] += acc[..., None, parents]
         return acc[..., self.tree.leaf_order_array]
 
     def wavelet_leaf_matrix(self) -> np.ndarray:

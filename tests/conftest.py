@@ -170,6 +170,38 @@ def star(n_children, rng, symbol=True):
                          symbol_hint=np.r_[1.5, np.zeros(n_children)] if symbol else None)
 
 
+def broom(rng):
+    """A root over one vertex with 1000 leaf children and 1000 vertices with two each: one
+    level that mixes a very wide vertex with many narrow ones.  Leaf measures are uniform in
+    [0.1, 1.0]; T = 1.5 on every interior vertex."""
+    children = [list(range(1, 1002)), list(range(1002, 2002))]
+    children += [[v, v + 1] for v in range(2002, 4002, 2)]
+    children += [[]] * (4002 - len(children))
+    measures = {v: float(rng.uniform(0.1, 1.0)) for v, kids in enumerate(children) if not kids}
+    hint = np.array([1.5 if kids else 0.0 for kids in children])
+    return from_children([f"v{v}" for v in range(len(children))], children, measures,
+                         symbol_hint=hint)
+
+
+def slot_levels_reference(t):
+    """The non-root vertices in groups of one depth and one child slot, with their parents.
+
+    The schedule that the subtree-sum passes walked before ``BallTree.child_runs``, as first
+    built: np.array over the lists, an argsort of depth * n + slot.  Groups come by depth, then
+    slot, each in id order; no two vertices of a group share a parent."""
+    n = t.n_vertices
+    slot = [0] * n
+    for kids in t.children:
+        for i, c in enumerate(kids):
+            slot[c] = i
+    key = np.array(t.depth) * n + np.array(slot)
+    below = np.argsort(key, kind="stable")[1:]
+    key = key[below]
+    parent = np.array(t.parent)
+    return [(group, parent[group])
+            for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
+
+
 def preorder_spectrum(t, s):
     """The eigenvalues by the per-vertex preorder recurrence that the level passes replaced:
     A(root) = 0, A(v) = A(parent) + T(parent) sigma(v) with sigma the summed sibling measures,

@@ -143,6 +143,15 @@ def test_output_determinism(capsys):
     assert a == b
 
 
+def test_validate_out_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    assert run(capsys, "validate", "--gen", "2:3:1", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == "leaves: 8\ntotal_measure: 1\ninterior: 7\ndepth: 3\n"
+    quiet = tmp_path / "quiet.txt"
+    assert run(capsys, "validate", "--gen", "2:3:1", "--out", str(quiet), "--quiet") == (0, "", "")
+    assert not quiet.exists()
+
+
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; options of one call must not reach the next
     golden = Path(__file__).resolve().parent / "golden"

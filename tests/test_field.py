@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (FIXTURES, caterpillar, generate_random, leaf_vec, random_symbol,
-                      random_trees, split_trees, star)
+from conftest import (FIXTURES, broom, caterpillar, generate_random, leaf_vec, random_symbol,
+                      random_trees, slot_levels_reference, split_trees, star)
 
 
 def _positive_setup(t, seed):
@@ -392,6 +393,51 @@ def test_bilinear_form_matches_dense_kernel_wide_star():
     kern = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
     f = rng.standard_normal(t.n_leaves) * (rng.random(t.n_leaves) < 0.5)
     _assert_bilinear_matches_dense(t, kern, f, rng.standard_normal(t.n_leaves))
+
+
+def _bilinear_slot_levels(t, K, f, g):
+    """bilinear_form as it walked the (depth, child slot) groups, bottom-up: the reference."""
+    F = np.zeros(t.n_vertices)
+    G = np.zeros(t.n_vertices)
+    leaves = t.leaf_order_array
+    F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
+    G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
+    terms = [K[leaves] * F[leaves] * G[leaves]]
+    for below, parents in reversed(slot_levels_reference(t)):
+        terms += [K[parents] * F[below] * G[parents], K[parents] * G[below] * F[parents]]
+        F[parents] += F[below]
+        G[parents] += G[below]
+    return math.fsum(np.concatenate(terms))
+
+
+def _assert_bilinear_bit_equal(t, rng):
+    """On a random kernel: dense f and g, f with signed zeros, and a Markov instance."""
+    K = rng.standard_normal(t.n_vertices)
+    kern = um.CovarianceKernel(t, K)
+    f = rng.standard_normal(t.n_leaves)
+    g = rng.standard_normal(t.n_leaves)
+    cases = [(f, g), (f * (rng.random(t.n_leaves) < 0.5), g)]
+    I, J, fm, gm = um.random_markov_instance(t, rng)
+    cases.append((fm, gm))
+    for f, g in cases:
+        assert um.bilinear_form(t, kern, f, g) == _bilinear_slot_levels(t, K, f, g)
+    assert um.markov_check(t, kern, I, J, fm, gm).value == _bilinear_slot_levels(t, K, fm, gm)
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bilinear_form_bit_equal_to_slot_levels_random(t, seed):
+    _assert_bilinear_bit_equal(t, np.random.default_rng(seed))
+
+
+def test_bilinear_form_bit_equal_to_slot_levels_extremes():
+    rng = np.random.default_rng(35)
+    _assert_bilinear_bit_equal(caterpillar(3000, rng, symbol=False), rng)
+    _assert_bilinear_bit_equal(star(300, rng, symbol=False), rng)
+    _assert_bilinear_bit_equal(um.generate_homogeneous(3, 5, 1.0), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bilinear_bit_equal(broom(rng), rng)
 
 
 def test_bilinear_form_allocates_no_leaf_square():

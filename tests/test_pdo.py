@@ -90,6 +90,25 @@ def test_spectrum_t2(t2, t2_symbol, t2_ids):
     assert sp.lam[t2_ids["B"]] == pytest.approx(1.5, abs=1e-12)
 
 
+def test_spectrum_rejects_symbol_of_wrong_length(t2):
+    with pytest.raises(um.DimensionMismatch,
+                       match=r"expected a symbol of length 7, got shape \(5,\)"):
+        um.spectrum(t2, um.Symbol(np.ones(5)))
+
+
+def test_spectrum_names_first_leaf_with_nonzero_symbol(t2, t2_ids):
+    T = np.zeros(t2.n_vertices)
+    T[[t2_ids["R"], t2_ids["A"], t2_ids["B"]]] = 1.0
+    T[t2_ids["b2"]] = 0.5
+    T[t2_ids["a2"]] = 0.25  # a2 comes first in vertex order
+    with pytest.raises(ValueError) as e:
+        um.spectrum(t2, um.Symbol(T))
+    assert not isinstance(e.value, um.DimensionMismatch)
+    assert str(e.value) == "symbol value at leaf 'a2' must be 0, got 0.25"
+    with pytest.raises(ValueError, match="at leaf"):
+        um.spectrum(t2, um.Symbol(np.ones(t2.n_vertices)))
+
+
 def test_spectrum_constant_symbol():
     for t in random_trees(range(4)):
         c = 0.7

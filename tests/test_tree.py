@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (caterpillar, from_children, generate_random, homogeneous_reference,
-                      hung_caterpillars, split_trees, star, wide_stars)
+from conftest import (broom, caterpillar, from_children, generate_random, homogeneous_reference,
+                      hung_caterpillars, slot_levels_reference, split_trees, star, wide_stars)
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -256,10 +256,10 @@ def test_sup_row_matches_sup():
 def _reference_fields(children, leaf_measures):
     """Every per-vertex field by a plain iterative DFS over the child lists, one vertex at a time."""
     n = len(children)
-    parent, slot = [-1] * n, [0] * n
+    parent = [-1] * n
     for v, kids in enumerate(children):
-        for i, c in enumerate(kids):
-            parent[c], slot[c] = v, i
+        for c in kids:
+            parent[c] = v
     root = parent.index(-1)
     preorder, depth, stack = [], [0] * n, [root]
     while stack:
@@ -278,7 +278,7 @@ def _reference_fields(children, leaf_measures):
             measure[v] = math.fsum(measure[c] for c in kids)
             lo[v] = min(lo[c] for c in kids)
             hi[v] = max(hi[c] for c in kids)
-    return {"parent": parent, "child_slot": slot, "preorder": preorder, "depth": depth,
+    return {"parent": parent, "preorder": preorder, "depth": depth,
             "leaf_order": leaf_order, "measure": measure, "lo": lo, "hi": hi,
             "interior": [v for v in preorder if children[v]]}
 
@@ -340,7 +340,7 @@ def test_single_leaf_tree():
     t = from_children(["x"], [[]], {0: 2.0})
     assert (t.root, t.preorder, t.depth, t.lo, t.hi, t.interior) == (0, [0], [0], [0], [1], [])
     assert t.total_measure == 2.0 and t.leaf_order == [0]
-    assert t.slot_levels == []
+    assert t.child_runs == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -473,37 +473,48 @@ def test_measure_overflow_names_first_in_reversed_preorder(deep_first, culprit, 
         assert any(names.index("D0") in g.tolist() for g in wide)
 
 
-def _slot_levels_reference(t):
-    """slot_levels as first built: np.array over the lists, an argsort of depth * n + slot."""
+def _assert_child_runs(t):
+    """child_runs against the slot-level reference: the same (vertex, parent) pairs depth by
+    depth, each interior vertex once, each column its parent's children in order and then the
+    pad, and at most 2 (n_vertices - 1) cells."""
     n = t.n_vertices
-    key = np.array(t.depth) * n + np.array(t.child_slot.tolist())
-    below = np.argsort(key, kind="stable")[1:]
-    key = key[below]
-    parent = np.array(t.parent)
-    return [(group, parent[group])
-            for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
-
-
-def _assert_slot_levels(t):
-    got, want = t.slot_levels, _slot_levels_reference(t)
-    assert len(got) == len(want)
-    for (group, parents), (ref_group, ref_parents) in zip(got, want):
-        assert group.dtype == parents.dtype == np.intp
-        assert group.tolist() == ref_group.tolist()
-        assert parents.tolist() == ref_parents.tolist()
+    want = {}
+    for group, parents in slot_levels_reference(t):
+        want.setdefault(t.depth[int(group[0])], set()).update(zip(group.tolist(), parents.tolist()))
+    got, depths, seen, cells = {}, [], [], 0
+    for parents, runs in t.child_runs:
+        assert parents.dtype == runs.dtype == np.intp
+        m, P = runs.shape
+        assert parents.shape == (P,)
+        (d,) = {t.depth[v] for v in parents.tolist()}
+        depths.append(d)
+        seen += parents.tolist()
+        cells += runs.size
+        for v, col in zip(parents.tolist(), runs.T.tolist()):
+            kids = list(t.children[v])
+            assert col == kids + [n] * (m - len(kids))
+            got.setdefault(d + 1, set()).update((c, v) for c in kids)
+    assert depths == sorted(depths)
+    assert sorted(seen) == sorted(t.interior)
+    assert got == want
+    assert cells <= 2 * (n - 1)
 
 
 @settings(deadline=None, max_examples=100)
 @given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
-def test_slot_levels_match_reference_random(t, seed):
-    _assert_slot_levels(t)
-    _assert_slot_levels(_shuffled(t, np.random.default_rng(seed))[0])
+def test_child_runs_match_reference_random(t, seed):
+    _assert_child_runs(t)
+    _assert_child_runs(_shuffled(t, np.random.default_rng(seed))[0])
 
 
-def test_slot_levels_match_reference_extremes():
-    _assert_slot_levels(caterpillar(3000, np.random.default_rng(44), symbol=False))
-    _assert_slot_levels(star(300, np.random.default_rng(45), symbol=False))
-    _assert_slot_levels(um.generate_homogeneous(3, 5, 1.0))
+def test_child_runs_match_reference_extremes():
+    _assert_child_runs(caterpillar(3000, np.random.default_rng(44), symbol=False))
+    _assert_child_runs(star(300, np.random.default_rng(45), symbol=False))
+    _assert_child_runs(um.generate_homogeneous(3, 5, 1.0))
+    t = broom(np.random.default_rng(46))
+    _assert_child_runs(t)
+    # the mixed level is cut: the 1000-child vertex with one binary one, then the other 999
+    assert [runs.shape for _, runs in t.child_runs] == [(1001, 1), (1000, 2), (2, 999)]
 
 
 @pytest.mark.parametrize("names, children, measures, declared, error, message", [

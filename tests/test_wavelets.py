@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import caterpillar, dense_row, random_trees, split_trees, star
+from conftest import (broom, caterpillar, dense_row, random_trees, slot_levels_reference,
+                      split_trees, star)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -200,6 +202,46 @@ def test_synthesize_wide_star():
     basis = um.build_basis(star(300, rng, symbol=False))
     _assert_synthesis_matches_dense(basis, rng.standard_normal(len(basis)))
     _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
+
+
+def _synthesize_slot_levels(basis, coeffs):
+    """synthesize as it walked the (depth, child slot) groups, top-down: the reference."""
+    c = np.asarray(coeffs, dtype=float)
+    n_w = len(basis)
+    pos = np.zeros(c.shape[:-1] + (n_w + 1,))
+    neg = np.zeros(c.shape[:-1] + (n_w + 1,))
+    np.multiply(c, basis.pos_val, out=pos[..., :n_w])
+    np.multiply(c, basis.neg_val, out=neg[..., :n_w])
+    for rows in basis.suffix_rows:
+        pos[..., rows - 1] += pos[..., rows]
+    acc = pos[..., basis.pos_row] + neg[..., basis.neg_row]
+    for group, parents in slot_levels_reference(basis.tree):
+        acc[..., group] += acc[..., parents]
+    return acc[..., basis.tree.leaf_order_array]
+
+
+def _assert_synthesis_bit_equal(t, rng):
+    basis = um.build_basis(t)
+    for shape in [(len(basis),), (2, len(basis))]:
+        d = rng.standard_normal(shape)
+        got = basis.synthesize(d)
+        assert got.tolist() == _synthesize_slot_levels(basis, d).tolist()
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesize_bit_equal_to_slot_levels_random(t, seed):
+    _assert_synthesis_bit_equal(t, np.random.default_rng(seed))
+
+
+def test_synthesize_bit_equal_to_slot_levels_extremes():
+    rng = np.random.default_rng(23)
+    _assert_synthesis_bit_equal(caterpillar(3000, rng, symbol=False), rng)
+    _assert_synthesis_bit_equal(star(300, rng, symbol=False), rng)
+    _assert_synthesis_bit_equal(um.generate_homogeneous(3, 5, 1.0), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_synthesis_bit_equal(broom(rng), rng)
 
 
 def test_synthesize_rejects_wrong_length(t2_basis):

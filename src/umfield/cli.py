@@ -60,15 +60,16 @@ def _load(args):
     return t, s, pdomod.spectrum(t, s)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, *parts: str) -> None:
+    """Write the parts in turn to --out or stdout: a caller with large parts need not join them."""
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as e:
             raise _CliError(f"cannot write {args.out}: {e.strerror or e}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _emit_json(args, obj) -> None:
@@ -146,7 +147,7 @@ def cmd_sample(args) -> int:
         template = f"{i}," + f"{cell}{i},".join(names) + cell
         values = fieldmod.sample_field(t, sp, basis, stream).values
         lines.append(template % tuple(values.tolist()))
-    _emit(args, "".join(lines))
+    _emit(args, *lines)
     return EXIT_OK
 
 

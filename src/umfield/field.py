@@ -12,10 +12,12 @@ sup vertex and has the closed form
 
 with the leading term dropped when S is a leaf (leaves carry no wavelets, so
 the variance at a point is the pure ancestor sum).  ``covariance_kernel``
-evaluates it for every vertex in ceil(log2(depth + 1)) whole-array rounds:
-the ancestor sums are taken by pointer jumping as double-double sums that
-also bound what they drop, and each value the bound proves to be the
-correctly rounded sum is kept; the rest, rare, go to ``kernel_value``.  So
+evaluates it for every vertex: the ancestor sums of the interior vertices
+are taken by pointer jumping, in ceil(log2(d + 1)) whole-array rounds for d
+the largest interior depth, as double-double sums that also bound what they
+drop; each leaf then takes one step from its parent's sum.  Each value the
+bound proves to be the correctly rounded sum is kept; the rest, rare, go to
+``kernel_value``.  So
 each value is the same correctly rounded sum as the per-vertex
 ``kernel_value``.  The kernel, like the spectrum it reads, is an array over
 all vertices.  ``kernel_value`` walks the ancestors of one vertex and is
@@ -171,18 +173,21 @@ def _inv_square(lam: float) -> float:
 
 
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
-    """Kernel value at every vertex in ceil(log2(depth + 1)) whole-array rounds.
+    """Kernel value at every vertex: ceil(log2(d + 1)) whole-array rounds over the interior
+    vertices, d their largest depth, and one step for the leaves.
 
     Each non-root vertex v has the path term lambda_p^-2 (1/nu(v) - 1/nu(p))
     of its parent p, computed as ``kernel_value`` computes it.  The path sums
-    from the root down are taken by pointer jumping (Wyllie; the ranking in
-    ``tree._tour_places``): every vertex adds the sum held by its current
-    ancestor link and doubles the link, the root linked to itself with sum
-    0, so after k rounds a vertex holds the sum of the 2^k vertices up from
-    it.  Each addition is a double-double one (``ddsum.dd_add``, into
-    buffers the rounds reuse) that also sums the magnitudes of the residuals
-    it drops into a bound; the own term -lambda^-2 / nu is added the same
-    way.
+    from the root down are taken over the interior vertices by pointer
+    jumping (Wyllie; the ranking in ``tree._euler_ranks``): every interior
+    vertex adds the sum held by its current ancestor link and doubles the
+    link, the root linked to itself with sum 0, so after k rounds it holds
+    the sum of the 2^k vertices up from it.  The sums are double-double ones
+    (``ddsum.dd_add``) that also sum the magnitudes of the residuals they
+    drop into a bound; their hi, lo and bound parts are one (3, n_interior)
+    array, gathered once per round into a buffer the rounds reuse.  A leaf
+    then adds its own path term to its parent's sum, and an interior vertex
+    its own term -lambda^-2 / nu, the same way.
 
     The reference value, ``kernel_value``, is fsum of the same float terms,
     and ``ddsum.screen`` keeps each value it proves equal to it (the error
@@ -195,34 +200,56 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     ``kernel_value`` in preorder, which gives the same value or names the
     same vertex to blame.
     """
-    n, root = t.n_vertices, t.root
-    parent = t.parent_array.copy()
-    parent[root] = root
+    n, inner, leaves = t.n_vertices, t.interior_array, t.leaf_order_array
+    k, n_leaves = len(inner), t.n_leaves
+    values = np.zeros(n)  # a one-vertex tree has the empty path sum
+    if not k:
+        return CovarianceKernel(t, values)
     m = t.measure_array
-    inv_m = 1.0 / m
-    inv2 = np.zeros(n)
-    inv2[t.interior_array] = list(map(_inv_square, sp.lam[t.interior_array].tolist()))
+    pos = np.empty(n, dtype=np.intp)  # a vertex's place among the interior vertices
+    pos[inner] = np.arange(k)
+    up = pos.take(t.parent_array[inner])  # inner[0] is the root, linked to itself
+    up[0] = 0
+    at = pos.take(t.parent_array[leaves])
+    del pos
+    inv_m = 1.0 / m[inner]
+    inv2 = np.array(list(map(_inv_square, sp.lam[inner].tolist())))
+    # the round buffers, sized for the leaf step: every interior vertex has two children or more
+    flat = np.empty((2, 3 * n_leaves))
+    state = flat[0, :3 * k].reshape(3, k)  # hi, lo and the bound of each interior vertex's sum
+    gathered = flat[1, :3 * k].reshape(3, k)
+    work = np.empty((4, n_leaves))
+    hi, lo, err = state
+    link = np.empty_like(up)
     with np.errstate(invalid="ignore", over="ignore"):  # inf and nan go to kernel_value
-        hi = inv2[parent] * (inv_m - inv_m[parent])
-        hi[root] = 0.0
-        lo = np.zeros(n)
-        err = np.zeros(n)
-        up = (np.empty(n), np.empty(n), np.empty(n))  # the sums held at the ancestor links
-        work = (np.empty(n), np.empty(n), np.empty(n), np.empty(n))
-        link = np.empty_like(parent)
-        for _ in range(int(t.depth_array.max()).bit_length()):
-            for x, b in zip((hi, lo, err), up):
-                np.take(x, parent, out=b)
-            dd_add(hi, lo, err, *up, work)
-            np.take(parent, parent, out=link)
-            parent, link = link, parent
-        own = -inv2 / m
-        dd_add(hi, lo, err, own, 0.0, 0.0, work)
-        decided = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
+        np.subtract(inv_m, inv_m[up], out=hi)
+        hi *= inv2[up]
+        hi[0] = 0.0
+        lo.fill(0.0)
+        err.fill(0.0)
+        for _ in range((int(t.depth_array.max()) - 1).bit_length()):  # leaves are the deepest
+            np.take(state, up, axis=1, out=gathered, mode="clip")  # clip: in range, unbuffered
+            dd_add(hi, lo, err, *gathered, work[:, :k])
+            np.take(up, up, out=link, mode="clip")
+            up, link = link, up
+        leaf = flat[1].reshape(3, n_leaves)
+        np.take(state, at, axis=1, out=leaf, mode="clip")
+        term = 1.0 / m[leaves]
+        term -= inv_m[at]
+        term *= inv2[at]
+        dd_add(*leaf, term, 0.0, 0.0, work)
+        values[leaves] = leaf[0]
+        decided = np.empty(n, dtype=bool)
+        decided[leaves] = screen(*leaf)
+        own = np.divide(inv2, m[inner], out=inv2)
+        np.negative(own, out=own)
+        dd_add(hi, lo, err, own, 0.0, 0.0, work[:, :k])
+        values[inner] = hi
+        decided[inner] = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
     order = t.preorder_array
     for v in order[~decided[order]].tolist():
-        hi[v] = kernel_value(t, sp, v)
-    return CovarianceKernel(t, hi)
+        values[v] = kernel_value(t, sp, v)
+    return CovarianceKernel(t, values)
 
 
 def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,

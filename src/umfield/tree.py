@@ -22,7 +22,8 @@ cyclic garbage collector while the document is decoded and parsed: neither
 the decoded dicts nor the tree hold reference cycles, so refcounting frees
 them, and the collector would only walk them again and again as they grow.
 The constructor ranks the tree's Euler tour, an enter and an exit event per
-vertex, by pointer jumping: ceil(log2(2n)) whole-array steps, whatever the
+interior vertex and one event per leaf (its enter and exit are adjacent), by
+pointer jumping: ceil(log2(n + n_interior)) whole-array steps, whatever the
 depth, give every event its place in the tour, and preorder, depth and the
 leaf bounds ``lo``/``hi`` are counts of the events before a place.  Every
 leaf set is a contiguous run of the leaf order, given by ``lo`` and ``hi``.
@@ -32,8 +33,9 @@ rounded once.  The measures are taken bottom-up over ``depth_groups``, the
 interior vertices grouped by depth: a wide level adds its children slot by
 slot as double-double sums (``ddsum``) and keeps every value the screen
 proves equal to fsum, calling fsum for the rest; consecutive narrow levels
-form one group walked by a scalar fsum loop.  A measure that overflows is
-named by the per-vertex loop in reversed preorder.
+form one group walked by a scalar loop, in which a two-child vertex takes
+one addition, its exact sum rounded once, and a wider one fsum.  A measure
+that overflows is named by the per-vertex fsum loop in reversed preorder.
 
 The vectorised passes read numpy arrays; scalar queries read list views of
 them, each made on first read, so a run builds only the lists it uses.  The
@@ -159,58 +161,72 @@ def _leaf_measure_array(names, leaf_ids, leaf_measures) -> np.ndarray:
     return m
 
 
-def _tour_places(count, first, kids, owner, root) -> np.ndarray:
-    """The place of every Euler-tour event in the tour: event v enters vertex v, event n + v leaves it.
+def _euler_ranks(count, first, kids, owner, root):
+    """Preorder, depth and the leaf bounds lo/hi, ranked on an Euler tour with one event per leaf.
 
-    Each event's successor is local to the CSR: enter(v) is followed by
-    enter(first child), or by exit(v) at a leaf; exit(v) by enter(next
-    sibling), or by exit(parent) after the last child; exit(root) ends the
-    tour.  List ranking by pointer jumping (Wyllie; see Tarjan & Vishkin,
-    SIAM J. Comput. 14, 1985) doubles every link per round, so after
-    ceil(log2(2n)) rounds each event has counted the events from it to the
-    end.  An event that has not reached the end by then lies on a cycle that
-    the root does not reach.
+    An interior vertex has two events, enter and exit, and a leaf one, its
+    enter and exit merged: event v enters vertex v, and event n + i exits
+    the i-th interior vertex, so the tour has n + n_interior events.  Each
+    event's successor is local to the CSR: enter(v) is followed by the first
+    event of its first child; the last event of v, its exit or its leaf
+    event, by the first event of its next sibling, or by exit(parent) after
+    the last child; the last event of the root ends the tour.  List ranking
+    by pointer jumping (Wyllie; see Tarjan & Vishkin, SIAM J. Comput. 14,
+    1985) doubles every link per round, so after ceil(log2(events)) rounds
+    each event has counted the events from it to the end, and its place in
+    the tour follows.  An event that has not reached the end by then lies on
+    a cycle that the root does not reach.
+
+    Of the events before enter(v), lo counts the leaf events and rank, the
+    preorder position, the enters and leaf events, so depth, the enters less
+    the exits, is 2 rank - place - lo.  hi is lo + 1 at a leaf and the leaf
+    events before exit(v) otherwise.  The rounds gather into one reused
+    buffer, and the three tour-sized arrays are reused for the read-off.
     """
     n = len(count)
-    end = 2 * n  # a sentinel after exit(root), linked to itself
-    nxt = np.empty(end + 1, dtype=np.intp)
-    nxt[:n] = np.arange(n, end)
     inner = np.flatnonzero(count)
+    end = n + len(inner)  # a sentinel after the root's last event, linked to itself
+    last = np.arange(n)  # the last event of each vertex: a leaf's own, an interior vertex's exit
+    last[inner] = np.arange(n, end)
+    nxt = np.empty(end + 1, dtype=np.intp)
     nxt[inner] = kids[first[inner]]
-    after = n + owner  # the exit of the parent, unless a next sibling comes first
+    after = last[owner]  # the exit of the parent, unless a next sibling comes first
     sib = np.flatnonzero(np.arange(1, len(kids) + 1) < (first + count)[owner])
     after[sib] = kids[sib + 1]
-    nxt[n + kids] = after
-    nxt[n + root] = end
+    nxt[last[kids]] = after
+    nxt[last[root]] = end
     nxt[end] = end
+    del last, after, sib
     left = np.ones(end + 1, dtype=np.intp)  # events from this one to the end of the tour
     left[end] = 0
+    buf = np.empty_like(nxt)
     for _ in range((end - 1).bit_length()):
-        left += left[nxt]
-        nxt = nxt[nxt]
+        np.take(left, nxt, out=buf, mode="clip")  # clip: every link is in range, and out is unbuffered
+        left += buf
+        np.take(nxt, nxt, out=buf, mode="clip")
+        nxt, buf = buf, nxt
     if np.any(nxt[:end] != end):
         raise Cycle("tree is not connected (unreachable vertices)")
-    return end - left[:end]
-
-
-def _euler_ranks(count, first, kids, owner, root):
-    """Preorder, depth and the leaf bounds lo/hi, read off the places of the tour events.
-
-    Depth is the number of enters minus exits before enter(v), and lo and hi
-    count the leaf enters before enter(v) and before exit(v).
-    """
-    n = len(count)
-    place = _tour_places(count, first, kids, owner, root)
-    enter, leave = place[:n], place[n:]
-    vertex_at = np.full(2 * n, n, dtype=np.intp)  # the vertex entered at each place
-    vertex_at[enter] = np.arange(n)
-    order = vertex_at[vertex_at < n]
-    rank = np.empty(n, dtype=np.intp)  # enters before enter(v)
-    rank[order] = np.arange(n)
-    leaves_before = np.zeros(2 * n + 1, dtype=np.intp)  # leaf enters before each place
+    place = np.subtract(end, left, out=left)  # the events before each one
+    enter = place[:n]
+    leaves_before = nxt  # leaf events before each place
+    leaves_before.fill(0)
     leaves_before[enter[count == 0] + 1] = 1
     np.cumsum(leaves_before, out=leaves_before)
-    return order, 2 * rank - enter, leaves_before[enter], leaves_before[leave]
+    lo = leaves_before[enter]
+    hi = lo + 1
+    hi[inner] = leaves_before[place[n:end]]
+    del nxt, leaves_before
+    vertex_at = buf[:end]  # the vertex entered at each place, n at an exit
+    vertex_at.fill(n)
+    vertex_at[enter] = np.arange(n)
+    order = vertex_at[vertex_at < n]
+    rank = vertex_at[:n]  # enters and leaf events before enter(v)
+    rank[order] = np.arange(n)
+    depth = 2 * rank
+    depth -= enter
+    depth -= lo
+    return order, depth, lo, hi
 
 
 def _measure_overflow(t, m) -> OutOfRange:
@@ -233,9 +249,12 @@ def _fill_measures(t, m) -> None:
     ``dd_add`` over the prefix of vertices that have them; the values
     ``screen`` does not keep are taken by fsum before the level above reads
     them.  A vertex with two children never falls back below 2^1022: its sum
-    drops nothing.  A narrow group is one scalar fsum per vertex, children
+    drops nothing.  A narrow group is one scalar step per vertex, children
     before parents, over a list that holds the group's values and then its
-    children's.
+    children's: a two-child vertex takes ``a + b``, which is fsum's value,
+    and a wider one fsum.  Where ``a + b`` overflows it gives inf and fsum
+    would raise, so a group with an infinite value raises, and
+    ``_measure_overflow`` names the vertex.
     """
     kids, first, count = t.child_ids, t.child_first, t.child_count
     place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
@@ -253,9 +272,14 @@ def _fill_measures(t, m) -> None:
                 at = place[ch].tolist()
                 a = 0
                 for i, b in enumerate(ends.tolist()):
-                    vals[i] = math.fsum(map(get, at[a:b]))
+                    if b - a == 2:  # the exact sum rounded once, as fsum gives it, unless it overflows
+                        vals[i] = vals[at[a]] + vals[at[a + 1]]
+                    else:
+                        vals[i] = math.fsum(map(get, at[a:b]))
                     a = b
                 m[g] = vals[:len(g)]
+                if np.isinf(m[g]).any():  # a two-child sum that overflowed
+                    raise OverflowError
                 continue
             f, c = first[g], count[g]  # c is non-increasing along the level
             hi, lo, err = np.empty(len(g)), np.empty(len(g)), np.zeros(len(g))
@@ -399,6 +423,21 @@ class BallTree:
         return frozenset(self.leaf_order)
 
     @functools.cached_property
+    def _level_order(self) -> np.ndarray:
+        """The interior vertices by depth, then by decreasing child count, then in preorder.
+
+        The one sort that ``depth_groups`` and ``child_runs`` both read; a tree
+        with no interior vertex has no call for it.
+        """
+        inner = self.interior_array
+        depth = self.depth_array[inner]
+        count = self.child_count[inner]
+        top, low = int(count.max()), int(count.min())
+        key = depth if low == top else depth * (top - low + 1) + (top - count)
+        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
+        return inner[np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")]
+
+    @functools.cached_property
     def depth_groups(self) -> list[tuple[np.ndarray, bool]]:
         """The interior vertices in groups by depth, top-down, each with a flag: wide or not.
 
@@ -415,14 +454,9 @@ class BallTree:
         inner = self.interior_array
         if not len(inner):
             return []
-        depth = self.depth_array[inner]
-        size = np.bincount(depth)  # interior vertices per level; no level between is empty
+        size = np.bincount(self.depth_array[inner])  # interior vertices per level; none is empty
         if size.max() >= _WIDE_LEVEL:  # else no level is wide
-            count = self.child_count[inner]
-            top = int(count.max())
-            key = depth * top + (top - count)
-            key = key.astype(np.min_scalar_type(int(key.max())))
-            order = inner[np.argsort(key, kind="stable")]
+            order = self._level_order
             start = np.cumsum(size) - size
             wide = size >= _WIDE_LEVEL * (self.child_count[order[start]] - 1)
             if wide.any():
@@ -448,20 +482,16 @@ class BallTree:
         inner = self.interior_array
         if not len(inner):
             return []
-        depth = self.depth_array[inner]
-        count = self.child_count[inner]
+        order = self._level_order
+        count = self.child_count[order]
         top, low = int(count.max()), int(count.min())
-        key = depth if low == top else depth * (top - low + 1) + (top - count)
-        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
-        by_key = np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")
-        order, count = inner[by_key], count[by_key]
         first = self.child_first[order]
         below = np.cumsum(count) if low < top else None  # the children of order[:i + 1]
         slots = np.arange(top)[:, None]
         kids = self.child_ids
         out = []
         a = 0
-        for b in np.cumsum(np.bincount(depth)).tolist():
+        for b in np.cumsum(np.bincount(self.depth_array[inner])).tolist():
             while a < b:  # one entry per pass, unless padding order[a:b] passes twice the children
                 m = count.item(a)
                 e = b

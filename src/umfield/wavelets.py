@@ -114,24 +114,29 @@ class WaveletBasis:
         values are then accumulated top-down over ``BallTree.child_runs``,
         each level adding its parents' values to their child runs in one
         step.  The pad of the runs points at a cell past the last vertex;
-        what lands there is never read into a vertex.
+        what lands there is never read into a vertex.  The sums run with the
+        wavelet and vertex axis first, so a batch of rows moves as one block
+        per index, and the result is transposed once at the end.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self)
         if c.shape[-1:] != (n_w,):
             raise ValueError(f"expected {n_w} coefficients in the last axis, got shape {c.shape}")
-        pos = np.zeros(c.shape[:-1] + (n_w + 1,))
-        neg = np.zeros(c.shape[:-1] + (n_w + 1,))
-        np.multiply(c, self.pos_val, out=pos[..., :n_w])
-        np.multiply(c, self.neg_val, out=neg[..., :n_w])
+        c = np.moveaxis(c, -1, 0)  # (n_wavelets, ...): a view, and c itself for one row
+        batch = c.shape[1:]
+        along = (slice(None),) + (None,) * len(batch)  # a per-wavelet table against the batch
+        pos = np.zeros((n_w + 1,) + batch)
+        neg = np.zeros((n_w + 1,) + batch)
+        np.multiply(c, self.pos_val[along], out=pos[:n_w])
+        np.multiply(c, self.neg_val[along], out=neg[:n_w])
         for rows in self.suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
-            pos[..., rows - 1] += pos[..., rows]
+            _put_rows(pos, rows - 1, pos.take(rows - 1, axis=0) + pos.take(rows, axis=0))
         n = self.tree.n_vertices
-        acc = np.zeros(c.shape[:-1] + (n + 1,))
-        np.add(pos[..., self.pos_row], neg[..., self.neg_row], out=acc[..., :n])
+        acc = np.zeros((n + 1,) + batch)
+        np.add(pos.take(self.pos_row, axis=0), neg.take(self.neg_row, axis=0), out=acc[:n])
         for parents, runs in self.tree.child_runs:
-            acc[..., runs] += acc[..., None, parents]
-        return acc[..., self.tree.leaf_order_array]
+            _put_rows(acc, runs, acc.take(runs, axis=0) + acc.take(parents, axis=0))
+        return np.ascontiguousarray(np.moveaxis(acc.take(self.tree.leaf_order_array, axis=0), 0, -1))
 
     def wavelet_leaf_matrix(self) -> np.ndarray:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
@@ -153,6 +158,19 @@ class WaveletBasis:
         W = self.wavelet_leaf_matrix()
         const = np.full((1, self.tree.n_leaves), self.constant_value)
         return np.vstack([W, const])
+
+
+def _put_rows(a, at, values) -> None:
+    """a[at] = values along the first axis of a C-ordered a; each row of a batch moves as one item.
+
+    numpy copies a whole row per index far faster as one opaque item than as
+    a subarray of floats.
+    """
+    if a.ndim > 1 and a.size:
+        item = np.dtype((np.void, a[0].nbytes))
+        a = a.reshape(len(a), -1).view(item).reshape(len(a))
+        values = values.reshape(at.shape + (-1,)).view(item).reshape(at.shape)
+    a[at] = values
 
 
 def _helmert_coeffs(p: int, j: int, a: float, b: float) -> tuple[float, ...]:

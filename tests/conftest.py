@@ -183,6 +183,45 @@ def broom(rng):
                          symbol_hint=hint)
 
 
+def euler_ranks_reference(count, first, kids, owner, root):
+    """Preorder, depth, lo and hi ranked on the Euler tour with two events per vertex, as
+    ``BallTree`` ranked it before a leaf's enter and exit became one event.
+
+    Event v enters vertex v and event n + v leaves it; pointer jumping over the 2n events gives
+    each its place, and the fields are counts of the events before a place.  Raises
+    ``um.Cycle`` when the root does not reach every event."""
+    n = len(count)
+    end = 2 * n  # a sentinel after exit(root), linked to itself
+    nxt = np.empty(end + 1, dtype=np.intp)
+    nxt[:n] = np.arange(n, end)
+    inner = np.flatnonzero(count)
+    nxt[inner] = kids[first[inner]]
+    after = n + owner
+    sib = np.flatnonzero(np.arange(1, len(kids) + 1) < (first + count)[owner])
+    after[sib] = kids[sib + 1]
+    nxt[n + kids] = after
+    nxt[n + root] = end
+    nxt[end] = end
+    left = np.ones(end + 1, dtype=np.intp)
+    left[end] = 0
+    for _ in range((end - 1).bit_length()):
+        left += left[nxt]
+        nxt = nxt[nxt]
+    if np.any(nxt[:end] != end):
+        raise um.Cycle("tree is not connected (unreachable vertices)")
+    place = end - left[:end]
+    enter, leave = place[:n], place[n:]
+    vertex_at = np.full(2 * n, n, dtype=np.intp)
+    vertex_at[enter] = np.arange(n)
+    order = vertex_at[vertex_at < n]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    leaves_before = np.zeros(2 * n + 1, dtype=np.intp)
+    leaves_before[enter[count == 0] + 1] = 1
+    np.cumsum(leaves_before, out=leaves_before)
+    return order, 2 * rank - enter, leaves_before[enter], leaves_before[leave]
+
+
 def slot_levels_reference(t):
     """The non-root vertices in groups of one depth and one child slot, with their parents.
 

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (FIXTURES, broom, caterpillar, generate_random, leaf_vec, random_symbol,
-                      random_trees, slot_levels_reference, split_trees, star)
+from conftest import (FIXTURES, broom, caterpillar, from_children, generate_random, leaf_vec,
+                      random_symbol, random_trees, slot_levels_reference, split_trees, star)
 
 
 def _positive_setup(t, seed):
@@ -149,6 +149,18 @@ def test_covariance_kernel_round_count_caterpillar(depth, monkeypatch):
     t = caterpillar(depth, np.random.default_rng(depth))
     calls = _count_fallbacks(monkeypatch)
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_children(["x"], [[]], {0: 2.0}),
+    lambda: star(300, np.random.default_rng(33), symbol=False),
+], ids=["one-vertex", "star"])
+def test_covariance_kernel_zero_rounds(make, monkeypatch):
+    # no interior vertex below the root: no pointer-jumping round, and every leaf takes one step
+    t = make()
+    calls = _count_fallbacks(monkeypatch)
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.constant_symbol(t, 1.5)))
     assert calls == []
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (broom, caterpillar, from_children, generate_random, homogeneous_reference,
-                      hung_caterpillars, slot_levels_reference, split_trees, star, wide_stars)
+from conftest import (broom, caterpillar, euler_ranks_reference, from_children, generate_random,
+                      homogeneous_reference, hung_caterpillars, slot_levels_reference, split_trees,
+                      star, wide_stars)
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -343,6 +344,32 @@ def test_single_leaf_tree():
     assert t.child_runs == []
 
 
+def _assert_tour_matches_two_event_reference(t):
+    owner = np.repeat(np.arange(t.n_vertices), t.child_count)
+    want = euler_ranks_reference(t.child_count, t.child_first, t.child_ids, owner, t.root)
+    got = (t.preorder_array, t.depth_array, t.lo_array, t.hi_array)
+    for name, w, g in zip(("preorder", "depth", "lo", "hi"), want, got):
+        assert g.tolist() == w.tolist(), name
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tour_matches_two_event_reference_random(t, seed):
+    _assert_tour_matches_two_event_reference(t)
+    _assert_tour_matches_two_event_reference(_shuffled(t, np.random.default_rng(seed))[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: caterpillar(3000, np.random.default_rng(47), symbol=False),
+    lambda: star(300, np.random.default_rng(48), symbol=False),
+    lambda: um.generate_homogeneous(4, 5, 1.0),
+    lambda: from_children(["x"], [[]], {0: 2.0}),
+    lambda: from_children(["R", "a", "b"], [[1, 2], [], []], {1: 1.0, 2: 3.0}),
+], ids=["caterpillar", "star", "homogeneous", "one-vertex", "two-leaf"])
+def test_tour_matches_two_event_reference_extremes(make):
+    _assert_tour_matches_two_event_reference(make())
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_generate_homogeneous_matches_recursive_reference(p, depth):
@@ -379,6 +406,43 @@ def test_measures_are_fsum_of_children(family, data):
     _assert_measures_are_fsum(data.draw(family))
 
 
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
+def test_narrow_group_mixing_two_and_three_children_is_fsum(seed, ties):
+    # a chain whose spine vertices have two or three children is one narrow group, in which a
+    # two-child vertex takes one addition and a three-child one fsum
+    rng = np.random.default_rng(seed)
+    children = [[]]
+    v = 0
+    for k in [2, 3] + rng.integers(2, 4, int(rng.integers(0, 120))).tolist():
+        children[v] = list(range(len(children), len(children) + k))
+        children.extend([] for _ in range(k))
+        v = children[v][int(rng.integers(k))]
+    leaves = [u for u, kids in enumerate(children) if not kids]
+    m = rng.choice(_TIES, len(leaves)) if ties else 10.0 ** rng.uniform(-300, 300, len(leaves))
+    t = from_children([f"v{u}" for u in range(len(children))], children,
+                      dict(zip(leaves, m.tolist())))
+    assert [wide for _, wide in t.depth_groups] == [False]
+    _assert_measures_are_fsum(t)
+
+
+def _two_child_chain(depth, measure):
+    """A caterpillar of two-child spine vertices s0 ... s{depth - 1}; every leaf has the measure."""
+    names = [f"s{d}" for d in range(depth + 1)] + [f"x{d}" for d in range(depth)]
+    children = [[depth + 1 + d, d + 1] for d in range(depth)] + [[]] * (depth + 1)
+    return names, children, {v: measure for v in range(depth, 2 * depth + 1)}
+
+
+def test_narrow_two_child_chain_overflow_names_vertex():
+    # s13 is the deepest spine vertex over 18 leaves of 1e307: its sum, 1.8e308, overflows
+    names, children, measures = _two_child_chain(30, 1e307)
+    assert [wide for _, wide in from_children(names, children, dict.fromkeys(measures, 1.0))
+            .depth_groups] == [False]
+    with pytest.raises(um.OutOfRange) as e:
+        from_children(names, children, measures)
+    assert str(e.value) == "measure of vertex 's13' overflows"
+
+
 def _count_fsum(monkeypatch):
     calls = []
     fsum = math.fsum
@@ -397,14 +461,16 @@ def _count_fsum(monkeypatch):
     lambda rng, n: rng.choice(_TIES, n),
 ], ids=["1", "1e300", "ties"])
 def test_binary_wide_levels_never_fall_back(measures, monkeypatch):
-    # a sum of two floats drops no residual, so the screen keeps every one
+    # a sum of two floats drops no residual, so the screen keeps every one, and the 31
+    # narrow vertices each take one addition
     base = um.generate_homogeneous(2, 12, 1.0)
     m = measures(np.random.default_rng(12), base.n_leaves)
     calls = _count_fsum(monkeypatch)
     t = um.BallTree(base.names, base.child_count, base.child_ids, m)
     monkeypatch.undo()
     assert sum(wide for _, wide in t.depth_groups) == 7  # depths 5 to 11
-    assert len(calls) == sum(len(g) for g, wide in t.depth_groups if not wide) == 31
+    assert sum(len(g) for g, wide in t.depth_groups if not wide) == 31
+    assert len(calls) == 0
     _assert_measures_are_fsum(t)
 
 

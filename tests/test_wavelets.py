@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (broom, caterpillar, dense_row, random_trees, slot_levels_reference,
-                      split_trees, star)
+from conftest import (broom, caterpillar, dense_row, from_children, random_trees,
+                      slot_levels_reference, split_trees, star)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -242,6 +242,31 @@ def test_synthesize_bit_equal_to_slot_levels_extremes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_synthesis_bit_equal(broom(rng), rng)
+
+
+def _assert_batch_is_its_rows(t, rng):
+    basis = um.build_basis(t)
+    for shape in [(3, len(basis)), (2, 3, len(basis))]:
+        d = rng.standard_normal(shape)
+        got = basis.synthesize(d)
+        assert got.shape == shape[:-1] + (t.n_leaves,)
+        for i in np.ndindex(shape[:-1]):
+            assert got[i].tolist() == basis.synthesize(d[i]).tolist()
+
+
+@settings(deadline=None, max_examples=50)
+@given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesize_batch_is_its_rows_random(t, seed):
+    _assert_batch_is_its_rows(t, np.random.default_rng(seed))
+
+
+def test_synthesize_batch_is_its_rows_extremes():
+    rng = np.random.default_rng(24)
+    _assert_batch_is_its_rows(caterpillar(3000, rng, symbol=False), rng)
+    _assert_batch_is_its_rows(star(300, rng, symbol=False), rng)
+    _assert_batch_is_its_rows(um.generate_homogeneous(3, 5, 1.0), rng)
+    _assert_batch_is_its_rows(broom(rng), rng)
+    _assert_batch_is_its_rows(from_children(["x"], [[]], {0: 2.0}), rng)
 
 
 def test_synthesize_rejects_wrong_length(t2_basis):

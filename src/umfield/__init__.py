@@ -44,6 +44,7 @@ from .field import (
     sample_white_noise,
     check_equation,
     bilinear_form,
+    check_markov_instance,
     markov_check,
     empirical_covariance,
     random_markov_instance,

@@ -23,6 +23,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Markov trials are evaluated B at a time, one walk of 2B floats per vertex, B * n_vertices <= this
+_MARKOV_CELLS = 2 ** 19
+# rows per block of a CSV table, each block one %-format: no join holds the whole table twice
+_BLOCK_ROWS = 2 ** 16
+
 
 class _CliError(Exception):
     """Usage or input error the CLI reports itself (exit code 2)."""
@@ -72,6 +77,22 @@ def _emit(args, *parts: str) -> None:
         sys.stdout.writelines(parts)
 
 
+def _table(header, template, order, *columns):
+    """The CSV text: the header, then the rows ``template % (column[v], ...)`` for v in order,
+    as one string per block of ``_BLOCK_ROWS`` rows, the first with the header in it; the values
+    are arguments of the format, so a "%" in a name stays."""
+    width = len(columns)
+    parts = []
+    for a in range(0, len(order), _BLOCK_ROWS):
+        rows = order[a:a + _BLOCK_ROWS]
+        cells = [None] * (width * len(rows))  # the rows' values, interleaved
+        for j, column in enumerate(columns):
+            cells[j::width] = map(column.__getitem__, rows)
+        parts.append(template * len(rows) % tuple(cells))
+    parts[:1] = [header + "".join(parts[:1])]  # a table of one block is written in one piece
+    return parts
+
+
 def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
@@ -88,9 +109,8 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t, s, sp = _load(args)
-    names, depth, nu, T, lam = t.names, t.depth, t.measure, s.values.tolist(), sp.lam.tolist()
-    _emit(args, "vertex_id,depth,nu,T,lambda\n" + "".join(
-        [f"{names[v]},{depth[v]},{nu[v]:.17g},{T[v]:.17g},{lam[v]:.17g}\n" for v in t.interior]))
+    _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", "%s,%d,%.17g,%.17g,%.17g\n", t.interior,
+                        t.names, t.depth, t.measure, s.values.tolist(), sp.lam.tolist()))
     return EXIT_OK
 
 
@@ -114,12 +134,7 @@ def cmd_kernel(args) -> int:
     kernel = fieldmod.covariance_kernel(t, sp)
     K = kernel.values.tolist()
     if args.pairs == "profile":
-        order = t.preorder
-        cells = [None] * (3 * len(order))  # (name, nu, K) per row, interleaved
-        cells[0::3] = map(t.names.__getitem__, order)
-        cells[1::3] = map(t.measure.__getitem__, order)
-        cells[2::3] = map(K.__getitem__, order)
-        text = "vertex_id,nu,K\n" + "%s,%.17g,%.17g\n" * len(order) % tuple(cells)
+        parts = _table("vertex_id,nu,K\n", "%s,%.17g,%.17g\n", t.preorder, t.names, t.measure, K)
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
         sup_cells = [f"{name},{k:.17g}\n" for name, k in zip(t.names, K)]
@@ -128,8 +143,8 @@ def cmd_kernel(args) -> int:
         for i, x_cell in enumerate(leaf_cells):
             lines += [x_cell + y_cell + sup_cells[s_v]
                       for y_cell, s_v in zip(leaf_cells[i:], t.sup_row(i))]
-        text = "".join(lines)
-    _emit(args, text)
+        parts = ["".join(lines)]
+    _emit(args, *parts)
     return EXIT_OK
 
 
@@ -220,19 +235,33 @@ def _verify_markov(args):
         raise _CliError(f"--trials must be at least 1, got {args.trials}")
     t, _, sp = _load(args)
     kernel = fieldmod.covariance_kernel(t, sp)
-    k_max, m2 = kernel.max_abs(), t.total_measure ** 2
+    k_max = kernel.max_abs()
+    try:
+        m2 = t.total_measure ** 2
+    except OverflowError:
+        raise _CliError(f"total measure {t.total_measure!r} is too large: "
+                        "the Markov check's scale, its square, overflows") from None
     rng = np.random.default_rng(args.seed)
+    chunk = max(1, _MARKOV_CELLS // t.n_vertices)
     worst = 0.0
     done = 0
-    for _ in range(args.trials):
-        inst = fieldmod.random_markov_instance(t, rng)
-        if inst is None:
+    while done < args.trials:
+        # the next chunk of instances, drawn in trial order, checked, then evaluated in one walk
+        batch = []
+        for _ in range(min(chunk, args.trials - done)):
+            inst = fieldmod.random_markov_instance(t, rng)
+            if inst is None:
+                break
+            fieldmod.check_markov_instance(t, *inst)
+            batch.append(inst)
+        if not batch:
             break
-        I, J, f, g = inst
-        res = fieldmod.markov_check(t, kernel, I, J, f, g)
-        scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * k_max * m2)
-        worst = max(worst, abs(res.value) / scale)
-        done += 1
+        _, _, fs, gs = zip(*batch)
+        values = fieldmod.bilinear_form(t, kernel, np.stack(fs), np.stack(gs)).tolist()
+        for f, g, value in zip(fs, gs, values):
+            scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * k_max * m2)
+            worst = max(worst, abs(value) / scale)
+        done += len(batch)
     return {"trials": done, "seed": args.seed, "max_scaled_value": worst}, worst, 1e-12
 
 

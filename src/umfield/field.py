@@ -30,6 +30,11 @@ behind the Markov check, takes them in one bottom-up O(n) pass over the
 depth levels of ``BallTree.child_runs``, a few whole-array steps per level,
 and adds the per-vertex cross terms with one exact ``math.fsum``; the exact
 sum over all n_leaves^2 pairs is kept only as the reference in the tests.
+It also takes a batch, f and g of shape (B, n_leaves), in the same one walk
+with B columns per vertex for each of F and G, and returns one value per
+row, bit for bit the value of that row alone: the walk's numpy steps cost
+the same per level whatever B is, so ``verify markov`` evaluates its trials
+a chunk at a time (as many per chunk as keep the walk near 2^19 cells).
 
 The operator annihilates constants, so the field is fixed to have zero
 weighted mean and the constant component of the noise has no preimage; the
@@ -311,49 +316,56 @@ def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
     return float(np.abs(apply_dense(t, s, psi) - phi_w).max())
 
 
-def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float:
+def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float | np.ndarray:
     """Double sum f(x) g(y) K(sup(x, y)) nu(x) nu(y) over all leaf pairs, in O(n_vertices).
 
-    With F and G the subtree sums of f nu and g nu, the pairs whose sup is S,
-    one leaf under a child c of S and one under a later sibling, add
-    K(S) (F(c) G(later siblings) + G(c) F(later siblings)); the pair (x, x)
-    adds K(x) F(x) G(x).  One bottom-up pass over ``BallTree.child_runs``
-    builds F and G, side by side in one array: per level, one gather of the
-    children, one cumulative sum from the last child back, which gives each
-    child its later-sibling sums and each parent its own, and one product for
-    both cross terms.  No term exceeds the absolute sum over the pairs it
-    stands for, and all the nonzero ones go into one exact fsum, so analytic
-    cancellations (the Markov factorization) survive in floating point.
-    Each sum runs from the last child to the first, one level at a time, so
-    no term depends on how a level's parents are grouped or ordered.
+    f and g are leaf vectors, or batches of shape (B, n_leaves) taken row by
+    row: a batch returns an array of B values from one walk over the tree,
+    and 1-D input returns a float.  With F and G the subtree sums of f nu and
+    g nu, the pairs whose sup is S, one leaf under a child c of S and one
+    under a later sibling, add K(S) (F(c) G(later siblings) + G(c) F(later
+    siblings)); the pair (x, x) adds K(x) F(x) G(x).  One bottom-up pass over
+    ``BallTree.child_runs`` builds F and G side by side in one array, F in
+    the first B columns and G in the last B, so a level moves each vertex's
+    row as one block: per level, one gather of the children, m - 1 row
+    additions from the last child back (``S[k] += S[k + 1]``), which give
+    each child its later-sibling sums and each parent its own, and one
+    product for both cross terms.  No term exceeds the absolute sum over the
+    pairs it stands for, and each row's nonzero terms go into one exact
+    fsum, so analytic cancellations (the Markov factorization) survive in
+    floating point.  Each sum runs from the last child to the first, one
+    level at a time, so no term depends on how a level's parents are grouped
+    or ordered, nor on the other rows of the batch.
     """
-    FG = np.zeros((t.n_vertices + 1, 2))  # the last row is the zero pad of the runs
+    f, g = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(g, dtype=float))
+    single = f.ndim == 1
+    f, g = np.atleast_2d(f, g)
+    B = len(f)
     leaves = t.leaf_order_array
-    FG[leaves, 0] = np.asarray(f, dtype=float) * t.leaf_measures
-    FG[leaves, 1] = np.asarray(g, dtype=float) * t.leaf_measures
+    fnu = f * t.leaf_measures
+    gnu = g * t.leaf_measures
+    FG = np.zeros((t.n_vertices + 1, 2 * B))  # the last row is the zero pad of the runs
+    FG[leaves] = np.concatenate((fnu, gnu)).T
     K = kernel.values
-    terms = [K[leaves] * FG[leaves, 0] * FG[leaves, 1]]
+    terms = [(K[leaves] * fnu * gnu).T]  # the pairs (x, x)
     for parents, runs in reversed(t.child_runs):
-        X = FG.take(runs, axis=0)  # (m, P, 2)
-        S = np.cumsum(X[::-1], axis=0)  # S[k]: the sums over the last k + 1 children
-        FG[parents] = S[-1]
-        # child j adds (K F(c)) G(later) and (K G(c)) F(later), its later siblings' sums in S[m - 2 - j]
-        terms.append((K[parents][:, None] * X[:-1] * S[-2::-1, :, ::-1]).ravel())
-    terms = np.concatenate(terms)
-    return math.fsum(terms[terms != 0.0].tolist())  # a zero term leaves an exact sum as it is
+        S = FG.take(runs, axis=0)  # (m, P, 2B): the children, then the sums from each one on
+        m, P = runs.shape
+        # child j adds (K F(c)) G(later) and (K G(c)) F(later), later siblings' sums in S[j + 1]
+        cross = K[parents][:, None, None] * S[:-1].reshape(m - 1, P, 2, B)
+        for k in range(m - 2, -1, -1):
+            S[k] += S[k + 1]
+        FG[parents] = S[0]
+        cross *= S[1:].reshape(m - 1, P, 2, B)[:, :, ::-1]
+        terms.append(cross.reshape(-1, B))
+    # one fsum per row; a zero term leaves an exact sum as it is
+    values = np.array([math.fsum(row[row != 0.0].tolist()) for row in np.concatenate(terms).T])
+    return values.item() if single else values
 
 
-def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
-                 f, g) -> MarkovCheck:
-    """Covariance of the field tested against f on ball I and g on ball J.
-
-    Requires disjoint balls and supports inside them.  When at least one of
-    f, g has zero weighted mean the value is analytically zero (the kernel is
-    constant across the two supports); otherwise the value is returned with
-    covered=False.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
+def check_markov_instance(t: BallTree, I: int, J: int, f, g) -> None:
+    """Raise PreconditionViolated unless balls I and J are disjoint and f, g are supported in
+    them: the conditions of ``markov_check``, for a caller that evaluates instances in batches."""
     if t.is_ancestor_or_equal(I, J) or t.is_ancestor_or_equal(J, I):
         raise PreconditionViolated(
             f"balls {t.names[I]!r} and {t.names[J]!r} are not disjoint")
@@ -362,6 +374,20 @@ def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
         if np.any(vec[:lo] != 0.0) or np.any(vec[hi:] != 0.0):
             raise PreconditionViolated(
                 f"{name} is not supported in ball {t.names[ball]!r}")
+
+
+def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
+                 f, g) -> MarkovCheck:
+    """Covariance of the field tested against f on ball I and g on ball J.
+
+    Requires disjoint balls and supports inside them (``check_markov_instance``).
+    When at least one of f, g has zero weighted mean the value is analytically
+    zero (the kernel is constant across the two supports); otherwise the value
+    is returned with covered=False.
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    check_markov_instance(t, I, J, f, g)
     nu = t.leaf_measures
     fw = f[t.lo[I]:t.hi[I]] * nu[t.lo[I]:t.hi[I]]  # f nu is 0 outside the ball
     gw = g[t.lo[J]:t.hi[J]] * nu[t.lo[J]:t.hi[J]]

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from umfield import cli, field
 from umfield.cli import main
+from umfield.pdo import spectrum, symbol_from_tree
+from umfield.tree import load_tree
 
 from conftest import FIXTURES, T2_PATH
 
@@ -179,6 +182,47 @@ def test_sample_writes_percent_names_verbatim(tmp_path, capsys):
     plain = _sample_rows(tmp_path, capsys, ["a", "b", "c", "d"])
     assert [(i, name) for i, name, _ in rows] == [(str(i), x) for i in range(2) for x in names]
     assert [value for _, _, value in rows] == [value for _, _, value in plain]
+
+
+@pytest.mark.parametrize("argv, n_vertices", [((T2, "--trials", "100", "--seed", "1"), 7),
+                                              (("--gen", "3:4:1", "--trials", "7"), 121)])
+def test_verify_markov_chunks(capsys, monkeypatch, argv, n_vertices):
+    # chunks of one trial and of three (the last one short) draw and report as one chunk does
+    code, whole, _ = run(capsys, "verify", "markov", *argv)
+    assert code == 0 and json.loads(whole)["max_scaled_value"] != 0.0
+    for cells in (1, 3 * n_vertices):
+        monkeypatch.setattr(cli, "_MARKOV_CELLS", cells)
+        assert run(capsys, "verify", "markov", *argv) == (0, whole, "")
+
+
+def test_verify_markov_checks_each_instance(capsys, monkeypatch):
+    # the second instance of a three-trial chunk has g outside its ball J
+    t = load_tree(T2)
+    kernel = field.covariance_kernel(t, spectrum(t, symbol_from_tree(t)))
+    draw = field.random_markov_instance
+    drawn = []
+
+    def instance(t, rng):
+        I, J, f, g = draw(t, rng)
+        drawn.append((I, J, f, f if len(drawn) == 1 else g))
+        return drawn[-1]
+
+    monkeypatch.setattr(field, "random_markov_instance", instance)
+    monkeypatch.setattr(cli, "_MARKOV_CELLS", 3 * t.n_vertices)
+    code, out, err = run(capsys, "verify", "markov", T2, "--trials", "5")
+    assert code == 2 and out == "" and len(drawn) == 2
+    with pytest.raises(field.PreconditionViolated) as e:
+        field.markov_check(t, kernel, *drawn[1])
+    assert err == f"error: {e.value}\n"
+    assert "is not supported in ball" in err
+
+
+def test_verify_markov_overflowing_scale(capsys):
+    code, out, err = run(capsys, "verify", "markov", "--gen", "2:2:1e160")
+    assert code == 2 and out == ""
+    assert err == ("error: total measure 1e+160 is too large: "
+                   "the Markov check's scale, its square, overflows\n")
+    assert run(capsys, "spectrum", "--gen", "2:2:1e160")[0] == 0
 
 
 def test_verify_markov_needs_trials(capsys):

@@ -423,17 +423,24 @@ def _bilinear_slot_levels(t, K, f, g):
 
 
 def _assert_bilinear_bit_equal(t, rng):
-    """On a random kernel: dense f and g, f with signed zeros, and a Markov instance."""
+    """On a random kernel: dense f and g (every term nonzero), f with signed zeros, and two
+    Markov instances, each alone and all as one (B, n_leaves) batch."""
     K = rng.standard_normal(t.n_vertices)
     kern = um.CovarianceKernel(t, K)
     f = rng.standard_normal(t.n_leaves)
     g = rng.standard_normal(t.n_leaves)
     cases = [(f, g), (f * (rng.random(t.n_leaves) < 0.5), g)]
+    cases.append(um.random_markov_instance(t, rng)[2:])
     I, J, fm, gm = um.random_markov_instance(t, rng)
     cases.append((fm, gm))
+    singles = []
     for f, g in cases:
-        assert um.bilinear_form(t, kern, f, g) == _bilinear_slot_levels(t, K, f, g)
+        value = um.bilinear_form(t, kern, f, g)
+        assert type(value) is float and value == _bilinear_slot_levels(t, K, f, g)
+        singles.append(value)
     assert um.markov_check(t, kern, I, J, fm, gm).value == _bilinear_slot_levels(t, K, fm, gm)
+    F, G = map(np.stack, zip(*cases))
+    assert um.bilinear_form(t, kern, F, G).tobytes() == np.array(singles).tobytes()
 
 
 @settings(deadline=None, max_examples=100)

@@ -36,12 +36,10 @@ from .pdo import (
 from .field import (
     CovarianceKernel,
     FieldSample,
-    WhiteNoiseSample,
     kernel_value,
     covariance_kernel,
     kernel_bruteforce,
     sample_field,
-    sample_white_noise,
     check_equation,
     bilinear_form,
     check_markov_instance,

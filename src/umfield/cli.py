@@ -1,8 +1,14 @@
 """Command-line interface: tree validation, spectra, kernels, sampling, checks.
 
+Every command but ``convergence`` takes a tree file or ``--gen`` and
+``--out``; only the commands that draw (``sample``, ``mc-cov``, ``verify``)
+take ``--seed``, and only ``validate`` takes ``--quiet``.  The commands
+compute through the library: ``verify markov`` reports ``field.markov_check``.
+
 Exit codes: 0 on success / verification pass, 1 on verification failure,
-2 on usage or input errors.  Reports are JSON, tabular dumps are CSV; all
-numbers are written with 17 significant digits so output is diff-stable.
+2 on usage or input errors, a tree too large for a dense table or for
+memory included.  Reports are JSON, tabular dumps are CSV; all numbers are
+written with 17 significant digits so output is diff-stable.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Markov trials are evaluated B at a time, one walk of 2B floats per vertex, B * n_vertices <= this
-_MARKOV_CELLS = 2 ** 19
 # rows per block of a CSV table, each block one %-format: no join holds the whole table twice
 _BLOCK_ROWS = 2 ** 16
 
@@ -131,6 +135,8 @@ def cmd_wavelets(args) -> int:
 
 def cmd_kernel(args) -> int:
     t, _, sp = _load(args)
+    if args.pairs == "all":  # n_leaves (n_leaves + 1) / 2 rows
+        treemod.check_dense(t.n_leaves, "all-pairs kernel table")
     kernel = fieldmod.covariance_kernel(t, sp)
     K = kernel.values.tolist()
     if args.pairs == "profile":
@@ -149,6 +155,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise _CliError(f"--count must be at least 1, got {args.count}")
     t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
     names = list(map(t.names.__getitem__, t.leaf_order))
@@ -234,34 +242,8 @@ def _verify_markov(args):
     if args.trials < 1:
         raise _CliError(f"--trials must be at least 1, got {args.trials}")
     t, _, sp = _load(args)
-    kernel = fieldmod.covariance_kernel(t, sp)
-    k_max = kernel.max_abs()
-    try:
-        m2 = t.total_measure ** 2
-    except OverflowError:
-        raise _CliError(f"total measure {t.total_measure!r} is too large: "
-                        "the Markov check's scale, its square, overflows") from None
-    rng = np.random.default_rng(args.seed)
-    chunk = max(1, _MARKOV_CELLS // t.n_vertices)
-    worst = 0.0
-    done = 0
-    while done < args.trials:
-        # the next chunk of instances, drawn in trial order, checked, then evaluated in one walk
-        batch = []
-        for _ in range(min(chunk, args.trials - done)):
-            inst = fieldmod.random_markov_instance(t, rng)
-            if inst is None:
-                break
-            fieldmod.check_markov_instance(t, *inst)
-            batch.append(inst)
-        if not batch:
-            break
-        _, _, fs, gs = zip(*batch)
-        values = fieldmod.bilinear_form(t, kernel, np.stack(fs), np.stack(gs)).tolist()
-        for f, g, value in zip(fs, gs, values):
-            scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * k_max * m2)
-            worst = max(worst, abs(value) / scale)
-        done += len(batch)
+    done, worst = fieldmod.markov_check(t, fieldmod.covariance_kernel(t, sp),
+                                        np.random.default_rng(args.seed), args.trials)
     return {"trials": done, "seed": args.seed, "max_scaled_value": worst}, worst, 1e-12
 
 
@@ -292,43 +274,41 @@ def cmd_verify(args) -> int:
 
 @functools.cache  # built once per process: main is also called in-process, once per command
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("tree", nargs="?", help="tree-spec JSON file")
-    common.add_argument("--gen", metavar="p:depth:measure",
-                        help="use a homogeneous generated tree instead of a file")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress informational output")
-
-    # "what" must precede the optional tree positional
-    what = argparse.ArgumentParser(add_help=False)
-    what.add_argument("what", choices=list(VERIFICATIONS))
-
     parser = argparse.ArgumentParser(prog="umfield",
                                      description="Gaussian random fields on ultrametric ball-trees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", parents=[common]).set_defaults(func=cmd_validate)
-    sub.add_parser("spectrum", parents=[common]).set_defaults(func=cmd_spectrum)
-    sub.add_parser("wavelets", parents=[common]).set_defaults(func=cmd_wavelets)
+    def tree_command(p, func, seeded=False):
+        """Give command parser p the tree file or --gen, --seed if it draws, and --out."""
+        p.add_argument("tree", nargs="?", help="tree-spec JSON file")
+        p.add_argument("--gen", metavar="p:depth:measure",
+                       help="use a homogeneous generated tree instead of a file")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("kernel", parents=[common])
+    p = tree_command(sub.add_parser("validate"), cmd_validate)
+    p.add_argument("--quiet", action="store_true", help="print nothing, only the exit code")
+    tree_command(sub.add_parser("spectrum"), cmd_spectrum)
+    tree_command(sub.add_parser("wavelets"), cmd_wavelets)
+
+    p = tree_command(sub.add_parser("kernel"), cmd_kernel)
     p.add_argument("--pairs", choices=["all", "profile"], default="all")
-    p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("sample", parents=[common])
+    p = tree_command(sub.add_parser("sample"), cmd_sample, seeded=True)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("mc-cov", parents=[common])
+    p = tree_command(sub.add_parser("mc-cov"), cmd_mc_cov, seeded=True)
     p.add_argument("--n", type=int, default=200000)
     p.add_argument("--tol-sigma", type=float, default=5.0)
-    p.set_defaults(func=cmd_mc_cov)
 
-    p = sub.add_parser("verify", parents=[what, common])
+    p = sub.add_parser("verify")
+    p.add_argument("what", choices=list(VERIFICATIONS))  # before the optional tree positional
+    tree_command(p, cmd_verify, seeded=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("convergence")
     p.add_argument("--p", type=int, default=2)
@@ -336,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True, help="symbol ratio per upward level")
     p.add_argument("--levels", type=int, default=40)
     p.add_argument("--out")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_convergence)
 
     return parser
@@ -351,6 +330,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_CliError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # a tree too large for this machine
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

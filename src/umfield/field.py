@@ -33,7 +33,8 @@ sum over all n_leaves^2 pairs is kept only as the reference in the tests.
 It also takes a batch, f and g of shape (B, n_leaves), in the same one walk
 with B columns per vertex for each of F and G, and returns one value per
 row, bit for bit the value of that row alone: the walk's numpy steps cost
-the same per level whatever B is, so ``verify markov`` evaluates its trials
+the same per level whatever B is, so ``markov_check``, the one Markov check
+(``verify markov`` reports it), draws its random trials and evaluates them
 a chunk at a time (as many per chunk as keep the walk near 2^19 cells).
 
 The operator annihilates constants, so the field is fixed to have zero
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddsum import dd_add, screen
-from .tree import BallTree, check_dense
+from .tree import BallTree, OutOfRange, check_dense
 from .wavelets import WaveletBasis
 from .pdo import Symbol, Spectrum, apply_dense
 
@@ -60,6 +61,10 @@ class ZeroEigenvalue(ValueError):
 
 class PreconditionViolated(ValueError):
     pass
+
+
+# Markov trials are evaluated B at a time, one walk of 2B floats per vertex, B * n_vertices <= this
+_MARKOV_CELLS = 2 ** 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,21 +85,6 @@ class CovarianceKernel:
 @dataclass(frozen=True)
 class FieldSample:
     values: np.ndarray          # leaf_order indexing
-    seed: object
-    coeffs: np.ndarray          # wavelet coefficients d / lambda was applied to
-
-
-@dataclass(frozen=True)
-class WhiteNoiseSample:
-    values: np.ndarray
-    seed: object
-    coeffs: np.ndarray          # canonical order: wavelets then constant mode
-
-
-@dataclass(frozen=True)
-class MarkovCheck:
-    value: float
-    covered: bool               # at least one test function had zero weighted mean
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,6 @@ class EmpiricalCovariance:
     standard_error: np.ndarray
     max_abs_dev: float
     worst_pair: tuple[str, str]
-    n_samples: int
-    seed: object
 
 
 def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
@@ -290,15 +278,7 @@ def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldS
     lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis))
-    return FieldSample(basis.synthesize(d / lam), seed, d)
-
-
-def sample_white_noise(t: BallTree, basis: WaveletBasis, seed) -> WhiteNoiseSample:
-    """White noise: i.i.d. standard normal coefficients on the FULL basis."""
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal(len(basis) + 1)
-    phi = basis.synthesize(d[:-1]) + d[-1] * basis.constant_value
-    return WhiteNoiseSample(phi, seed, d)
+    return FieldSample(basis.synthesize(d / lam))
 
 
 def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
@@ -365,7 +345,7 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float | np.nda
 
 def check_markov_instance(t: BallTree, I: int, J: int, f, g) -> None:
     """Raise PreconditionViolated unless balls I and J are disjoint and f, g are supported in
-    them: the conditions of ``markov_check``, for a caller that evaluates instances in batches."""
+    them: the conditions under which the Markov property makes ``bilinear_form`` vanish."""
     if t.is_ancestor_or_equal(I, J) or t.is_ancestor_or_equal(J, I):
         raise PreconditionViolated(
             f"balls {t.names[I]!r} and {t.names[J]!r} are not disjoint")
@@ -376,28 +356,38 @@ def check_markov_instance(t: BallTree, I: int, J: int, f, g) -> None:
                 f"{name} is not supported in ball {t.names[ball]!r}")
 
 
-def markov_check(t: BallTree, kernel: CovarianceKernel, I: int, J: int,
-                 f, g) -> MarkovCheck:
-    """Covariance of the field tested against f on ball I and g on ball J.
+def markov_check(t: BallTree, kernel: CovarianceKernel, rng, trials: int) -> tuple[int, float]:
+    """The Markov check over ``trials`` random instances: (trials run, largest scaled value).
 
-    Requires disjoint balls and supports inside them (``check_markov_instance``).
-    When at least one of f, g has zero weighted mean the value is analytically
-    zero (the kernel is constant across the two supports); otherwise the value
-    is returned with covered=False.
+    Each instance comes from ``random_markov_instance`` and is checked by
+    ``check_markov_instance`` as it is drawn; its covariance, analytically
+    zero, is divided by max(1, max|f| max|g| max|K| nu(X)^2).  The instances
+    are drawn in trial order and evaluated a chunk at a time, one
+    ``bilinear_form`` walk per chunk of ``max(1, _MARKOV_CELLS // n_vertices)``,
+    so the values do not depend on the chunk size.  A tree with one leaf has
+    no two disjoint balls and runs no trial.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    check_markov_instance(t, I, J, f, g)
-    nu = t.leaf_measures
-    fw = f[t.lo[I]:t.hi[I]] * nu[t.lo[I]:t.hi[I]]  # f nu is 0 outside the ball
-    gw = g[t.lo[J]:t.hi[J]] * nu[t.lo[J]:t.hi[J]]
-    fm = math.fsum(fw.tolist())
-    gm = math.fsum(gw.tolist())
-    fscale = math.fsum(np.abs(fw).tolist())  # nu > 0, so |f nu| is |f| nu to the bit
-    gscale = math.fsum(np.abs(gw).tolist())
-    covered = (abs(fm) <= 1e-12 * max(fscale, 1e-300)
-               or abs(gm) <= 1e-12 * max(gscale, 1e-300))
-    return MarkovCheck(bilinear_form(t, kernel, f, g), covered)
+    k_max = kernel.max_abs()
+    try:
+        m2 = t.total_measure ** 2
+    except OverflowError:
+        raise OutOfRange(f"total measure {t.total_measure!r} is too large: "
+                         "the Markov check's scale, its square, overflows") from None
+    if t.n_leaves < 2:
+        return 0, 0.0
+    chunk = max(1, _MARKOV_CELLS // t.n_vertices)
+    worst = 0.0
+    for done in range(0, trials, chunk):
+        batch = []
+        for _ in range(min(chunk, trials - done)):
+            batch.append(random_markov_instance(t, rng))
+            check_markov_instance(t, *batch[-1])
+        _, _, fs, gs = zip(*batch)
+        values = bilinear_form(t, kernel, np.stack(fs), np.stack(gs)).tolist()
+        for f, g, value in zip(fs, gs, values):
+            scale = max(1.0, float(np.abs(f).max() * np.abs(g).max()) * k_max * m2)
+            worst = max(worst, abs(value) / scale)
+    return max(trials, 0), worst
 
 
 def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
@@ -432,8 +422,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     dev = np.abs(emp - analytic)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = (t.names[t.leaf_order[i]], t.names[t.leaf_order[j]])
-    return EmpiricalCovariance(emp, analytic, se, float(dev[i, j]), worst,
-                               n_samples, seed)
+    return EmpiricalCovariance(emp, analytic, se, float(dev[i, j]), worst)
 
 
 def random_markov_instance(t: BallTree, rng) -> tuple[int, int, np.ndarray, np.ndarray] | None:

@@ -419,10 +419,6 @@ class BallTree:
                 for a, k in zip(self.child_first.tolist(), self.child_count.tolist())]
 
     @functools.cached_property
-    def leaves(self) -> frozenset:
-        return frozenset(self.leaf_order)
-
-    @functools.cached_property
     def _level_order(self) -> np.ndarray:
         """The interior vertices by depth, then by decreasing child count, then in preorder.
 
@@ -548,9 +544,6 @@ class BallTree:
     def is_leaf(self, v: int) -> bool:
         return not self.child_count[v]
 
-    def branching(self, v: int) -> int:
-        return int(self.child_count[v])
-
     def _check_leaf(self, x: int) -> None:
         if not (0 <= x < self.n_vertices) or self.child_count[x]:
             raise ForeignLeaf(f"vertex {x} is not a leaf of this tree")
@@ -595,11 +588,6 @@ class BallTree:
 
     def is_ancestor_or_equal(self, a: int, d: int) -> bool:
         return self.lo[a] <= self.lo[d] and self.hi[d] <= self.hi[a]
-
-    def distance(self, x: int, y: int) -> float:
-        """Canonical ultrametric: 0 if x == y, else measure of sup(x, y)."""
-        s = self.sup(x, y)
-        return 0.0 if x == y else self.measure[s]
 
     def sup_index_matrix(self) -> np.ndarray:
         """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing (dense oracle)."""

@@ -3,9 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from umfield import cli, field
+from umfield import field
 from umfield.cli import main
-from umfield.pdo import spectrum, symbol_from_tree
 from umfield.tree import load_tree
 
 from conftest import FIXTURES, T2_PATH
@@ -191,14 +190,13 @@ def test_verify_markov_chunks(capsys, monkeypatch, argv, n_vertices):
     code, whole, _ = run(capsys, "verify", "markov", *argv)
     assert code == 0 and json.loads(whole)["max_scaled_value"] != 0.0
     for cells in (1, 3 * n_vertices):
-        monkeypatch.setattr(cli, "_MARKOV_CELLS", cells)
+        monkeypatch.setattr(field, "_MARKOV_CELLS", cells)
         assert run(capsys, "verify", "markov", *argv) == (0, whole, "")
 
 
 def test_verify_markov_checks_each_instance(capsys, monkeypatch):
     # the second instance of a three-trial chunk has g outside its ball J
     t = load_tree(T2)
-    kernel = field.covariance_kernel(t, spectrum(t, symbol_from_tree(t)))
     draw = field.random_markov_instance
     drawn = []
 
@@ -208,11 +206,11 @@ def test_verify_markov_checks_each_instance(capsys, monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(field, "random_markov_instance", instance)
-    monkeypatch.setattr(cli, "_MARKOV_CELLS", 3 * t.n_vertices)
+    monkeypatch.setattr(field, "_MARKOV_CELLS", 3 * t.n_vertices)
     code, out, err = run(capsys, "verify", "markov", T2, "--trials", "5")
     assert code == 2 and out == "" and len(drawn) == 2
     with pytest.raises(field.PreconditionViolated) as e:
-        field.markov_check(t, kernel, *drawn[1])
+        field.check_markov_instance(t, *drawn[1])
     assert err == f"error: {e.value}\n"
     assert "is not supported in ball" in err
 
@@ -229,6 +227,20 @@ def test_verify_markov_needs_trials(capsys):
     code, out, err = run(capsys, "verify", "markov", T2, "--trials", "0")
     assert code == 2 and out == ""
     assert "--trials" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_needs_count(capsys, count):
+    code, out, err = run(capsys, "sample", T2, "--count", count)
+    assert code == 2 and out == ""
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv", [("spectrum", T2, "--quiet"), ("kernel", T2, "--seed", "1"),
+                                  ("convergence", "--mu", "2", "--q", "0.25", "--quiet")])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def _rejected(capsys, doc, commands, culprit):
@@ -348,9 +360,26 @@ def test_numeric_strings_parse(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify equation", "verify eigen", "verify ortho",
-                                     "mc-cov --n 2"])
+                                     "mc-cov --n 2", "kernel"])
 def test_dense_check_refuses_large_tree(capsys, command):
     code, out, err = run(capsys, *command.split(), "--gen", "2:13:1")
     assert code == 2 and out == "" and err.count("\n") == 1  # one error line, no traceback
     assert err.startswith("error: the dense ")
     assert err.endswith(" is limited to 4096 leaves; this tree has 8192\n")
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # numpy raises a MemoryError subclass when it cannot allocate a tree's arrays
+    def generate_homogeneous(p, depth, total_measure):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (2199023255551,)")
+
+    monkeypatch.setattr("umfield.tree.generate_homogeneous", generate_homogeneous)
+    assert run(capsys, "validate", "--gen", "2:40:1") == (
+        2, "", "error: out of memory: Unable to allocate 16.0 TiB for an array with shape "
+               "(2199023255551,)\n")
+
+    def bare(p, depth, total_measure):
+        raise MemoryError
+
+    monkeypatch.setattr("umfield.tree.generate_homogeneous", bare)
+    assert run(capsys, "validate", "--gen", "2:40:1") == (2, "", "error: out of memory\n")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import umfield as um
+from umfield import cli
 
-from conftest import (FIXTURES, broom, caterpillar, from_children, generate_random, leaf_vec,
-                      random_symbol, random_trees, slot_levels_reference, split_trees, star)
+from conftest import (FIXTURES, T2_PATH, broom, caterpillar, from_children, generate_random,
+                      leaf_vec, random_symbol, random_trees, slot_levels_reference, split_trees,
+                      star)
 
 
 def _positive_setup(t, seed):
@@ -324,17 +327,6 @@ def test_white_noise_isometry(t2, t2_basis):
     assert abs(got - want) <= 5 * se
 
 
-def test_white_noise_matches_sample_white_noise(t2, t2_basis):
-    a = um.sample_white_noise(t2, t2_basis, 3)
-    b = um.sample_white_noise(t2, t2_basis, 3)
-    assert np.array_equal(a.values, b.values)
-    assert len(a.coeffs) == len(t2_basis) + 1
-    # coefficients recovered by weighted projection onto the basis
-    E = t2_basis.full_leaf_matrix()
-    rec = E @ (a.values * t2.leaf_measures)
-    assert rec == pytest.approx(a.coeffs, abs=1e-12)
-
-
 def test_check_equation_t2(t2, t2_symbol, t2_spectrum, t2_basis):
     assert um.check_equation(t2, t2_symbol, t2_spectrum, t2_basis, 1) <= 1e-12
 
@@ -430,15 +422,15 @@ def _assert_bilinear_bit_equal(t, rng):
     f = rng.standard_normal(t.n_leaves)
     g = rng.standard_normal(t.n_leaves)
     cases = [(f, g), (f * (rng.random(t.n_leaves) < 0.5), g)]
-    cases.append(um.random_markov_instance(t, rng)[2:])
-    I, J, fm, gm = um.random_markov_instance(t, rng)
-    cases.append((fm, gm))
+    for _ in range(2):
+        I, J, fm, gm = um.random_markov_instance(t, rng)
+        um.check_markov_instance(t, I, J, fm, gm)
+        cases.append((fm, gm))
     singles = []
     for f, g in cases:
         value = um.bilinear_form(t, kern, f, g)
         assert type(value) is float and value == _bilinear_slot_levels(t, K, f, g)
         singles.append(value)
-    assert um.markov_check(t, kern, I, J, fm, gm).value == _bilinear_slot_levels(t, K, fm, gm)
     F, G = map(np.stack, zip(*cases))
     assert um.bilinear_form(t, kern, F, G).tobytes() == np.array(singles).tobytes()
 
@@ -499,29 +491,26 @@ def test_markov_check_examples(t2, t2_spectrum, t2_ids):
     kern = um.covariance_kernel(t2, t2_spectrum)
     f = leaf_vec(t2, a1=1.0, a2=-1.0)
     g = leaf_vec(t2, b1=1.0)
-    res = um.markov_check(t2, kern, i["A"], i["B"], f, g)
-    assert res.covered
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    um.check_markov_instance(t2, i["A"], i["B"], f, g)
+    assert um.bilinear_form(t2, kern, f, g) == pytest.approx(0.0, abs=1e-12)
 
+    # without a zero mean the disjoint balls still correlate
     f2 = leaf_vec(t2, a1=1.0)
-    res2 = um.markov_check(t2, kern, i["A"], i["B"], f2, g)
-    assert not res2.covered
-    assert res2.value == pytest.approx(-1 / 16, abs=1e-12)
+    um.check_markov_instance(t2, i["A"], i["B"], f2, g)
+    assert um.bilinear_form(t2, kern, f2, g) == pytest.approx(-1 / 16, abs=1e-12)
 
 
-def test_markov_check_rejects_overlap(t2, t2_spectrum, t2_ids):
-    kern = um.covariance_kernel(t2, t2_spectrum)
+def test_markov_check_rejects_overlap(t2, t2_ids):
     f = leaf_vec(t2, a1=1.0, a2=-1.0)
-    with pytest.raises(um.PreconditionViolated):
-        um.markov_check(t2, kern, t2_ids["R"], t2_ids["A"], f, f)
+    with pytest.raises(um.PreconditionViolated, match="are not disjoint"):
+        um.check_markov_instance(t2, t2_ids["R"], t2_ids["A"], f, f)
 
 
-def test_markov_check_rejects_bad_support(t2, t2_spectrum, t2_ids):
-    kern = um.covariance_kernel(t2, t2_spectrum)
+def test_markov_check_rejects_bad_support(t2, t2_ids):
     f = leaf_vec(t2, a1=1.0, b1=-1.0)
     g = leaf_vec(t2, b1=1.0)
-    with pytest.raises(um.PreconditionViolated):
-        um.markov_check(t2, kern, t2_ids["A"], t2_ids["B"], f, g)
+    with pytest.raises(um.PreconditionViolated, match="f is not supported in ball 'A'"):
+        um.check_markov_instance(t2, t2_ids["A"], t2_ids["B"], f, g)
 
 
 def test_markov_random_instances():
@@ -535,14 +524,43 @@ def test_markov_random_instances():
             inst = um.random_markov_instance(t, rng)
             if inst is None:
                 continue
-            I, J, f, g = inst
-            res = um.markov_check(t, kern, I, J, f, g)
-            assert res.covered
+            um.check_markov_instance(t, *inst)
+            _, _, f, g = inst
+            value = um.bilinear_form(t, kern, f, g)
             scale = max(1.0, float(np.abs(f).max() * np.abs(g).max())
                         * kern.max_abs() * t.total_measure ** 2)
-            assert abs(res.value) <= 1e-12 * scale
-            values.append(res.value)
+            assert abs(value) <= 1e-12 * scale
+            values.append(value)
     assert any(v != 0.0 for v in values)
+
+
+def test_random_markov_instance_f_has_zero_mean():
+    rng = np.random.default_rng(98)
+    for t in random_trees(range(10)):
+        nu = t.leaf_measures
+        for _ in range(20):
+            _, _, f, _ = um.random_markov_instance(t, rng)
+            fnu = f * nu
+            assert (abs(math.fsum(fnu)) <= 1e-12 * math.fsum(np.abs(fnu))
+                    or not np.any(f))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+def test_markov_check_is_verify_markov(capsys, t2, t2_spectrum, seed):
+    # the library check returns the trial count and the scaled value that the command reports
+    gen = um.generate_homogeneous(3, 4, 1.0)
+    for argv, t, sp in (([str(T2_PATH)], t2, t2_spectrum),
+                        (["--gen", "3:4:1"], gen, um.spectrum(gen, um.constant_symbol(gen, 1.0)))):
+        assert cli.main(["verify", "markov", *argv, "--trials", "37", "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        got = um.markov_check(t, um.covariance_kernel(t, sp), np.random.default_rng(seed), 37)
+        assert got == (report["trials"], report["max_scaled_value"])
+
+
+def test_markov_check_one_leaf():
+    t = um.parse_tree({"nodes": [{"id": "x", "measure": 2.0}]})
+    kern = um.covariance_kernel(t, um.spectrum(t, um.constant_symbol(t, 1.0)))
+    assert um.markov_check(t, kern, np.random.default_rng(0), 5) == (0, 0.0)
 
 
 def test_markov_monte_carlo(t2, t2_spectrum, t2_basis, t2_ids):

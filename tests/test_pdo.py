@@ -24,7 +24,7 @@ def _sym_eigvals(t, s):
 def _expected_multiset(t, sp):
     vals = [0.0]
     for I in t.interior:
-        vals.extend([sp.lam[I]] * (t.branching(I) - 1))
+        vals.extend([sp.lam[I]] * (int(t.child_count[I]) - 1))
     return np.sort(np.array(vals))
 
 

@@ -137,24 +137,25 @@ def test_child_toward(t2, t2_ids):
 
 
 def test_distance_examples(t2, t2_ids):
+    # the canonical ultrametric of two distinct leaves is the measure of their sup
     i = t2_ids
-    assert t2.distance(i["a1"], i["a2"]) == pytest.approx(0.5, abs=0)
-    assert t2.distance(i["a1"], i["b2"]) == pytest.approx(1.0, abs=0)
-    assert t2.distance(i["b1"], i["b1"]) == 0.0
+    assert t2.measure[t2.sup(i["a1"], i["a2"])] == 0.5
+    assert t2.measure[t2.sup(i["a1"], i["b2"])] == 1.0
+    assert t2.sup(i["b1"], i["b1"]) == i["b1"]
 
 
 def test_generate_homogeneous():
     t = um.generate_homogeneous(2, 2, 1.0)
     assert t.n_leaves == 4
-    assert all(t.measure[l] == 0.25 for l in t.leaves)
+    assert all(t.measure[l] == 0.25 for l in t.leaf_order)
 
     t = um.generate_homogeneous(3, 1, 9.0)
     assert t.n_leaves == 3
-    assert all(t.measure[l] == 3.0 for l in t.leaves)
+    assert all(t.measure[l] == 3.0 for l in t.leaf_order)
 
     t = um.generate_homogeneous(2, 10, 1.0)
     assert t.n_leaves == 1024
-    assert all(t.measure[l] == 2.0 ** -10 for l in t.leaves)
+    assert all(t.measure[l] == 2.0 ** -10 for l in t.leaf_order)
 
     with pytest.raises(um.OutOfRange):
         um.generate_homogeneous(1, 2, 1.0)
@@ -171,7 +172,7 @@ def test_generate_random_deterministic():
 def test_generate_random_depth_one():
     t = generate_random(2, 1, 2)
     assert t.n_leaves == 2
-    assert t.children[t.root] == tuple(sorted(t.leaves))
+    assert t.children[t.root] == tuple(sorted(t.leaf_order))
 
 
 def test_roundtrip_serialization():
@@ -210,10 +211,14 @@ def test_measure_additivity_random():
 def test_strong_triangle_inequality():
     t = generate_random(3, 3, 3)
     leaves = t.leaf_order
+
+    def d(x, y):  # the ball measure of sup(x, y); a point is its own smallest ball
+        return t.measure[t.sup(x, y)]
+
     for x in leaves:
         for y in leaves:
             for z in leaves:
-                assert t.distance(x, y) <= max(t.distance(x, z), t.distance(y, z)) + 1e-15
+                assert d(x, y) <= max(d(x, z), d(y, z)) + 1e-15
 
 
 def test_sup_symmetry_and_ancestry():

@@ -70,7 +70,7 @@ def test_wavelet_counts():
     for t in random_trees(range(8)):
         basis = um.build_basis(t)
         for I in t.interior:
-            assert np.count_nonzero(basis.vertex == I) == t.branching(I) - 1
+            assert np.count_nonzero(basis.vertex == I) == int(t.child_count[I]) - 1
         assert len(basis) == t.n_leaves - 1
 
 

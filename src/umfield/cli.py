@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -263,6 +264,8 @@ VERIFICATIONS = {
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:  # a NaN fails too
+        raise _CliError(f"--tol must be a finite non-negative number, got {args.tol}")
     fields, figure, tol = VERIFICATIONS[args.what](args)
     tol = tol if args.tol is None else args.tol
     ok = figure <= tol

@@ -25,9 +25,25 @@ infinite or nan hi is never kept.  TwoSum is exact with gradual underflow,
 so subnormal terms need no care; an overflow inside a sum leaves hi
 infinite or nan.
 
+``dd_cumsum`` takes the running sums of one array along it, as on a chain
+of balls, as a cascaded sum (Ogita, Rump & Oishi's Sum2, with its error terms
+summed once more):
+- s = cumsum(x), and e_i the exact TwoSum error of its step
+  s_i = fl(s_{i-1} + x_i) (e_0 = 0), so x_0 + ... + x_i = s_i + E'_i with
+  E'_i the exact sum of e_0 ... e_i;
+- E = cumsum(e), and r_i the exact TwoSum error of its step, so
+  E'_i = E_i + (r_0 + ... + r_i) exactly;
+- err = cumsum(|r|), and (hi, lo) = TwoSum(s, E).
+So X_i - (hi_i + lo_i) = r_0 + ... + r_i exactly, err_i is a float sum of
+the |r_j|, so |X_i - (hi_i + lo_i)| <= 2 err_i as above, and
+fl(hi + lo) = hi: the invariant ``dd_add`` keeps, from which ``screen``
+decides.  ``np.cumsum`` adds in order, one rounding a step, so its steps
+are the TwoSums' sums.  An overflow in a step makes that prefix's hi or err
+infinite or nan, and every later prefix's too, and ``screen`` keeps none.
+
 The additions write into arrays the caller owns: ``dd_add`` overwrites its
-first three arguments and takes four scratch arrays of their shape, so a
-loop of additions allocates nothing.
+first three arguments and takes four scratch arrays of their shape, and
+``dd_cumsum`` takes two, so a loop of additions allocates nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +59,11 @@ def two_sum(a, b, s, e, z):
     s, e and the scratch z are distinct and none is a; e may be b.
     """
     np.add(a, b, out=s)
+    _two_sum_error(a, b, s, e, z)
+
+
+def _two_sum_error(a, b, s, e, z):
+    """e = a + b - s exactly, for s = fl(a + b) given: the error half of TwoSum."""
     np.subtract(s, a, out=z)  # the part of b that went into s
     np.subtract(b, z, out=e)
     np.subtract(s, z, out=z)
@@ -71,6 +92,32 @@ def dd_add(hi, lo, err, b_hi, b_lo, b_err, work):
     np.abs(r, out=r)
     np.add(err, r, out=err)
     two_sum(s, lo, hi, lo, z)
+
+
+def _step_errors(s, x, e, z):
+    """e[i] = s[i - 1] + x[i] - s[i] exactly, for s = cumsum(x): the TwoSum error of each step.
+
+    The first step, 0 + x[0], is exact.  e and the scratch z are distinct
+    from s, x and each other.
+    """
+    e[:1] = 0.0
+    _two_sum_error(s[:-1], x[1:], s[1:], e[1:], z[1:])
+
+
+def dd_cumsum(x, hi, lo, err, work):
+    """(hi[i], lo[i]) and its bound err[i] for x[0] + ... + x[i], as a cascaded prefix sum.
+
+    The argument is in the module docstring.  hi, lo and err are
+    overwritten; x may be hi, and work is two scratch arrays of its shape.
+    """
+    s, e = work
+    np.cumsum(x, out=s)
+    _step_errors(s, x, e, err)
+    np.cumsum(e, out=lo)  # E
+    _step_errors(lo, e, err, hi)  # r
+    np.abs(err, out=err)
+    np.cumsum(err, out=err)
+    two_sum(s, lo, hi, lo, e)
 
 
 def screen(hi, lo, err):

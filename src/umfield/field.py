@@ -14,8 +14,10 @@ with the leading term dropped when S is a leaf (leaves carry no wavelets, so
 the variance at a point is the pure ancestor sum).  ``covariance_kernel``
 evaluates it for every vertex: the ancestor sums of the interior vertices
 are taken by pointer jumping, in ceil(log2(d + 1)) whole-array rounds for d
-the largest interior depth, as double-double sums that also bound what they
-drop; each leaf then takes one step from its parent's sum.  Each value the
+the largest interior depth, or, when the interior vertices are one path (a
+caterpillar), by one cascaded prefix sum along it, as double-double sums
+that also bound what they drop; each leaf then takes one step from its
+parent's sum.  Each value the
 bound proves to be the correctly rounded sum is kept; the rest, rare, go to
 ``kernel_value``.  So
 each value is the same correctly rounded sum as the per-vertex
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddsum import dd_add, screen
+from .ddsum import dd_add, dd_cumsum, screen
 from .tree import BallTree, OutOfRange, check_dense
 from .wavelets import WaveletBasis
 from .pdo import Symbol, Spectrum, apply_dense
@@ -165,9 +167,23 @@ def _inv_square(lam: float) -> float:
         return math.inf
 
 
+def _inv_squares(lam: np.ndarray) -> np.ndarray:
+    """``_inv_square`` of each lambda: one comprehension of ``x ** -2`` when every lambda is
+    positive and none overflows, else the per-value map."""
+    positive = lam.min() > 0.0  # False with a nan
+    lam = lam.tolist()
+    if positive:
+        try:
+            return np.array([x ** -2 for x in lam])
+        except OverflowError:
+            pass
+    return np.array(list(map(_inv_square, lam)))
+
+
 def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     """Kernel value at every vertex: ceil(log2(d + 1)) whole-array rounds over the interior
-    vertices, d their largest depth, and one step for the leaves.
+    vertices, d their largest depth, or one prefix sum when they are one path, and one step
+    for the leaves.
 
     Each non-root vertex v has the path term lambda_p^-2 (1/nu(v) - 1/nu(p))
     of its parent p, computed as ``kernel_value`` computes it.  The path sums
@@ -178,9 +194,14 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     the sum of the 2^k vertices up from it.  The sums are double-double ones
     (``ddsum.dd_add``) that also sum the magnitudes of the residuals they
     drop into a bound; their hi, lo and bound parts are one (3, n_interior)
-    array, gathered once per round into a buffer the rounds reuse.  A leaf
+    array, gathered once per round into a buffer the rounds reuse.  When the
+    interior vertices are one path (the last of them in preorder has depth
+    n_interior - 1), the sums are prefix sums along it instead, taken by
+    ``ddsum.dd_cumsum`` with the same kind of bound and no round.  A leaf
     then adds its own path term to its parent's sum, and an interior vertex
-    its own term -lambda^-2 / nu, the same way.
+    its own term -lambda^-2 / nu, the same way.  The lambda^-2 are one list
+    comprehension of Python's ``x ** -2`` unless a lambda is not positive
+    or a square overflows, when ``_inv_square`` takes them one at a time.
 
     The reference value, ``kernel_value``, is fsum of the same float terms,
     and ``ddsum.screen`` keeps each value it proves equal to it (the error
@@ -206,7 +227,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     at = pos.take(t.parent_array[leaves])
     del pos
     inv_m = 1.0 / m[inner]
-    inv2 = np.array(list(map(_inv_square, sp.lam[inner].tolist())))
+    inv2 = _inv_squares(sp.lam[inner])
     # the round buffers, sized for the leaf step: every interior vertex has two children or more
     flat = np.empty((2, 3 * n_leaves))
     state = flat[0, :3 * k].reshape(3, k)  # hi, lo and the bound of each interior vertex's sum
@@ -218,13 +239,16 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         np.subtract(inv_m, inv_m[up], out=hi)
         hi *= inv2[up]
         hi[0] = 0.0
-        lo.fill(0.0)
-        err.fill(0.0)
-        for _ in range((int(t.depth_array.max()) - 1).bit_length()):  # leaves are the deepest
-            np.take(state, up, axis=1, out=gathered, mode="clip")  # clip: in range, unbuffered
-            dd_add(hi, lo, err, *gathered, work[:, :k])
-            np.take(up, up, out=link, mode="clip")
-            up, link = link, up
+        if t.depth_array.item(inner[-1]) == k - 1:  # one path: a running sum along it
+            dd_cumsum(hi, hi, lo, err, work[:2, :k])
+        else:
+            lo.fill(0.0)
+            err.fill(0.0)
+            for _ in range((int(t.depth_array.max()) - 1).bit_length()):  # leaves are the deepest
+                np.take(state, up, axis=1, out=gathered, mode="clip")  # clip: in range, unbuffered
+                dd_add(hi, lo, err, *gathered, work[:, :k])
+                np.take(up, up, out=link, mode="clip")
+                up, link = link, up
         leaf = flat[1].reshape(3, n_leaves)
         np.take(state, at, axis=1, out=leaf, mode="clip")
         term = 1.0 / m[leaves]

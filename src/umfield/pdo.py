@@ -20,9 +20,10 @@ where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
 lost to cancellation against the parent's measure.  A is carried over the
 depth groups of the tree (``BallTree.depth_groups``): one whole-array step
-per wide level, and a scalar loop over each run of narrow levels, so a deep
-chain costs no numpy step per level.  Each A is the same single rounding of
-the same floats in either form.
+per wide level, one cumulative sum over a run of narrow levels that is one
+path, a chain of balls, and a scalar loop over any other run of narrow
+levels, so a deep chain costs no numpy step per level.  Each A is the same
+single rounding of the same floats in every form.
 
 A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
 leaves, as ``parse_tree`` reads it from the tree document
@@ -108,11 +109,13 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
 
     The outer sums A are carried top-down over ``BallTree.depth_groups``:
     A[g] = A[parent] + T[parent] sigma[g] is one whole-array step for a wide
-    level and a scalar loop over a group of narrow ones.  Each A is the same
-    single rounding of the same floats either way, so the values do not
-    depend on the grouping.  A symbol of another length than the tree's
-    vertex count raises DimensionMismatch, one with a nonzero leaf entry
-    ValueError naming the first such leaf.
+    level, one ``np.cumsum`` for a narrow group that is one path
+    (``BallTree.path_groups``), and a scalar loop over any other narrow
+    group.  Each A is the same single rounding of the same floats in every
+    form (IEEE addition commutes, and ``np.cumsum`` adds in order), so the
+    values do not depend on the grouping.  A symbol of another length than
+    the tree's vertex count raises DimensionMismatch, one with a nonzero
+    leaf entry ValueError naming the first such leaf.
     """
     T = s.values
     if T.shape != (t.n_vertices,):
@@ -127,12 +130,17 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     A = np.zeros(t.n_vertices)
     place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        for g, wide in t.depth_groups:
+        for (g, wide), path in zip(t.depth_groups, t.path_groups):
             if g[0] == root:  # A(root) = 0
                 g = g[1:]
             p = parent[g]
             if wide:
                 A[g] = A[p] + T[p] * sigma[g]
+                continue
+            if path:  # each vertex's parent is the one before it: a running sum from A(p[0])
+                x = T[p] * sigma[g]
+                x[0] += A[p[0]]
+                A[g] = np.cumsum(x)
                 continue
             # the group's values, then its parents'; by depth, a parent comes before its children
             place[p] = len(g) + np.arange(len(p))

@@ -33,9 +33,11 @@ rounded once.  The measures are taken bottom-up over ``depth_groups``, the
 interior vertices grouped by depth: a wide level adds its children slot by
 slot as double-double sums (``ddsum``) and keeps every value the screen
 proves equal to fsum, calling fsum for the rest; consecutive narrow levels
-form one group walked by a scalar loop, in which a two-child vertex takes
-one addition, its exact sum rounded once, and a wider one fsum.  A measure
-that overflows is named by the per-vertex fsum loop in reversed preorder.
+form one group.  A group that is one path of two-child vertices, a chain of
+balls, is one cumulative sum from its bottom up; any other is walked by a
+scalar loop, in which a two-child vertex takes one addition, its exact sum
+rounded once, and a wider one fsum.  A measure that overflows is named by
+the per-vertex fsum loop in reversed preorder.
 
 The vectorised passes read numpy arrays; scalar queries read list views of
 them, each made on first read, so a run builds only the lists it uses.  The
@@ -249,18 +251,30 @@ def _fill_measures(t, m) -> None:
     ``dd_add`` over the prefix of vertices that have them; the values
     ``screen`` does not keep are taken by fsum before the level above reads
     them.  A vertex with two children never falls back below 2^1022: its sum
-    drops nothing.  A narrow group is one scalar step per vertex, children
-    before parents, over a list that holds the group's values and then its
-    children's: a two-child vertex takes ``a + b``, which is fsum's value,
-    and a wider one fsum.  Where ``a + b`` overflows it gives inf and fsum
-    would raise, so a group with an infinite value raises, and
-    ``_measure_overflow`` names the vertex.
+    drops nothing.  A narrow group that is one path (``t.path_groups``) of
+    two-child vertices is one ``np.cumsum`` from the bottom up: its first
+    step adds the bottom vertex's two children, and each later one the next
+    vertex's off-path child to the sum below it.  Any other narrow group is
+    one scalar step per vertex, children before parents, over a list that
+    holds the group's values and then its children's: a two-child vertex
+    takes ``a + b``, which is fsum's value, and a wider one fsum.  Each
+    two-child step is the one rounding ``fl(a + b)`` in either form (IEEE
+    addition commutes, and ``np.cumsum`` adds in order).  Where ``a + b``
+    overflows it gives inf and fsum would raise, so a group with an infinite
+    value raises, and ``_measure_overflow`` names the vertex.
     """
     kids, first, count = t.child_ids, t.child_first, t.child_count
     place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
     try:
-        for g, wide in reversed(t.depth_groups):
-            if not wide:
+        for (g, wide), path in zip(reversed(t.depth_groups), reversed(t.path_groups)):
+            if path and np.all(count[g] == 2):
+                f = first[g]
+                off = kids[f[:-1]]  # above the bottom, each vertex's child that is not the next
+                off = np.where(off == g[1:], kids[f[:-1] + 1], off)
+                ch = np.concatenate((kids[f[-1]:f[-1] + 2], off[::-1]))
+                with np.errstate(over="ignore"):
+                    m[g[::-1]] = np.cumsum(m[ch])[1:]
+            elif not wide:
                 g = g[::-1]
                 c = count[g]
                 ends = np.cumsum(c)
@@ -278,6 +292,7 @@ def _fill_measures(t, m) -> None:
                         vals[i] = math.fsum(map(get, at[a:b]))
                     a = b
                 m[g] = vals[:len(g)]
+            if not wide:
                 if np.isinf(m[g]).any():  # a two-child sum that overflowed
                     raise OverflowError
                 continue
@@ -459,6 +474,17 @@ class BallTree:
                 cut = np.flatnonzero(wide[1:] | wide[:-1]) + 1  # the levels that start a group
                 return list(zip(np.split(order, start[cut]), wide[np.r_[0, cut]].tolist()))
         return [(inner, False)]  # one narrow group, in preorder
+
+    @functools.cached_property
+    def path_groups(self) -> list[bool]:
+        """Per entry of ``depth_groups``: whether it is a narrow group of two or more vertices
+        that is one path, each vertex the parent of the next (a chain of balls).
+
+        A pass takes such a group as one cumulative sum along the path.
+        """
+        parent = self.parent_array
+        return [not wide and len(g) > 1 and bool(np.all(parent[g[1:]] == g[:-1]))
+                for g, wide in self.depth_groups]
 
     @functools.cached_property
     def child_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:

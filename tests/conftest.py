@@ -141,12 +141,14 @@ def split_trees(draw, measure=st.floats(0.01, 10.0), symbol=None):
                          symbol_hint=hint)
 
 
-def caterpillar(depth, rng, symbol=True):
+def caterpillar(depth, rng, symbol=True, branch=False):
     """Caterpillar of the given depth, parsed from a document; the spine child alternates sides.
 
     Deeper than the recursion limit for depth >= 1000.  Leaf measures are
     uniform in [0.1, 1.0]; with ``symbol``, each spine vertex carries a "T"
-    uniform in [0.5, 2.0], drawn before its leaf's measure.
+    uniform in [0.5, 2.0], drawn before its leaf's measure.  With ``branch``,
+    the root's side child x0 is an interior vertex over two leaves of
+    measure 0.25 and T 1.0, so the interior vertices are not one path.
     """
     nodes = []
     for d in range(depth):
@@ -157,6 +159,9 @@ def caterpillar(depth, rng, symbol=True):
         nodes.append(node)
         nodes.append({"id": f"x{d}", "measure": float(rng.uniform(0.1, 1.0))})
     nodes.append({"id": f"s{depth}", "measure": 0.5})
+    if branch:
+        nodes[1] = {"id": "x0", "children": ["y0", "y1"], **({"T": 1.0} if symbol else {})}
+        nodes += [{"id": "y0", "measure": 0.25}, {"id": "y1", "measure": 0.25}]
     t = um.parse_tree(json.dumps({"nodes": nodes}))
     assert max(t.depth) == depth
     return t
@@ -271,6 +276,26 @@ def wide_stars(draw, measures=log_uniform_measures(st.floats(0, 300))):
     m = draw(measures)(n)
     return from_children([f"v{v}" for v in range(n + 1)], [list(range(1, n + 1))] + [[]] * n,
                          dict(zip(range(1, n + 1), m)), symbol_hint=np.r_[1.5, np.zeros(n)])
+
+
+@st.composite
+def chains(draw, measures=log_uniform_measures(st.floats(0, 300)), symbol_exponent=3.0):
+    """A caterpillar of 2-300 two-child spine vertices, each with one leaf and the next spine
+    vertex in a random order, the last one over two leaves: its interior vertices are one path.
+    T is log-uniform over 10^-x...10^x for x = ``symbol_exponent``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    depth = draw(st.integers(2, 300))
+    children = []
+    for d in range(depth):
+        kids = [2 * d + 1, 2 * d + 2]
+        children.append(kids if rng.integers(2) else kids[::-1])
+        children.append([])
+    children.append([])
+    leaf_ids = [u for u, kids in enumerate(children) if not kids]
+    x = symbol_exponent
+    hint = np.array([10.0 ** rng.uniform(-x, x) if kids else 0.0 for kids in children])
+    return from_children([f"v{u}" for u in range(len(children))], children,
+                         dict(zip(leaf_ids, draw(measures)(len(leaf_ids)))), symbol_hint=hint)
 
 
 @st.composite

@@ -229,6 +229,13 @@ def test_verify_markov_needs_trials(capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tol(capsys, tol):
+    code, out, err = run(capsys, "verify", "eigen", T2, "--tol", tol)
+    assert code == 2 and out == ""
+    assert err == f"error: --tol must be a finite non-negative number, got {float(tol)}\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_sample_needs_count(capsys, count):
     code, out, err = run(capsys, "sample", T2, "--count", count)

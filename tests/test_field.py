@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 import umfield as um
 from umfield import cli
 
-from conftest import (FIXTURES, T2_PATH, broom, caterpillar, from_children, generate_random,
-                      leaf_vec, random_symbol, random_trees, slot_levels_reference, split_trees,
-                      star)
+from conftest import (FIXTURES, T2_PATH, broom, caterpillar, chains, from_children,
+                      generate_random, leaf_vec, random_symbol, random_trees, slot_levels_reference,
+                      split_trees, star)
 
 
 def _positive_setup(t, seed):
@@ -124,6 +124,32 @@ def test_dd_add_bounds_what_it_drops(parts):
     assert err or exact == Fraction(hi) + Fraction(lo)
 
 
+# prefix sums of these pass through rounding ties and through terms near 1e±300
+_prefix_term = st.one_of(_dd_part, st.sampled_from(
+    [1.0, -1.0, 2.0 ** -53, 2.0 ** -106, 3 * 2.0 ** -54, 1.0 + 2.0 ** -52, 1e-300, 5e-324]))
+
+
+@settings(max_examples=500)
+@given(terms=st.lists(_prefix_term, min_size=1, max_size=40))
+def test_dd_cumsum_bounds_what_it_drops(terms):
+    x = np.array(terms)
+    hi, lo, err = np.empty((3, len(x)))
+    um.ddsum.dd_cumsum(x, hi, lo, err, np.empty((2, len(x))))
+    in_place = x.copy()  # x may be hi
+    um.ddsum.dd_cumsum(in_place, in_place, np.empty(len(x)), np.empty(len(x)),
+                       np.empty((2, len(x))))
+    assert in_place.tolist() == hi.tolist()
+    keep = um.ddsum.screen(hi, lo, err).tolist()
+    exact = Fraction(0)
+    for i, (h, l, e) in enumerate(zip(hi.tolist(), lo.tolist(), err.tolist())):
+        exact += Fraction(terms[i])
+        assert h + l == h
+        assert abs(exact - Fraction(h) - Fraction(l)) <= 2 * e  # err is itself rounded
+        assert e or exact == Fraction(h) + Fraction(l)
+        if keep[i]:
+            assert h == math.fsum(terms[:i + 1])
+
+
 def _count_fallbacks(monkeypatch):
     """The vertices covariance_kernel hands to kernel_value, in call order."""
     calls = []
@@ -146,13 +172,66 @@ def test_covariance_kernel_decides_ties_homogeneous(p, depth, monkeypatch):
     assert calls == []
 
 
+def _count_sums(monkeypatch):
+    """The calls of the one-path prefix sum and of dd_add from covariance_kernel, by name."""
+    calls = {"dd_cumsum": 0, "dd_add": 0}
+    for name in calls:
+        def counted(*args, _sum=getattr(um.field, name), _name=name):
+            calls[_name] += 1
+            return _sum(*args)
+
+        monkeypatch.setattr(um.field, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("depth", [255, 256, 257, 1024])
 def test_covariance_kernel_round_count_caterpillar(depth, monkeypatch):
-    # depths around 2^k: one pointer-jumping round fewer misses a term
+    # the interior vertices are one path: one prefix sum, then the leaf step and the own terms
     t = caterpillar(depth, np.random.default_rng(depth))
     calls = _count_fallbacks(monkeypatch)
+    sums = _count_sums(monkeypatch)
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
     assert calls == []
+    assert sums == {"dd_cumsum": 1, "dd_add": 2}
+
+
+@pytest.mark.parametrize("depth", [255, 256, 257, 1024])
+def test_covariance_kernel_round_count_branched_caterpillar(depth, monkeypatch):
+    # one interior side branch: pointer jumping, and at depths around 2^k one round fewer
+    # misses a term
+    t = caterpillar(depth, np.random.default_rng(depth), branch=True)
+    calls = _count_fallbacks(monkeypatch)
+    sums = _count_sums(monkeypatch)
+    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert calls == []
+    assert sums == {"dd_cumsum": 0, "dd_add": (depth - 1).bit_length() + 2}
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=chains())
+def test_covariance_kernel_is_path_sum_chain(t):
+    assert t.path_groups == [True]  # the measures and the spectrum take one cumulative sum
+    try:
+        sp = um.spectrum(t, um.symbol_from_tree(t))
+    except um.OutOfRange:
+        assume(False)
+    _assert_kernel_is_path_sum(t, sp)
+
+
+def test_covariance_kernel_chain_overflowing_inverse_square_names_vertex():
+    # lambda^-2 overflows at the root alone, so lambda^-2 takes the per-vertex map, and
+    # covariance_kernel raises what kernel_value raises at the root's leaf: it names the root
+    t = caterpillar(50, np.random.default_rng(50))
+    T = t.symbol_hint.copy()
+    T[t.root] = 1e-200
+    sp = um.spectrum(t, um.Symbol(T))
+    leaf = next(c for c in t.children[t.root] if t.is_leaf(c))
+    with pytest.raises(um.ZeroEigenvalue) as ref:
+        um.kernel_value(t, sp, leaf)
+    with pytest.raises(um.ZeroEigenvalue) as e:
+        um.covariance_kernel(t, sp)
+    assert str(e.value) == str(ref.value)
+    assert str(e.value).endswith("at vertex 's0' is too small: its inverse square overflows")
 
 
 @pytest.mark.parametrize("make", [

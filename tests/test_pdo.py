@@ -8,8 +8,8 @@ import umfield as um
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import (T2_PATH, dense_row, generate_random, hung_caterpillars, preorder_spectrum,
-                      random_symbol, random_trees, split_trees, wide_stars)
+from conftest import (T2_PATH, chains, dense_row, generate_random, hung_caterpillars,
+                      preorder_spectrum, random_symbol, random_trees, split_trees, wide_stars)
 
 
 def _sym_eigvals(t, s):
@@ -144,7 +144,8 @@ def test_spectrum_recurrence_consistency():
     split_trees(measure=st.floats(-300, 300).map(lambda e: 10.0 ** e),
                 symbol=st.floats(-50, 50).map(lambda e: 10.0 ** e)),
     hung_caterpillars(),
-], ids=["star", "split-1e300", "hung-caterpillar"])
+    chains(symbol_exponent=50.0),
+], ids=["star", "split-1e300", "hung-caterpillar", "chain"])
 @given(data=st.data())
 def test_spectrum_is_preorder_recurrence(family, data):
     t = data.draw(family)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (broom, caterpillar, euler_ranks_reference, from_children, generate_random,
-                      homogeneous_reference, hung_caterpillars, slot_levels_reference, split_trees,
-                      star, wide_stars)
+from conftest import (broom, caterpillar, chains, euler_ranks_reference, from_children,
+                      generate_random, homogeneous_reference, hung_caterpillars,
+                      slot_levels_reference, split_trees, star, wide_stars)
 
 
 def test_parse_t2_measures(t2, t2_ids):
@@ -405,7 +405,10 @@ def _assert_measures_are_fsum(t):
     split_trees(measure=st.floats(-300, 300).map(lambda e: 10.0 ** e)),
     hung_caterpillars(),
     hung_caterpillars(measures=_tie_measures),
-], ids=["star", "split-1e300", "hung-caterpillar", "hung-caterpillar-ties"])
+    chains(),
+    chains(measures=_tie_measures),
+], ids=["star", "split-1e300", "hung-caterpillar", "hung-caterpillar-ties", "chain",
+        "chain-ties"])
 @given(data=st.data())
 def test_measures_are_fsum_of_children(family, data):
     _assert_measures_are_fsum(data.draw(family))
@@ -428,6 +431,34 @@ def test_narrow_group_mixing_two_and_three_children_is_fsum(seed, ties):
     t = from_children([f"v{u}" for u in range(len(children))], children,
                       dict(zip(leaves, m.tolist())))
     assert [wide for _, wide in t.depth_groups] == [False]
+    _assert_measures_are_fsum(t)
+
+
+def test_path_groups():
+    rng = np.random.default_rng(34)
+    assert caterpillar(40, rng).path_groups == [True]
+    assert caterpillar(40, rng, branch=True).path_groups == [False]
+    assert star(40, rng).path_groups == [False]  # one vertex is no path
+    assert um.generate_homogeneous(2, 3, 1.0).path_groups == [False]
+    # a 2^10-leaf binary tree with a 40-level chain under its last leaf: the top five levels
+    # are one narrow group, the next five are wide, and the chain is a narrow group and a path
+    children = [[]]
+
+    def split(u):
+        children[u] = [len(children), len(children) + 1]
+        children.extend([[], []])
+        return children[u]
+
+    level = [0]
+    for _ in range(10):
+        level = [c for u in level for c in split(u)]
+    v = level[-1]
+    for _ in range(40):
+        v = split(v)[1]
+    t = from_children([f"v{u}" for u in range(len(children))], children,
+                      dict.fromkeys(range(len(children)), 1.0))
+    assert [wide for _, wide in t.depth_groups] == [False] + [True] * 5 + [False]
+    assert t.path_groups == [False] * 6 + [True]
     _assert_measures_are_fsum(t)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -108,29 +109,32 @@ def cmd_validate(args) -> int:
     t = _load_tree(args)
     if not args.quiet:
         _emit(args, f"leaves: {t.n_leaves}\ntotal_measure: {t.total_measure:.17g}\n"
-                    f"interior: {len(t.interior_array)}\ndepth: {int(t.depth_array.max())}\n")
+                    f"interior: {len(t.interior)}\ndepth: {int(t.depth.max())}\n")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     t, s, sp = _load(args)
-    _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", "%s,%d,%.17g,%.17g,%.17g\n", t.interior,
-                        t.names, t.depth, t.measure, s.values.tolist(), sp.lam.tolist()))
+    _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", "%s,%d,%.17g,%.17g,%.17g\n",
+                        t.interior.tolist(), t.names, t.depth.tolist(), t.measure.tolist(),
+                        s.values.tolist(), sp.lam.tolist()))
     return EXIT_OK
 
 
 def cmd_wavelets(args) -> int:
     t = _load_tree(args)
     basis = wavmod.build_basis(t)
-    names, children = t.names, t.children
-    lines = ["vertex_id,j,child_id,coefficient\n"]
-    # row (I, j) is pos_val on the first j children of I, neg_val on child j, 0 after
-    for I, j, a, b in zip(basis.vertex.tolist(), basis.index.tolist(),
-                          basis.pos_val.tolist(), basis.neg_val.tolist()):
-        cells = [f"{names[I]},{j},{names[c]}," for c in children[I]]
-        lines += [f"{cell}{a:.17g}\n" for cell in cells[:j]]
-        lines += [f"{cells[j]}{b:.17g}\n"] + [f"{cell}0\n" for cell in cells[j + 1:]]
-    _emit(args, "".join(lines))
+    # one line per wavelet k and child m of its vertex I: pos_val for m < j, neg_val at j, 0 after
+    p = t.child_count[basis.vertex]
+    k = np.repeat(np.arange(len(basis)), p)
+    m = np.arange(len(k)) - np.repeat(np.cumsum(p) - p, p)
+    I, j = basis.vertex[k], basis.index[k]
+    value = np.where(m < j, basis.pos_val[k], np.where(m == j, basis.neg_val[k], 0.0))
+    names = t.names
+    _emit(args, *_table("vertex_id,j,child_id,coefficient\n", "%s,%d,%s,%.17g\n", range(len(k)),
+                        [names[v] for v in I.tolist()], j.tolist(),
+                        [names[c] for c in t.child_ids[t.child_first[I] + m].tolist()],
+                        value.tolist()))
     return EXIT_OK
 
 
@@ -141,11 +145,12 @@ def cmd_kernel(args) -> int:
     kernel = fieldmod.covariance_kernel(t, sp)
     K = kernel.values.tolist()
     if args.pairs == "profile":
-        parts = _table("vertex_id,nu,K\n", "%s,%.17g,%.17g\n", t.preorder, t.names, t.measure, K)
+        parts = _table("vertex_id,nu,K\n", "%s,%.17g,%.17g\n", t.preorder.tolist(), t.names,
+                       t.measure.tolist(), K)
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
         sup_cells = [f"{name},{k:.17g}\n" for name, k in zip(t.names, K)]
-        leaf_cells = [t.names[x] + "," for x in t.leaf_order]
+        leaf_cells = [t.names[x] + "," for x in t.leaf_order.tolist()]
         lines = ["x,y,sup_vertex,K\n"]
         for i, x_cell in enumerate(leaf_cells):
             lines += [x_cell + y_cell + sup_cells[s_v]
@@ -160,7 +165,7 @@ def cmd_sample(args) -> int:
         raise _CliError(f"--count must be at least 1, got {args.count}")
     t, _, sp = _load(args)
     basis = wavmod.build_basis(t)
-    names = list(map(t.names.__getitem__, t.leaf_order))
+    names = list(map(t.names.__getitem__, t.leaf_order.tolist()))
     if "%" in "".join(names):  # the names go into a %-format template
         names = [name.replace("%", "%%") for name in names]
     cell = ",%.17g\n"
@@ -176,6 +181,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mc_cov(args) -> int:
+    if not 0.0 <= args.tol_sigma < math.inf:  # a NaN fails too
+        raise _CliError(f"--tol-sigma must be a finite non-negative number, got {args.tol_sigma}")
     t, _, sp = _load(args)
     result = fieldmod.empirical_covariance(t, sp, wavmod.build_basis(t), args.n, args.seed)
     dev = np.abs(result.matrix - result.analytic)
@@ -225,11 +232,15 @@ def _verify_kernel(args):
     kernel = fieldmod.covariance_kernel(t, sp)
     K = kernel.values.tolist()
     basis = wavmod.build_basis(t)
+    # kernel_bruteforce(x, y) reads x <= y only through S = sup(x, y) and the children of S that
+    # hold them: one pair per child pair of each interior S, each child by its first leaf
+    first_leaf = t.leaf_order[t.lo].tolist()
+    kids, first, count = t.child_ids.tolist(), t.child_first.tolist(), t.child_count.tolist()
     resid = 0.0
-    for i, x in enumerate(t.leaf_order):
-        for y, S in zip(t.leaf_order[i:], t.sup_row(i)):
-            bf = fieldmod.kernel_bruteforce(t, sp, basis, x, y)
-            resid = max(resid, abs(K[S] - bf))
+    for S in t.preorder.tolist():
+        reps = [first_leaf[c] for c in kids[first[S]:first[S] + count[S]]]
+        for x, y in itertools.combinations(reps, 2) if reps else [(S, S)]:  # a leaf with itself
+            resid = max(resid, abs(K[S] - fieldmod.kernel_bruteforce(t, sp, basis, x, y)))
     return {"residual": resid}, resid / max(1.0, kernel.max_abs()), 1e-10
 
 

@@ -116,22 +116,22 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     """
     terms = []
     I = S
-    lam_at = sp.lam.item
+    lam_at, measure, parent = sp.lam.item, t.measure.item, t.parent.item
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
         if not t.is_leaf(S):
             lam = lam_at(S)
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
-            terms.append(-(lam ** -2) / t.measure[S])
+            terms.append(-(lam ** -2) / measure(S))
         below = S
-        I = t.parent[S]
+        I = parent(S)
         while I != -1:
             lam = lam_at(I)
             if lam <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
-            terms.append(lam ** -2 * (1.0 / t.measure[below] - 1.0 / t.measure[I]))
+            terms.append(lam ** -2 * (1.0 / measure(below) - 1.0 / measure(I)))
             below = I
-            I = t.parent[I]
+            I = parent(I)
     except OverflowError:
         raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
                              "its inverse square overflows") from None
@@ -150,10 +150,11 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
 def _overflowing_term_vertex(t: BallTree, S: int, terms: list) -> int:
     """The vertex of the first non-finite term of kernel_value(S), else of the largest one."""
     chain = [] if t.is_leaf(S) else [S]
-    I = t.parent[S]
+    parent = t.parent.item
+    I = parent(S)
     while I != -1:
         chain.append(I)
-        I = t.parent[I]
+        I = parent(I)
     bad = [v for v, x in zip(chain, terms) if not math.isfinite(x)]
     return bad[0] if bad else max(zip(chain, terms), key=lambda vx: abs(vx[1]))[0]
 
@@ -214,17 +215,17 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     ``kernel_value`` in preorder, which gives the same value or names the
     same vertex to blame.
     """
-    n, inner, leaves = t.n_vertices, t.interior_array, t.leaf_order_array
+    n, inner, leaves = t.n_vertices, t.interior, t.leaf_order
     k, n_leaves = len(inner), t.n_leaves
     values = np.zeros(n)  # a one-vertex tree has the empty path sum
     if not k:
         return CovarianceKernel(t, values)
-    m = t.measure_array
+    m = t.measure
     pos = np.empty(n, dtype=np.intp)  # a vertex's place among the interior vertices
     pos[inner] = np.arange(k)
-    up = pos.take(t.parent_array[inner])  # inner[0] is the root, linked to itself
+    up = pos.take(t.parent[inner])  # inner[0] is the root, linked to itself
     up[0] = 0
-    at = pos.take(t.parent_array[leaves])
+    at = pos.take(t.parent[leaves])
     del pos
     inv_m = 1.0 / m[inner]
     inv2 = _inv_squares(sp.lam[inner])
@@ -239,12 +240,12 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         np.subtract(inv_m, inv_m[up], out=hi)
         hi *= inv2[up]
         hi[0] = 0.0
-        if t.depth_array.item(inner[-1]) == k - 1:  # one path: a running sum along it
+        if t.depth.item(inner[-1]) == k - 1:  # one path: a running sum along it
             dd_cumsum(hi, hi, lo, err, work[:2, :k])
         else:
             lo.fill(0.0)
             err.fill(0.0)
-            for _ in range((int(t.depth_array.max()) - 1).bit_length()):  # leaves are the deepest
+            for _ in range((int(t.depth.max()) - 1).bit_length()):  # leaves are the deepest
                 np.take(state, up, axis=1, out=gathered, mode="clip")  # clip: in range, unbuffered
                 dd_add(hi, lo, err, *gathered, work[:, :k])
                 np.take(up, up, out=link, mode="clip")
@@ -263,7 +264,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         dd_add(hi, lo, err, own, 0.0, 0.0, work[:, :k])
         values[inner] = hi
         decided[inner] = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
-    order = t.preorder_array
+    order = t.preorder
     for v in order[~decided[order]].tolist():
         values[v] = kernel_value(t, sp, v)
     return CovarianceKernel(t, values)
@@ -280,20 +281,22 @@ def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     """
     lam = _lambda_vector(sp, basis)
     S = t.sup(x, y)  # checks that x and y are leaves
-    lo, hi, children, parent = t.lo, t.hi, t.children, t.parent
-    pos, neg = basis.pos_val, basis.neg_val
-    i, j = lo[x], lo[y]
+    lo, hi, parent, kid = t.lo.item, t.hi.item, t.parent.item, t.child_ids.item
+    first, count, first_row = t.child_first.item, t.child_count.item, basis.first_row.item
+    pos, neg, lam = basis.pos_val.item, basis.neg_val.item, lam.item
+    i, j = lo(x), lo(y)
     terms = []
-    I = parent[S] if t.is_leaf(S) else S  # a leaf carries no rows
+    I = parent(S) if t.is_leaf(S) else S  # a leaf carries no rows
     while I != -1:
-        k = int(basis.first_row[I])
-        for c in children[I][1:]:  # row k is wavelet j of I: pos_val before child j, neg_val on it
-            a, b = pos.item(k), neg.item(k)
-            ex = a if i < lo[c] else b if i < hi[c] else 0.0
-            ey = a if j < lo[c] else b if j < hi[c] else 0.0
-            terms.append(lam.item(k) ** -2 * ex * ey)
+        k, c0 = first_row(I), first(I)
+        # row k is wavelet j of I: pos_val before child j, neg_val on it
+        for c in map(kid, range(c0 + 1, c0 + count(I))):
+            a, b = pos(k), neg(k)
+            ex = a if i < lo(c) else b if i < hi(c) else 0.0
+            ey = a if j < lo(c) else b if j < hi(c) else 0.0
+            terms.append(lam(k) ** -2 * ex * ey)
             k += 1
-        I = parent[I]
+        I = parent(I)
     return math.fsum(terms)
 
 
@@ -345,7 +348,7 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float | np.nda
     single = f.ndim == 1
     f, g = np.atleast_2d(f, g)
     B = len(f)
-    leaves = t.leaf_order_array
+    leaves = t.leaf_order
     fnu = f * t.leaf_measures
     gnu = g * t.leaf_measures
     FG = np.zeros((t.n_vertices + 1, 2 * B))  # the last row is the zero pad of the runs
@@ -374,7 +377,7 @@ def check_markov_instance(t: BallTree, I: int, J: int, f, g) -> None:
         raise PreconditionViolated(
             f"balls {t.names[I]!r} and {t.names[J]!r} are not disjoint")
     for name, vec, ball in (("f", f, I), ("g", g, J)):
-        lo, hi = t.lo[ball], t.hi[ball]
+        lo, hi = t.lo.item(ball), t.hi.item(ball)
         if np.any(vec[:lo] != 0.0) or np.any(vec[hi:] != 0.0):
             raise PreconditionViolated(
                 f"{name} is not supported in ball {t.names[ball]!r}")
@@ -445,7 +448,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     se = np.sqrt((np.outer(diag, diag) + analytic ** 2) / n_samples)
     dev = np.abs(emp - analytic)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    worst = (t.names[t.leaf_order[i]], t.names[t.leaf_order[j]])
+    worst = (t.names[t.leaf_order.item(i)], t.names[t.leaf_order.item(j)])
     return EmpiricalCovariance(emp, analytic, se, float(dev[i, j]), worst)
 
 
@@ -458,8 +461,8 @@ def random_markov_instance(t: BallTree, rng) -> tuple[int, int, np.ndarray, np.n
     if t.n_leaves < 2:
         return None
     for _ in range(64):
-        x, y = rng.choice(len(t.leaf_order), size=2, replace=False)
-        x, y = t.leaf_order[int(x)], t.leaf_order[int(y)]
+        x, y = rng.choice(t.n_leaves, size=2, replace=False)
+        x, y = t.leaf_order.item(x), t.leaf_order.item(y)
         V = t.sup(x, y)
         I = t.child_toward(V, x)
         J = t.child_toward(V, y)
@@ -470,13 +473,13 @@ def random_markov_instance(t: BallTree, rng) -> tuple[int, int, np.ndarray, np.n
             break
     nu = t.leaf_measures
     f = np.zeros(t.n_leaves)
-    lo, hi = t.lo[I], t.hi[I]
+    lo, hi = t.lo.item(I), t.hi.item(I)
     f[lo:hi] = rng.standard_normal(hi - lo)
     if hi - lo > 1:
         f[lo:hi] -= math.fsum((f[lo:hi] * nu[lo:hi]).tolist()) / math.fsum(nu[lo:hi].tolist())
     else:
         f[lo:hi] = 0.0  # zero-mean on a single atom forces the zero function
     g = np.zeros(t.n_leaves)
-    lo, hi = t.lo[J], t.hi[J]
+    lo, hi = t.lo.item(J), t.hi.item(J)
     g[lo:hi] = rng.standard_normal(hi - lo)
     return I, J, f, g

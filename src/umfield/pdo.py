@@ -124,7 +124,7 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     if on_leaf.any():
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
-    parent, root = t.parent_array, t.root
+    parent, root = t.parent, t.root
     earlier, later = t.sibling_measures
     sigma = earlier + later
     A = np.zeros(t.n_vertices)
@@ -150,12 +150,12 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
                                                 sigma[g].tolist())):
                 vals[i] = vals[q] + tq * sv
             A[g] = vals[:len(g)]
-        lam = A + T * t.measure_array
-    bad = ~np.isfinite(lam[t.interior_array])
+        lam = A + T * t.measure
+    bad = ~np.isfinite(lam[t.interior])
     if bad.any():
-        I = int(t.interior_array[np.argmax(bad)])  # the first in preorder
+        I = t.interior.item(np.argmax(bad))  # the first in preorder
         raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
-                         f"T = {T.item(I)!r}, measure = {t.measure_array.item(I)!r}")
+                         f"T = {T.item(I)!r}, measure = {t.measure.item(I)!r}")
     return Spectrum(lam)
 
 
@@ -163,14 +163,14 @@ def eigenvalue_path_sum(t: BallTree, s: Symbol, I: int) -> float:
     """Direct path-sum form of the eigenvalue; reference for spectrum()."""
     if t.is_leaf(I):
         raise ValueError(f"vertex {t.names[I]!r} is a leaf")
-    T = s.values
-    terms = [T.item(I) * t.measure[I]]
-    J = t.parent[I]
+    T, measure, parent = s.values.item, t.measure.item, t.parent.item
+    terms = [T(I) * measure(I)]
+    J = parent(I)
     below = I
     while J != -1:
-        terms.append(T.item(J) * (t.measure[J] - t.measure[below]))
+        terms.append(T(J) * (measure(J) - measure(below)))
         below = J
-        J = t.parent[J]
+        J = parent(J)
     return math.fsum(terms)
 
 
@@ -229,6 +229,8 @@ def convergence_report(p: int, measure_ratio: float, symbol_ratio: float,
     if p < 2 or not mu > 1.0 or not q >= 0.0 or levels_probe < 2:
         raise OutOfRange(f"need p >= 2, measure_ratio > 1, symbol_ratio >= 0, "
                          f"levels_probe >= 2; got ({p}, {mu}, {q}, {levels_probe})")
+    if not (math.isfinite(mu) and math.isfinite(q)):
+        raise OutOfRange(f"measure_ratio and symbol_ratio must be finite; got ({mu}, {q})")
 
     # conv1: terms a_l = q^l mu^(l-1) (mu - 1), l >= 1
     r1 = q * mu

@@ -39,10 +39,9 @@ scalar loop, in which a two-child vertex takes one addition, its exact sum
 rounded once, and a wider one fsum.  A measure that overflows is named by
 the per-vertex fsum loop in reversed preorder.
 
-The vectorised passes read numpy arrays; scalar queries read list views of
-them, each made on first read, so a run builds only the lists it uses.  The
-per-vertex child tuples ``children`` and the name index ``name_to_id`` are
-built on first read too.
+Each per-vertex field is held once, as a numpy array, and the names are the
+one list.  A query that walks the ancestors of one vertex reads single
+entries through the arrays' ``item`` methods and builds no whole-tree list.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ def _measure_overflow(t, m) -> OutOfRange:
     measure = m.tolist()
     kids, first, count = t.child_ids.tolist(), t.child_first.tolist(), t.child_count.tolist()
     try:
-        for v in reversed(t.interior_array.tolist()):  # children before parents
+        for v in reversed(t.interior.tolist()):  # children before parents
             measure[v] = math.fsum(measure[c] for c in kids[first[v]:first[v] + count[v]])
     except OverflowError:
         return OutOfRange(f"measure of vertex {t.names[v]!r} overflows")
@@ -313,15 +312,6 @@ def _fill_measures(t, m) -> None:
         raise _measure_overflow(t, m) from None
 
 
-def _list_view(array_name: str):
-    """A per-vertex list made from the array attribute ``array_name`` on first read.
-
-    Scalar loops index Python lists much faster than numpy arrays, and a
-    list is built only for the fields a caller reads this way.
-    """
-    return functools.cached_property(lambda self: getattr(self, array_name).tolist())
-
-
 class BallTree:
     """Immutable rooted measured tree of balls, stored as flat per-vertex arrays.
 
@@ -333,18 +323,17 @@ class BallTree:
     following the canonical child order), so the leaves under any vertex v
     are the contiguous slice ``leaf_order[lo[v]:hi[v]]``.
 
+    Every per-vertex field is one numpy array, and ``names`` the one list.
     The CSR arrays ``child_count``, ``child_first`` and ``child_ids`` are
-    kept as given.  The ranked fields are arrays: ``parent_array`` (-1 at the
-    root), ``depth_array``, ``lo_array``, ``hi_array``, ``measure_array``
-    (from the exact bottom-up pass), and the vertex sequences
-    ``preorder_array``, ``interior_array`` (in preorder) and
-    ``leaf_order_array``.  Each has a list view without the suffix
-    (``parent``, ``measure``, ...) for scalar loops, made on first read.
-    ``children`` (one tuple per vertex) and ``name_to_id`` are also built on
-    first read; a caller that has the name index already (``parse_tree``)
-    passes it as ``name_to_id``.  ``symbol_hint`` is kept as given: the
-    document's symbol as an array over all vertices (0 on leaves, NaN on an
-    interior vertex that has no "T"), or None.
+    kept as given: the children of v are ``child_ids[child_first[v]:
+    child_first[v] + child_count[v]]``.  The ranked fields are ``parent``
+    (-1 at the root), ``depth``, ``lo``, ``hi``, ``measure`` (from the exact
+    bottom-up pass), and the vertex sequences ``preorder``, ``interior`` (in
+    preorder) and ``leaf_order``.  ``name_to_id`` is built on first read; a
+    caller that has the name index already (``parse_tree``) passes it.
+    ``symbol_hint`` is kept as given: the document's symbol as an array over
+    all vertices (0 on leaves, NaN on an interior vertex that has no "T"), or
+    None.
     """
 
     def __init__(self, names, child_count, child_ids, leaf_measures, *, declared_measures=None,
@@ -389,19 +378,19 @@ class BallTree:
         self.child_count = count
         self.child_first = first
         self.child_ids = kids
-        self.parent_array = parent
-        self.depth_array = depth
-        self.lo_array = lo
-        self.hi_array = hi
+        self.parent = parent
+        self.depth = depth
+        self.lo = lo
+        self.hi = hi
         self.root = root
-        self.preorder_array = order
-        self.interior_array = interior_a
-        self.leaf_order_array = leaf_order
+        self.preorder = order
+        self.interior = interior_a
+        self.leaf_order = leaf_order
         self.symbol_hint = symbol_hint
         self.n_vertices = n
         self.n_leaves = len(leaf_order)
 
-        m = self.measure_array = np.zeros(n)
+        m = self.measure = np.zeros(n)
         m[leaf_ids] = leaf_m
         _fill_measures(self, m)
         if declared_measures:
@@ -413,25 +402,9 @@ class BallTree:
         self.total_measure = m.item(root)
         self.leaf_measures = m[leaf_order]
 
-    parent = _list_view("parent_array")
-    measure = _list_view("measure_array")
-    depth = _list_view("depth_array")
-    lo = _list_view("lo_array")
-    hi = _list_view("hi_array")
-    preorder = _list_view("preorder_array")
-    interior = _list_view("interior_array")
-    leaf_order = _list_view("leaf_order_array")
-
     @functools.cached_property
     def name_to_id(self) -> dict:
         return dict(zip(self.names, range(self.n_vertices)))
-
-    @functools.cached_property
-    def children(self) -> list[tuple[int, ...]]:
-        """The child ids of each vertex as a tuple, from the CSR arrays."""
-        kids = self.child_ids.tolist()
-        return [tuple(kids[a:a + k])
-                for a, k in zip(self.child_first.tolist(), self.child_count.tolist())]
 
     @functools.cached_property
     def _level_order(self) -> np.ndarray:
@@ -440,8 +413,8 @@ class BallTree:
         The one sort that ``depth_groups`` and ``child_runs`` both read; a tree
         with no interior vertex has no call for it.
         """
-        inner = self.interior_array
-        depth = self.depth_array[inner]
+        inner = self.interior
+        depth = self.depth[inner]
         count = self.child_count[inner]
         top, low = int(count.max()), int(count.min())
         key = depth if low == top else depth * (top - low + 1) + (top - count)
@@ -462,10 +435,10 @@ class BallTree:
         one scalar loop and not a numpy step per level, and a few vertices with
         many children take fsum.
         """
-        inner = self.interior_array
+        inner = self.interior
         if not len(inner):
             return []
-        size = np.bincount(self.depth_array[inner])  # interior vertices per level; none is empty
+        size = np.bincount(self.depth[inner])  # interior vertices per level; none is empty
         if size.max() >= _WIDE_LEVEL:  # else no level is wide
             order = self._level_order
             start = np.cumsum(size) - size
@@ -482,7 +455,7 @@ class BallTree:
 
         A pass takes such a group as one cumulative sum along the path.
         """
-        parent = self.parent_array
+        parent = self.parent
         return [not wide and len(g) > 1 and bool(np.all(parent[g[1:]] == g[:-1]))
                 for g, wide in self.depth_groups]
 
@@ -501,7 +474,7 @@ class BallTree:
         cut where its padded cells would pass twice its children: the cells
         total at most 2 (n_vertices - 1).  A one-vertex tree has no entry.
         """
-        inner = self.interior_array
+        inner = self.interior
         if not len(inner):
             return []
         order = self._level_order
@@ -513,7 +486,7 @@ class BallTree:
         kids = self.child_ids
         out = []
         a = 0
-        for b in np.cumsum(np.bincount(self.depth_array[inner])).tolist():
+        for b in np.cumsum(np.bincount(self.depth[inner])).tolist():
             while a < b:  # one entry per pass, unless padding order[a:b] passes twice the children
                 m = count.item(a)
                 e = b
@@ -556,7 +529,7 @@ class BallTree:
         Each is a running float sum along the child list, left to right for the
         earlier and right to left for the later siblings; the root has 0 for both.
         """
-        m = self.measure_array
+        m = self.measure
         earlier = np.zeros(self.n_vertices)
         later = np.zeros(self.n_vertices)
         for _, kids, prev in self.sibling_slots:
@@ -568,22 +541,23 @@ class BallTree:
     # ---------------------------------------------------------------- queries
 
     def is_leaf(self, v: int) -> bool:
-        return not self.child_count[v]
+        return not self.child_count.item(v)
 
     def _check_leaf(self, x: int) -> None:
-        if not (0 <= x < self.n_vertices) or self.child_count[x]:
+        if not (0 <= x < self.n_vertices) or self.child_count.item(x):
             raise ForeignLeaf(f"vertex {x} is not a leaf of this tree")
 
     def sup(self, x: int, y: int) -> int:
         """Lowest common ancestor of two leaves; sup(x, x) = x."""
         self._check_leaf(x)
         self._check_leaf(y)
+        depth, parent = self.depth.item, self.parent.item
         a, b = x, y
         while a != b:
-            if self.depth[a] >= self.depth[b]:
-                a = self.parent[a]
+            if depth(a) >= depth(b):
+                a = parent(a)
             else:
-                b = self.parent[b]
+                b = parent(b)
         return a
 
     def sup_row(self, i: int) -> list[int]:
@@ -592,60 +566,62 @@ class BallTree:
         Read off the ancestors of leaf i alone: for j > i the sup is the
         lowest ancestor whose leaf span reaches past j.
         """
-        v = self.leaf_order[i]
+        parent, hi = self.parent.item, self.hi.item
+        v = self.leaf_order.item(i)
         row = [v]
-        S = self.parent[v]
+        S = parent(v)
         while S != -1:
-            row += [S] * (self.hi[S] - i - len(row))
-            S = self.parent[S]
+            row += [S] * (hi(S) - i - len(row))
+            S = parent(S)
         return row
 
     def child_toward(self, J: int, I: int) -> int:
         """The unique child of J on the path from J down to its strict descendant I."""
         if I == J:
             raise NotDescendant(f"{self.names[I]!r} is not a strict descendant of {self.names[J]!r}")
+        parent = self.parent.item
         v = I
-        while self.parent[v] != J:
-            v = self.parent[v]
+        while parent(v) != J:
+            v = parent(v)
             if v == self.root:
                 raise NotDescendant(
                     f"{self.names[I]!r} is not a strict descendant of {self.names[J]!r}")
         return v
 
     def is_ancestor_or_equal(self, a: int, d: int) -> bool:
-        return self.lo[a] <= self.lo[d] and self.hi[d] <= self.hi[a]
+        lo, hi = self.lo.item, self.hi.item
+        return lo(a) <= lo(d) and hi(d) <= hi(a)
 
     def sup_index_matrix(self) -> np.ndarray:
-        """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing (dense oracle)."""
+        """n_leaves x n_leaves matrix of sup vertex ids, in leaf_order indexing (dense oracle).
+
+        Each child c of I writes I on its pairs with the later siblings' leaves, hi[c] to hi[I].
+        """
         n = self.n_leaves
         check_dense(n, "sup-vertex matrix")
         S = np.empty((n, n), dtype=np.int64)
-        for i, leaf in enumerate(self.leaf_order):
-            S[i, i] = leaf
-        for I in self.interior:
-            kids = self.children[I]
-            spans = [(self.lo[c], self.hi[c]) for c in kids]
-            for i in range(len(kids)):
-                li, hi_ = spans[i]
-                for j in range(i + 1, len(kids)):
-                    lj, hj = spans[j]
-                    S[li:hi_, lj:hj] = I
-                    S[lj:hj, li:hi_] = I
+        S[np.arange(n), np.arange(n)] = self.leaf_order
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        for c, I in enumerate(self.parent.tolist()):
+            if I >= 0:
+                S[lo[c]:hi[c], hi[c]:hi[I]] = I
+                S[hi[c]:hi[I], lo[c]:hi[c]] = I
         return S
 
     # ---------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
         T = [math.nan] * self.n_vertices if self.symbol_hint is None else self.symbol_hint.tolist()
+        names, measure, kids = self.names, self.measure.tolist(), self.child_ids.tolist()
         nodes = []
-        for v in range(self.n_vertices):
-            node = {"id": self.names[v]}
-            if self.children[v]:
-                node["children"] = [self.names[c] for c in self.children[v]]
+        for v, (a, k) in enumerate(zip(self.child_first.tolist(), self.child_count.tolist())):
+            node = {"id": names[v]}
+            if k:
+                node["children"] = [names[c] for c in kids[a:a + k]]
                 if not math.isnan(T[v]):
                     node["T"] = T[v]
             else:
-                node["measure"] = self.measure[v]
+                node["measure"] = measure[v]
             nodes.append(node)
         return {"name": self.label, "nodes": nodes}
 

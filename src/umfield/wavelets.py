@@ -49,7 +49,7 @@ class WaveletBasis:
     def __init__(self, tree: BallTree):
         t = self.tree = tree
         self.constant_value = 1.0 / math.sqrt(tree.total_measure)
-        interior = t.interior_array
+        interior = t.interior
         n_here = t.child_count[interior] - 1
         n_w = int(n_here.sum())
         first_row = self.first_row = np.zeros(t.n_vertices, dtype=np.intp)
@@ -66,7 +66,7 @@ class WaveletBasis:
         self.neg_row = np.full(t.n_vertices, n_w, dtype=np.intp)
         self.suffix_rows = []
         s_at, _ = t.sibling_measures
-        m = t.measure_array
+        m = t.measure
         sure = np.ones(n_w, dtype=bool)
         with np.errstate(all="ignore"):  # the exact checks judge what overflows here
             for j, (parents, kids, prev) in enumerate(t.sibling_slots, start=1):
@@ -95,8 +95,9 @@ class WaveletBasis:
     def _check_exactly(self, k: int) -> None:
         """Zero mean and unit norm of wavelet k, as exact sums over its child balls."""
         t = self.tree
-        I, j = int(self.vertex[k]), int(self.index[k])
-        nu = [t.measure[c] for c in t.children[I]]
+        I, j = self.vertex.item(k), self.index.item(k)
+        a = t.child_first.item(I)
+        nu = t.measure[t.child_ids[a:a + t.child_count.item(I)]].tolist()
         coeffs = _helmert_coeffs(len(nu), j, float(self.pos_val[k]), float(self.neg_val[k]))
         mean = math.fsum(c * m for c, m in zip(coeffs, nu))
         norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
@@ -136,20 +137,20 @@ class WaveletBasis:
         np.add(pos.take(self.pos_row, axis=0), neg.take(self.neg_row, axis=0), out=acc[:n])
         for parents, runs in self.tree.child_runs:
             _put_rows(acc, runs, acc.take(runs, axis=0) + acc.take(parents, axis=0))
-        return np.ascontiguousarray(np.moveaxis(acc.take(self.tree.leaf_order_array, axis=0), 0, -1))
+        return np.ascontiguousarray(np.moveaxis(acc.take(self.tree.leaf_order, axis=0), 0, -1))
 
     def wavelet_leaf_matrix(self) -> np.ndarray:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
         if self._wavelet_matrix is None:
             t = self.tree
             check_dense(t.n_leaves, "wavelet matrix")
-            lo, hi, children = t.lo, t.hi, t.children
+            c = t.child_ids[t.child_first[self.vertex] + self.index]  # where row r is negative
             W = np.zeros((len(self), t.n_leaves))
-            for r, (I, j, a, b) in enumerate(zip(self.vertex.tolist(), self.index.tolist(),
-                                                 self.pos_val.tolist(), self.neg_val.tolist())):
-                c = children[I][j]
-                W[r, lo[I]:lo[c]] = a
-                W[r, lo[c]:hi[c]] = b
+            for r, (start, mid, end, a, b) in enumerate(zip(
+                    t.lo[self.vertex].tolist(), t.lo[c].tolist(), t.hi[c].tolist(),
+                    self.pos_val.tolist(), self.neg_val.tolist())):
+                W[r, start:mid] = a
+                W[r, mid:end] = b
             self._wavelet_matrix = W
         return self._wavelet_matrix
 
@@ -204,12 +205,13 @@ def evaluate(basis: WaveletBasis, k: int, x: int) -> float:
     """Value of wavelet row k at leaf x; 0 outside the ball of its vertex."""
     t = basis.tree
     t._check_leaf(x)
-    I = int(basis.vertex[k])
-    c = t.children[I][basis.index[k]]
-    i = t.lo[x]
-    if not t.lo[I] <= i < t.hi[c]:
+    lo = t.lo.item
+    I = basis.vertex.item(k)
+    c = t.child_ids.item(t.child_first.item(I) + basis.index.item(k))
+    i = lo(x)
+    if not lo(I) <= i < t.hi.item(c):
         return 0.0
-    return float(basis.pos_val[k] if i < t.lo[c] else basis.neg_val[k])
+    return basis.pos_val.item(k) if i < lo(c) else basis.neg_val.item(k)
 
 
 def gram_matrix(basis: WaveletBasis) -> np.ndarray:
@@ -228,15 +230,15 @@ def projector_sum_check(tree: BallTree, I: int, x: int, y: int,
     if basis is None:
         basis = build_basis(tree)
     t = basis.tree
-    k0 = int(basis.first_row[I])
+    k0 = basis.first_row.item(I)
     lhs = math.fsum(evaluate(basis, k, x) * evaluate(basis, k, y)
-                    for k in range(k0, k0 + len(t.children[I]) - 1))
+                    for k in range(k0, k0 + t.child_count.item(I) - 1))
     rhs = 0.0
     if t.is_ancestor_or_equal(I, x) and t.is_ancestor_or_equal(I, y):
-        rhs -= 1.0 / t.measure[I]
+        rhs -= 1.0 / t.measure.item(I)
         cx = t.child_toward(I, x)
         if t.is_ancestor_or_equal(cx, y):
-            rhs += 1.0 / t.measure[cx]
+            rhs += 1.0 / t.measure.item(cx)
     if abs(lhs - rhs) > _CHECK_TOL * max(1.0, abs(rhs)):
         raise ArithmeticError(
             f"projector identity failed at vertex {t.names[I]!r}: {lhs} vs {rhs}")

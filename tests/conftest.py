@@ -52,6 +52,12 @@ def dense_row(basis, k):
     return np.array([um.evaluate(basis, k, x) for x in t.leaf_order])
 
 
+def children_of(t):
+    """The child ids of each vertex of t as a tuple, read from its CSR arrays."""
+    kids = t.child_ids.tolist()
+    return [tuple(kids[a:a + k]) for a, k in zip(t.child_first.tolist(), t.child_count.tolist())]
+
+
 def from_children(names, children, leaf_measures, **kw):
     """BallTree from per-vertex child lists and a {leaf id: measure} map."""
     return um.BallTree(names, [len(k) for k in children], [c for k in children for c in k],
@@ -115,7 +121,7 @@ def random_trees(seeds, max_depth=4, max_branching=3):
 def random_symbol(t, seed, low=0.0, high=2.0):
     """Symbol uniform in [low, high) on the interior vertices, drawn in preorder."""
     T = np.zeros(t.n_vertices)
-    T[t.interior_array] = np.random.default_rng(seed).uniform(low, high, len(t.interior_array))
+    T[t.interior] = np.random.default_rng(seed).uniform(low, high, len(t.interior))
     return um.Symbol(T)
 
 
@@ -163,7 +169,7 @@ def caterpillar(depth, rng, symbol=True, branch=False):
         nodes[1] = {"id": "x0", "children": ["y0", "y1"], **({"T": 1.0} if symbol else {})}
         nodes += [{"id": "y0", "measure": 0.25}, {"id": "y1", "measure": 0.25}]
     t = um.parse_tree(json.dumps({"nodes": nodes}))
-    assert max(t.depth) == depth
+    assert t.depth.max() == depth
     return t
 
 
@@ -235,13 +241,13 @@ def slot_levels_reference(t):
     slot, each in id order; no two vertices of a group share a parent."""
     n = t.n_vertices
     slot = [0] * n
-    for kids in t.children:
+    for kids in children_of(t):
         for i, c in enumerate(kids):
             slot[c] = i
-    key = np.array(t.depth) * n + np.array(slot)
+    key = t.depth * n + np.array(slot)
     below = np.argsort(key, kind="stable")[1:]
     key = key[below]
-    parent = np.array(t.parent)
+    parent = t.parent
     return [(group, parent[group])
             for group in np.split(below, np.flatnonzero(key[1:] != key[:-1]) + 1)]
 
@@ -254,10 +260,11 @@ def preorder_spectrum(t, s):
     earlier, later = t.sibling_measures
     sigma = (earlier + later).tolist()
     A = [0.0] * t.n_vertices
-    for v in t.interior[1:]:  # preorder: parent precedes child
-        p = t.parent[v]
+    parent = t.parent.tolist()
+    for v in t.interior[1:].tolist():  # preorder: parent precedes child
+        p = parent[v]
         A[v] = A[p] + T[p] * sigma[v]
-    return [a + x * m for a, x, m in zip(A, T, t.measure)]
+    return [a + x * m for a, x, m in zip(A, T, t.measure.tolist())]
 
 
 def log_uniform_measures(exponent):
@@ -279,12 +286,13 @@ def wide_stars(draw, measures=log_uniform_measures(st.floats(0, 300))):
 
 
 @st.composite
-def chains(draw, measures=log_uniform_measures(st.floats(0, 300)), symbol_exponent=3.0):
-    """A caterpillar of 2-300 two-child spine vertices, each with one leaf and the next spine
-    vertex in a random order, the last one over two leaves: its interior vertices are one path.
-    T is log-uniform over 10^-x...10^x for x = ``symbol_exponent``."""
+def chains(draw, measures=log_uniform_measures(st.floats(0, 300)), symbol_exponent=3.0,
+           depths=st.integers(2, 300)):
+    """A caterpillar of 2-300 (``depths``) two-child spine vertices, each with one leaf and the
+    next spine vertex in a random order, the last one over two leaves: its interior vertices are
+    one path.  T is log-uniform over 10^-x...10^x for x = ``symbol_exponent``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    depth = draw(st.integers(2, 300))
+    depth = draw(depths)
     children = []
     for d in range(depth):
         kids = [2 * d + 1, 2 * d + 2]
@@ -299,12 +307,13 @@ def chains(draw, measures=log_uniform_measures(st.floats(0, 300)), symbol_expone
 
 
 @st.composite
-def hung_caterpillars(draw, measures=log_uniform_measures(st.floats(0, 300))):
+def hung_caterpillars(draw, measures=log_uniform_measures(st.floats(0, 300)),
+                      top=st.integers(5, 7), levels=st.integers(1, 80), bottom=st.integers(0, 6)):
     """A bush (each interior vertex with 2 to ``arity`` children, ``arity`` drawn from 2-4) of
-    depth 5-7, a caterpillar of 1-80 levels hung under one of its leaves, and a second bush of
-    depth 0-6 under the caterpillar's last vertex.  The bushes' lower levels are mostly wide
-    enough for whole-array steps and the caterpillar's are narrow.  T is log-uniform over
-    1e-3...1e3."""
+    depth 5-7 (``top``), a caterpillar of 1-80 levels (``levels``) hung under one of its leaves,
+    and a second bush of depth 0-6 (``bottom``) under the caterpillar's last vertex.  The
+    bushes' lower levels are mostly wide enough for whole-array steps and the caterpillar's are
+    narrow.  T is log-uniform over 1e-3...1e3."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     arity = draw(st.integers(2, 4))
     children = [[]]
@@ -321,13 +330,13 @@ def hung_caterpillars(draw, measures=log_uniform_measures(st.floats(0, 300))):
             level = below
         return level
 
-    leaves = grow(0, draw(st.integers(5, 7)))
+    leaves = grow(0, draw(top))
     v = leaves[draw(st.integers(0, len(leaves) - 1))]
-    for _ in range(draw(st.integers(1, 80))):
+    for _ in range(draw(levels)):
         children[v] = [len(children), len(children) + 1]
         children.extend([[], []])
         v = children[v][int(rng.integers(2))]
-    grow(v, draw(st.integers(0, 6)))
+    grow(v, draw(bottom))
     leaf_ids = [u for u, kids in enumerate(children) if not kids]
     hint = np.array([10.0 ** rng.uniform(-3, 3) if kids else 0.0 for kids in children])
     return from_children([f"v{u}" for u in range(len(children))], children,

@@ -1,13 +1,17 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import umfield as um
 from umfield import field
 from umfield.cli import main
 from umfield.tree import load_tree
 
-from conftest import FIXTURES, T2_PATH
+from conftest import (FIXTURES, T2_PATH, chains, children_of, hung_caterpillars,
+                      log_uniform_measures, split_trees)
 
 T2 = str(T2_PATH)
 
@@ -54,6 +58,45 @@ def test_wavelets_csv(capsys):
     assert len(lines) == 1 + 6  # three wavelets, two children each
 
 
+def _wavelets_csv_per_row(t):
+    """The reference ``wavelets`` CSV, formatted line by line from the child lists."""
+    basis = um.build_basis(t)
+    names, children = t.names, children_of(t)
+    lines = ["vertex_id,j,child_id,coefficient\n"]
+    # row (I, j) is pos_val on the first j children of I, neg_val on child j, 0 after
+    for I, j, a, b in zip(basis.vertex.tolist(), basis.index.tolist(),
+                          basis.pos_val.tolist(), basis.neg_val.tolist()):
+        cells = [f"{names[I]},{j},{names[c]}," for c in children[I]]
+        lines += [f"{cell}{a:.17g}\n" for cell in cells[:j]]
+        lines += [f"{cells[j]}{b:.17g}\n"] + [f"{cell}0\n" for cell in cells[j + 1:]]
+    return "".join(lines)
+
+
+_FAMILY_IDS = ["split", "chain", "hung-caterpillar"]
+
+
+@settings(deadline=None, max_examples=30)
+@pytest.mark.parametrize("family", [split_trees(), chains(), hung_caterpillars()],
+                         ids=_FAMILY_IDS)
+@given(data=st.data())
+def test_wavelets_csv_matches_per_row_formatter(family, data, tmp_path_factory):
+    t = data.draw(family)
+    names = list(t.names)  # one vertex gets a name with "%" in it, which the template must keep
+    names[data.draw(st.integers(0, t.n_vertices - 1))] = data.draw(
+        st.sampled_from(["%", "a%s", "%d%%", "%(x)s", "100%"]))
+    t = um.BallTree(names, t.child_count, t.child_ids, t.measure[t.child_count == 0])
+    doc = tmp_path_factory.mktemp("wavelets") / "doc.json"
+    doc.write_text(t.to_json())
+    out = doc.with_suffix(".csv")
+    code = main(["wavelets", str(doc), "--out", str(out)])
+    try:
+        want = _wavelets_csv_per_row(load_tree(doc))
+    except ArithmeticError:  # a wavelet of extreme measures fails its construction check
+        assert code == 2
+    else:
+        assert code == 0 and out.read_text() == want
+
+
 def test_kernel_profile(capsys):
     code, out, _ = run(capsys, "kernel", T2, "--pairs", "profile")
     assert code == 0
@@ -94,6 +137,56 @@ def test_verify_all_checks_pass(capsys):
         assert json.loads(out)["pass"] is True
 
 
+def _kernel_residual_all_pairs(t):
+    """The reference ``verify kernel`` residual, over every leaf pair x <= y."""
+    sp = um.spectrum(t, um.symbol_from_tree(t))
+    K = um.covariance_kernel(t, sp).values.tolist()
+    basis = um.build_basis(t)
+    leaves = t.leaf_order.tolist()
+    resid = 0.0
+    for i, x in enumerate(leaves):
+        for y, S in zip(leaves[i:], t.sup_row(i)):
+            resid = max(resid, abs(K[S] - um.kernel_bruteforce(t, sp, basis, x, y)))
+    return resid
+
+
+@settings(deadline=None, max_examples=25)
+@pytest.mark.parametrize("family", [
+    split_trees(symbol=st.floats(0.5, 2.0)),
+    chains(measures=log_uniform_measures(st.floats(0, 30)), depths=st.integers(2, 40)),
+    hung_caterpillars(measures=log_uniform_measures(st.floats(0, 30)), top=st.integers(1, 3),
+                      levels=st.integers(1, 20), bottom=st.integers(0, 2)),
+], ids=_FAMILY_IDS)
+@given(data=st.data())
+def test_verify_kernel_one_pair_per_child_pair_is_all_pairs(family, data, tmp_path_factory):
+    # kernel_bruteforce(x, y) depends on x and y only through their sup and its children that
+    # hold them, so the one-pair-per-child-pair residual is the all-pairs one, bit for bit
+    doc = tmp_path_factory.mktemp("kernel") / "doc.json"
+    doc.write_text(data.draw(family).to_json())
+    out = doc.with_suffix(".json.out")
+    checked = []
+    bruteforce = field.kernel_bruteforce
+
+    def recorded(t, sp, basis, x, y):
+        checked.append((x, y))
+        return bruteforce(t, sp, basis, x, y)
+
+    with mock.patch.object(field, "kernel_bruteforce", recorded):
+        assert main(["verify", "kernel", str(doc), "--out", str(out)]) in (0, 1)
+    t = load_tree(doc)
+    assert json.loads(out.read_text())["residual"] == _kernel_residual_all_pairs(t)
+
+    def pair_class(x, y):  # a leaf with itself, or (sup, child toward x, child toward y)
+        S = t.sup(x, y)
+        return (x,) if x == y else (S, t.child_toward(S, x), t.child_toward(S, y))
+
+    leaves = t.leaf_order.tolist()
+    every_class = {pair_class(x, y) for i, x in enumerate(leaves) for y in leaves[i:]}
+    assert sorted(map(pair_class, *zip(*checked))) == sorted(every_class)  # each class once
+    place = {x: i for i, x in enumerate(leaves)}
+    assert all(place[x] <= place[y] for x, y in checked)
+
+
 def test_verify_markov(capsys):
     code, out, _ = run(capsys, "verify", "markov", T2, "--trials", "100", "--seed", "1")
     assert code == 0
@@ -110,6 +203,13 @@ def test_mc_cov(capsys):
     assert set(report) >= {"max_abs_dev", "worst_pair", "pass"}
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_mc_cov_rejects_bad_tol_sigma(capsys, tol):
+    code, out, err = run(capsys, "mc-cov", T2, "--n", "100", "--tol-sigma", tol)
+    assert code == 2 and out == ""
+    assert err == f"error: --tol-sigma must be a finite non-negative number, got {float(tol)}\n"
+
+
 def test_convergence_json(capsys):
     code, out, _ = run(capsys, "convergence", "--mu", "2", "--q", "0.25")
     assert code == 0
@@ -117,6 +217,16 @@ def test_convergence_json(capsys):
     assert report["conv1"]["converges"] is True
     assert report["conv1"]["ratio"] == 0.5
     assert report["conv2"]["converges"] is False
+
+
+@pytest.mark.parametrize("mu, q", [("inf", "0.25"), ("2", "inf"), ("inf", "inf"), ("nan", "0.25"),
+                                   ("2", "nan"), ("-inf", "0.25"), ("2", "-inf")])
+def test_convergence_rejects_non_finite_ratios(capsys, mu, q):
+    code, out, err = run(capsys, "convergence", f"--mu={mu}", f"--q={q}")
+    assert code == 2 and out == ""
+    with pytest.raises(um.OutOfRange) as e:
+        um.convergence_report(2, float(mu), float(q))
+    assert err == f"error: {e.value}\n"
 
 
 def test_gen_tree(capsys):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import umfield as um
 from umfield import cli
 
-from conftest import (FIXTURES, T2_PATH, broom, caterpillar, chains, from_children,
+from conftest import (FIXTURES, T2_PATH, broom, caterpillar, chains, children_of, from_children,
                       generate_random, leaf_vec, random_symbol, random_trees, slot_levels_reference,
                       split_trees, star)
 
@@ -225,7 +225,7 @@ def test_covariance_kernel_chain_overflowing_inverse_square_names_vertex():
     T = t.symbol_hint.copy()
     T[t.root] = 1e-200
     sp = um.spectrum(t, um.Symbol(T))
-    leaf = next(c for c in t.children[t.root] if t.is_leaf(c))
+    leaf = next(c for c in children_of(t)[t.root] if t.is_leaf(c))
     with pytest.raises(um.ZeroEigenvalue) as ref:
         um.kernel_value(t, sp, leaf)
     with pytest.raises(um.ZeroEigenvalue) as e:
@@ -253,7 +253,7 @@ def test_covariance_kernel_falls_back_near_overflow(monkeypatch):
     t = um.parse_tree(doc)
     calls = _count_fallbacks(monkeypatch)
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
-    assert calls == t.preorder
+    assert calls == t.preorder.tolist()
 
 
 def _kernel_error(doc):
@@ -482,7 +482,7 @@ def _bilinear_slot_levels(t, K, f, g):
     """bilinear_form as it walked the (depth, child slot) groups, bottom-up: the reference."""
     F = np.zeros(t.n_vertices)
     G = np.zeros(t.n_vertices)
-    leaves = t.leaf_order_array
+    leaves = t.leaf_order
     F[leaves] = np.asarray(f, dtype=float) * t.leaf_measures
     G[leaves] = np.asarray(g, dtype=float) * t.leaf_measures
     terms = [K[leaves] * F[leaves] * G[leaves]]

@@ -191,7 +191,7 @@ def test_spectrum_is_preorder_recurrence_chain_bush_chain():
 
 def test_spectrum_geometric_symbol_vs_dense():
     t = um.generate_homogeneous(2, 3, 1.0)
-    s = um.Symbol(np.where(t.child_count > 0, 4.0 ** t.depth_array, 0.0))
+    s = um.Symbol(np.where(t.child_count > 0, 4.0 ** t.depth, 0.0))
     sp = um.spectrum(t, s)
     got = _sym_eigvals(t, s)
     want = _expected_multiset(t, sp)
@@ -211,10 +211,10 @@ def test_spectrum_positivity():
     for seed, t in enumerate(random_trees(range(6))):
         s = random_symbol(t, 50 + seed, 0.0, 3.0)
         sp = um.spectrum(t, s)
-        assert all(l >= -1e-15 for l in sp.lam[t.interior_array])
+        assert all(l >= -1e-15 for l in sp.lam[t.interior])
         s_pos = random_symbol(t, 50 + seed, 0.5, 3.0)
         sp_pos = um.spectrum(t, s_pos)
-        assert all(l > 0 for l in sp_pos.lam[t.interior_array])
+        assert all(l > 0 for l in sp_pos.lam[t.interior])
 
 
 def test_self_adjointness():
@@ -249,7 +249,7 @@ def test_verify_eigen_homogeneous():
 
 def test_zero_symbol_spectrum_is_zero(t2):
     sp = um.spectrum(t2, um.constant_symbol(t2, 0.0))
-    assert all(l == 0.0 for l in sp.lam[t2.interior_array])
+    assert all(l == 0.0 for l in sp.lam[t2.interior])
 
 
 # ---------------------------------------------------------------- convergence

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (broom, caterpillar, chains, euler_ranks_reference, from_children,
-                      generate_random, homogeneous_reference, hung_caterpillars,
+from conftest import (broom, caterpillar, chains, children_of, euler_ranks_reference,
+                      from_children, generate_random, homogeneous_reference, hung_caterpillars,
                       slot_levels_reference, split_trees, star, wide_stars)
 
 
@@ -103,7 +103,7 @@ def test_parse_integer_ids_build_the_same_arrays():
              (7, 0.125)]
     a, b = um.parse_tree(_doc(nodes, int)), um.parse_tree(_doc(nodes, str))
     assert a.names == b.names == [str(v) for v, _ in nodes]
-    for field in ("child_count", "child_ids", "parent_array", "measure_array", "leaf_order_array"):
+    for field in ("child_count", "child_ids", "parent", "measure", "leaf_order"):
         assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
 
 
@@ -165,14 +165,14 @@ def test_generate_random_deterministic():
     a = generate_random(1, 3, 4)
     b = generate_random(1, 3, 4)
     assert a.names == b.names
-    assert a.children == b.children
-    assert a.measure == b.measure
+    assert children_of(a) == children_of(b)
+    assert a.measure.tolist() == b.measure.tolist()
 
 
 def test_generate_random_depth_one():
     t = generate_random(2, 1, 2)
     assert t.n_leaves == 2
-    assert t.children[t.root] == tuple(sorted(t.leaf_order))
+    assert children_of(t)[t.root] == tuple(sorted(t.leaf_order.tolist()))
 
 
 def test_roundtrip_serialization():
@@ -180,8 +180,8 @@ def test_roundtrip_serialization():
         t = generate_random(seed, 4, 3)
         t2 = um.parse_tree(t.to_json())
         assert t2.names == t.names
-        assert t2.children == t.children
-        assert t2.measure == pytest.approx(t.measure, rel=1e-15)
+        assert children_of(t2) == children_of(t)
+        assert t2.measure.tolist() == pytest.approx(t.measure.tolist(), rel=1e-15)
 
 
 def test_roundtrip_preserves_symbol(t2):
@@ -194,7 +194,7 @@ def test_roundtrip_preserves_symbol(t2):
 def test_roundtrip_keeps_symbol_hint_bits(t):
     # a None draw is an interior vertex without "T": NaN in the array, no "T" in the document
     back = um.parse_tree(t.to_json()).symbol_hint
-    if np.isnan(t.symbol_hint[t.interior_array]).all():
+    if np.isnan(t.symbol_hint[t.interior]).all():
         assert back is None
     else:
         assert back.tobytes() == t.symbol_hint.tobytes()
@@ -204,7 +204,7 @@ def test_measure_additivity_random():
     for seed in range(10):
         t = generate_random(seed, 4, 4)
         for I in t.interior:
-            kids_sum = math.fsum(t.measure[c] for c in t.children[I])
+            kids_sum = math.fsum(t.measure[c] for c in children_of(t)[I])
             assert t.measure[I] == pytest.approx(kids_sum, rel=1e-15)
 
 
@@ -294,30 +294,28 @@ def _shuffled(t, rng):
     returns the new tree with the child lists and leaf measures it was built from."""
     perm = rng.permutation(t.n_vertices).tolist()  # old id -> new id
     names, children = [None] * t.n_vertices, [None] * t.n_vertices
-    for v, kids in enumerate(t.children):
+    for v, kids in enumerate(children_of(t)):
         names[perm[v]] = t.names[v]
         children[perm[v]] = [perm[c] for c in kids]
-    measures = {perm[x]: t.measure[x] for x in t.leaf_order}
+    measures = {perm[x]: t.measure.item(x) for x in t.leaf_order.tolist()}
     return from_children(names, children, measures), children, measures
 
 
 def _assert_flat_fields(t, children, leaf_measures):
     ref = _reference_fields(children, leaf_measures)
     for name, want in ref.items():
-        assert list(getattr(t, name)) == want, name
-    for name in ("parent", "depth", "lo", "hi", "preorder", "interior", "leaf_order"):
-        assert getattr(t, f"{name}_array").tolist() == ref[name], name
+        assert getattr(t, name).tolist() == want, name
     assert t.root == ref["preorder"][0]
-    assert t.children == [tuple(kids) for kids in children]
-    assert t.leaf_measures.tolist() == [t.measure[x] for x in t.leaf_order]
+    assert children_of(t) == [tuple(kids) for kids in children]
+    assert t.leaf_measures.tolist() == t.measure[t.leaf_order].tolist()
     assert t.child_count.tolist() == [len(k) for k in children]
-    assert t.measure_array.tolist() == t.measure
-    assert t.total_measure == t.measure[t.root]
+    assert t.total_measure == t.measure.item(t.root)
     assert t.name_to_id == {nm: v for v, nm in enumerate(t.names)}
 
 
 def _assert_flat_fields_shuffled(t, seed):
-    _assert_flat_fields(t, [list(k) for k in t.children], {x: t.measure[x] for x in t.leaf_order})
+    _assert_flat_fields(t, [list(k) for k in children_of(t)],
+                        {x: t.measure.item(x) for x in t.leaf_order.tolist()})
     _assert_flat_fields(*_shuffled(t, np.random.default_rng(seed)))
 
 
@@ -342,17 +340,37 @@ def test_flat_fields_match_reference_40001_vertex_caterpillar():
     _assert_flat_fields_shuffled(t, 3)
 
 
+def test_each_per_vertex_field_is_one_array():
+    t = generate_random(7, 4, 3)
+    # the queries, and the passes whose schedules the tree caches, add no per-vertex field
+    x, y = t.leaf_order[0].item(), t.leaf_order[-1].item()
+    t.child_toward(t.sup(x, y), x)
+    t.sup_row(0)
+    t.to_dict()
+    assert t.name_to_id and t.sibling_measures and t.path_groups and t.child_runs
+    um.build_basis(t).wavelet_leaf_matrix()
+    for name in ("parent", "depth", "lo", "hi", "measure", "preorder", "interior", "leaf_order",
+                 "child_count", "child_first", "child_ids"):
+        assert type(getattr(t, name)) is np.ndarray, name
+        assert not hasattr(t, f"{name}_array"), name
+    per_vertex = [k for k, v in vars(t).items()
+                  if isinstance(v, (list, tuple)) and len(v) == t.n_vertices]
+    assert per_vertex == ["names"]  # the name index name_to_id is a dict
+    assert not hasattr(t, "children") and not hasattr(um.tree, "_list_view")
+
+
 def test_single_leaf_tree():
     t = from_children(["x"], [[]], {0: 2.0})
-    assert (t.root, t.preorder, t.depth, t.lo, t.hi, t.interior) == (0, [0], [0], [0], [1], [])
-    assert t.total_measure == 2.0 and t.leaf_order == [0]
+    fields = (t.preorder, t.depth, t.lo, t.hi, t.interior, t.leaf_order)
+    assert t.root == 0 and [a.tolist() for a in fields] == [[0], [0], [0], [1], [], [0]]
+    assert t.total_measure == 2.0
     assert t.child_runs == []
 
 
 def _assert_tour_matches_two_event_reference(t):
     owner = np.repeat(np.arange(t.n_vertices), t.child_count)
     want = euler_ranks_reference(t.child_count, t.child_first, t.child_ids, owner, t.root)
-    got = (t.preorder_array, t.depth_array, t.lo_array, t.hi_array)
+    got = (t.preorder, t.depth, t.lo, t.hi)
     for name, w, g in zip(("preorder", "depth", "lo", "hi"), want, got):
         assert g.tolist() == w.tolist(), name
 
@@ -383,7 +401,7 @@ def test_generate_homogeneous_matches_recursive_reference(p, depth):
     assert t.names == names
     assert t.label == f"homogeneous(p={p},depth={depth})"
     _assert_flat_fields(t, children, measures)
-    assert t.preorder == list(range(t.n_vertices))
+    assert t.preorder.tolist() == list(range(t.n_vertices))
 
 
 # sums of these lie on or next to rounding ties, where a double-double sum can be undecided
@@ -394,9 +412,9 @@ _tie_measures = st.integers(0, 2 ** 32 - 1).map(
 
 def _assert_measures_are_fsum(t):
     """Each measure is fsum of the children's, taken one vertex at a time in reversed preorder."""
-    ref = _reference_fields([list(k) for k in t.children], {x: t.measure[x] for x in t.leaf_order})
-    assert t.measure == ref["measure"]
-    assert t.measure_array.tolist() == t.measure
+    ref = _reference_fields([list(k) for k in children_of(t)],
+                            {x: t.measure.item(x) for x in t.leaf_order.tolist()})
+    assert t.measure.tolist() == ref["measure"]
 
 
 @settings(deadline=None, max_examples=40)
@@ -584,6 +602,7 @@ def _assert_child_runs(t):
     for group, parents in slot_levels_reference(t):
         want.setdefault(t.depth[int(group[0])], set()).update(zip(group.tolist(), parents.tolist()))
     got, depths, seen, cells = {}, [], [], 0
+    children = children_of(t)
     for parents, runs in t.child_runs:
         assert parents.dtype == runs.dtype == np.intp
         m, P = runs.shape
@@ -593,11 +612,11 @@ def _assert_child_runs(t):
         seen += parents.tolist()
         cells += runs.size
         for v, col in zip(parents.tolist(), runs.T.tolist()):
-            kids = list(t.children[v])
+            kids = list(children[v])
             assert col == kids + [n] * (m - len(kids))
             got.setdefault(d + 1, set()).update((c, v) for c in kids)
     assert depths == sorted(depths)
-    assert sorted(seen) == sorted(t.interior)
+    assert sorted(seen) == sorted(t.interior.tolist())
     assert got == want
     assert cells <= 2 * (n - 1)
 
@@ -700,8 +719,8 @@ def test_parse_reads_numbers_given_as_strings_and_integer_ids():
     doc = {"nodes": [{"id": 0, "children": [1, 2], "T": "1"}, {"id": 1, "measure": 1},
                      {"id": 2, "measure": "2.5e-1"}]}
     t = um.parse_tree(json.dumps(doc))
-    assert t.names == ["0", "1", "2"] and t.children == [(1, 2), (), ()]
-    assert t.measure == [1.25, 1.0, 0.25] and t.symbol_hint.tolist() == [1.0, 0.0, 0.0]
+    assert t.names == ["0", "1", "2"] and children_of(t) == [(1, 2), (), ()]
+    assert t.measure.tolist() == [1.25, 1.0, 0.25] and t.symbol_hint.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_symbol_hint_array():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import umfield as um
 
-from conftest import (broom, caterpillar, dense_row, from_children, random_trees,
+from conftest import (broom, caterpillar, children_of, dense_row, from_children, random_trees,
                       slot_levels_reference, split_trees, star)
 
 
@@ -217,7 +217,7 @@ def _synthesize_slot_levels(basis, coeffs):
     acc = pos[..., basis.pos_row] + neg[..., basis.neg_row]
     for group, parents in slot_levels_reference(basis.tree):
         acc[..., group] += acc[..., parents]
-    return acc[..., basis.tree.leaf_order_array]
+    return acc[..., basis.tree.leaf_order]
 
 
 def _assert_synthesis_bit_equal(t, rng):
@@ -279,9 +279,10 @@ def test_synthesize_rejects_wrong_length(t2_basis):
 def _helmert_reference(t):
     """Per-wavelet weighted Helmert construction, one wavelet at a time, in canonical order."""
     rows = []
-    for I in t.interior:
-        kids = t.children[I]
-        nu = [t.measure[c] for c in kids]
+    children = children_of(t)
+    for I in t.interior.tolist():
+        kids = children[I]
+        nu = [t.measure.item(c) for c in kids]
         s = nu[0]
         for j in range(1, len(kids)):
             alpha = 1.0 / math.sqrt(1.0 / s + 1.0 / nu[j])
@@ -301,9 +302,10 @@ def _assert_tables_match_reference(t):
     assert basis.neg_val.tolist() == [r[3] for r in ref]
     row = {(I, j): k for k, (I, j, _, _) in enumerate(ref)}
     pos_row, neg_row = [n_w] * t.n_vertices, [n_w] * t.n_vertices
-    for I in t.interior:
-        p = len(t.children[I])
-        for m, c in enumerate(t.children[I]):
+    children = children_of(t)
+    for I in t.interior.tolist():
+        p = len(children[I])
+        for m, c in enumerate(children[I]):
             pos_row[c] = row[I, m + 1] if m + 1 < p else n_w
             neg_row[c] = row[I, m] if m >= 1 else n_w
     assert basis.pos_row.tolist() == pos_row
@@ -335,8 +337,9 @@ def test_tables_match_helmert_reference_wide_star():
 def _exact_check_outcome(t):
     """(type, message) of the first wavelet, in canonical order, that fails the construction
     checks taken as exact sums over its child balls; None if all pass."""
+    children = children_of(t)
     for I, j, a, b in _helmert_reference(t):
-        nu = [t.measure[c] for c in t.children[I]]
+        nu = [t.measure.item(c) for c in children[I]]
         coeffs = [a] * j + [b] + [0.0] * (len(nu) - 1 - j)
         try:
             mean = math.fsum(c * m for c, m in zip(coeffs, nu))

@@ -15,12 +15,11 @@ the variance at a point is the pure ancestor sum).  ``covariance_kernel``
 evaluates it for every vertex: the ancestor sums of the interior vertices
 are taken by pointer jumping, in ceil(log2(d + 1)) whole-array rounds for d
 the largest interior depth, or, when the interior vertices are one path (a
-caterpillar), by one cascaded prefix sum along it, as double-double sums
-that also bound what they drop; each leaf then takes one step from its
-parent's sum.  Each value the
-bound proves to be the correctly rounded sum is kept; the rest, rare, go to
-``kernel_value``.  So
-each value is the same correctly rounded sum as the per-vertex
+chain of balls, ``BallTree.is_chain``), by one cascaded prefix sum along
+it, as double-double sums that also bound what they drop; each leaf then
+takes one step from its parent's sum.  Each value the bound proves to be
+the correctly rounded sum is kept; the rest, rare, go to ``kernel_value``.
+So each value is the same correctly rounded sum as the per-vertex
 ``kernel_value``.  The kernel, like the spectrum it reads, is an array over
 all vertices.  ``kernel_value`` walks the ancestors of one vertex and is
 kept as the path-sum reference; the direct sum over the wavelet rows,
@@ -196,13 +195,13 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     (``ddsum.dd_add``) that also sum the magnitudes of the residuals they
     drop into a bound; their hi, lo and bound parts are one (3, n_interior)
     array, gathered once per round into a buffer the rounds reuse.  When the
-    interior vertices are one path (the last of them in preorder has depth
-    n_interior - 1), the sums are prefix sums along it instead, taken by
-    ``ddsum.dd_cumsum`` with the same kind of bound and no round.  A leaf
-    then adds its own path term to its parent's sum, and an interior vertex
-    its own term -lambda^-2 / nu, the same way.  The lambda^-2 are one list
-    comprehension of Python's ``x ** -2`` unless a lambda is not positive
-    or a square overflows, when ``_inv_square`` takes them one at a time.
+    interior vertices are one path (``BallTree.is_chain``), the sums are
+    prefix sums along it instead, taken by ``ddsum.dd_cumsum`` with the same
+    kind of bound and no round.  A leaf then adds its own path term to its
+    parent's sum, and an interior vertex its own term -lambda^-2 / nu, the
+    same way.  The lambda^-2 are one list comprehension of Python's
+    ``x ** -2`` unless a lambda is not positive or a square overflows, when
+    ``_inv_square`` takes them one at a time.
 
     The reference value, ``kernel_value``, is fsum of the same float terms,
     and ``ddsum.screen`` keeps each value it proves equal to it (the error
@@ -240,7 +239,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         np.subtract(inv_m, inv_m[up], out=hi)
         hi *= inv2[up]
         hi[0] = 0.0
-        if t.depth.item(inner[-1]) == k - 1:  # one path: a running sum along it
+        if t.is_chain:  # one path: a running sum along it
             dd_cumsum(hi, hi, lo, err, work[:2, :k])
         else:
             lo.fill(0.0)

@@ -18,12 +18,10 @@ carried down the tree:
 
 where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
-lost to cancellation against the parent's measure.  A is carried over the
-depth groups of the tree (``BallTree.depth_groups``): one whole-array step
-per wide level, one cumulative sum over a run of narrow levels that is one
-path, a chain of balls, and a scalar loop over any other run of narrow
-levels, so a deep chain costs no numpy step per level.  Each A is the same
-single rounding of the same floats in every form.
+lost to cancellation against the parent's measure.  A is carried top-down
+over ``BallTree.child_runs``, one whole-array step per entry, or, on a chain
+of balls (``BallTree.is_chain``), as one cumulative sum along it.  Each A is
+the same single rounding of the same floats in either form.
 
 A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
 leaves, as ``parse_tree`` reads it from the tree document
@@ -107,50 +105,38 @@ def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
 def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     """Eigenvalues as an array over all vertices, 0 on leaves.
 
-    The outer sums A are carried top-down over ``BallTree.depth_groups``:
-    A[g] = A[parent] + T[parent] sigma[g] is one whole-array step for a wide
-    level, one ``np.cumsum`` for a narrow group that is one path
-    (``BallTree.path_groups``), and a scalar loop over any other narrow
-    group.  Each A is the same single rounding of the same floats in every
-    form (IEEE addition commutes, and ``np.cumsum`` adds in order), so the
-    values do not depend on the grouping.  A symbol of another length than
-    the tree's vertex count raises DimensionMismatch, one with a nonzero
-    leaf entry ValueError naming the first such leaf.
+    The outer sums A are carried top-down over ``BallTree.child_runs``:
+    A[runs] = A[parents] + T[parents] sigma[runs], one whole-array step per
+    entry, whose pad cells point at a spare cell, and A is then set to 0 on
+    the leaves.  On a chain of balls (``BallTree.is_chain``) each interior
+    vertex's parent is the one before it in preorder, and A along it is one
+    ``np.cumsum`` from A(root) = 0.  Each A is the same single rounding
+    fl(A(p) + fl(T(p) sigma(c))) in either form (``np.cumsum`` adds in
+    order).  A symbol of another length than the tree's vertex count raises
+    DimensionMismatch, one with a nonzero leaf entry ValueError naming the
+    first such leaf.
     """
     T = s.values
-    if T.shape != (t.n_vertices,):
-        raise DimensionMismatch(f"expected a symbol of length {t.n_vertices}, got shape {T.shape}")
+    n = t.n_vertices
+    if T.shape != (n,):
+        raise DimensionMismatch(f"expected a symbol of length {n}, got shape {T.shape}")
     on_leaf = (T != 0.0) & (t.child_count == 0)
     if on_leaf.any():
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
-    parent, root = t.parent, t.root
     earlier, later = t.sibling_measures
-    sigma = earlier + later
-    A = np.zeros(t.n_vertices)
-    place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
+    sigma = np.zeros(n + 1)  # the last cell is the pad of the runs
+    np.add(earlier, later, out=sigma[:n])
+    A = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        for (g, wide), path in zip(t.depth_groups, t.path_groups):
-            if g[0] == root:  # A(root) = 0
-                g = g[1:]
-            p = parent[g]
-            if wide:
-                A[g] = A[p] + T[p] * sigma[g]
-                continue
-            if path:  # each vertex's parent is the one before it: a running sum from A(p[0])
-                x = T[p] * sigma[g]
-                x[0] += A[p[0]]
-                A[g] = np.cumsum(x)
-                continue
-            # the group's values, then its parents'; by depth, a parent comes before its children
-            place[p] = len(g) + np.arange(len(p))
-            place[g] = np.arange(len(g))
-            vals = [0.0] * len(g) + A[p].tolist()
-            for i, (q, tq, sv) in enumerate(zip(place[p].tolist(), T[p].tolist(),
-                                                sigma[g].tolist())):
-                vals[i] = vals[q] + tq * sv
-            A[g] = vals[:len(g)]
-        lam = A + T * t.measure
+        if t.is_chain:
+            g = t.interior[1:]
+            A[g] = np.cumsum(T[t.parent[g]] * sigma[g])
+        else:
+            for parents, runs in t.child_runs:
+                A[runs] = A[parents] + T[parents] * sigma[runs]
+            A[t.leaf_order] = 0.0
+        lam = A[:n] + T * t.measure
     bad = ~np.isfinite(lam[t.interior])
     if bad.any():
         I = t.interior.item(np.argmax(bad))  # the first in preorder
@@ -232,30 +218,34 @@ def convergence_report(p: int, measure_ratio: float, symbol_ratio: float,
     if not (math.isfinite(mu) and math.isfinite(q)):
         raise OutOfRange(f"measure_ratio and symbol_ratio must be finite; got ({mu}, {q})")
 
-    # conv1: terms a_l = q^l mu^(l-1) (mu - 1), l >= 1
-    r1 = q * mu
-    a = [q ** l * mu ** (l - 1) * (mu - 1.0) for l in range(1, levels_probe + 1)]
-    if r1 < 1.0:
-        conv1 = SeriesVerdict(True, r1, math.fsum(a) + a[-1] * r1 / (1.0 - r1))
-    else:
-        conv1 = SeriesVerdict(False, r1)
-
-    if not conv1.converges:
-        # eigenvalues do not exist; the covariance series is undefined
-        conv2 = SeriesVerdict(False, math.inf)
-    elif q == 0.0:
-        # symbol vanishes above the reference level, so every lambda_l with
-        # l >= 1 is zero and the inverse-square terms are infinite
-        conv2 = SeriesVerdict(False, math.inf)
-    else:
-        # exact eigenvalue at level l: lambda_l = (q mu)^l (1 + (1-1/mu) q mu / (1-q mu))
-        c = 1.0 + (1.0 - 1.0 / mu) * r1 / (1.0 - r1)
-        b = [(c * r1 ** l) ** -2 * mu ** -l * (mu - 1.0)
-             for l in range(1, levels_probe + 1)]
-        r2 = 1.0 / (q * q * mu ** 3)
-        if r2 < 1.0:
-            conv2 = SeriesVerdict(True, r2, math.fsum(b) + b[-1] * r2 / (1.0 - r2))
+    try:  # a power past the float range raises OverflowError, 0.0 ** -2 ZeroDivisionError
+        # conv1: terms a_l = q^l mu^(l-1) (mu - 1), l >= 1
+        r1 = q * mu
+        a = [q ** l * mu ** (l - 1) * (mu - 1.0) for l in range(1, levels_probe + 1)]
+        if r1 < 1.0:
+            conv1 = SeriesVerdict(True, r1, math.fsum(a) + a[-1] * r1 / (1.0 - r1))
         else:
-            conv2 = SeriesVerdict(False, r2)
+            conv1 = SeriesVerdict(False, r1)
+
+        if not conv1.converges:
+            # eigenvalues do not exist; the covariance series is undefined
+            conv2 = SeriesVerdict(False, math.inf)
+        elif q == 0.0:
+            # symbol vanishes above the reference level, so every lambda_l with
+            # l >= 1 is zero and the inverse-square terms are infinite
+            conv2 = SeriesVerdict(False, math.inf)
+        else:
+            # exact eigenvalue at level l: lambda_l = (q mu)^l (1 + (1-1/mu) q mu / (1-q mu))
+            c = 1.0 + (1.0 - 1.0 / mu) * r1 / (1.0 - r1)
+            b = [(c * r1 ** l) ** -2 * mu ** -l * (mu - 1.0)
+                 for l in range(1, levels_probe + 1)]
+            r2 = 1.0 / (q * q * mu ** 3)
+            if r2 < 1.0:
+                conv2 = SeriesVerdict(True, r2, math.fsum(b) + b[-1] * r2 / (1.0 - r2))
+            else:
+                conv2 = SeriesVerdict(False, r2)
+    except (OverflowError, ZeroDivisionError):
+        raise OutOfRange(f"a series term over levels_probe = {levels_probe} levels leaves the "
+                         f"float range at measure_ratio {mu} and symbol_ratio {q}") from None
 
     return ConvergenceReport(p, mu, q, levels_probe, conv1, conv2)

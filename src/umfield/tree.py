@@ -29,15 +29,15 @@ leaf bounds ``lo``/``hi`` are counts of the events before a place.  Every
 leaf set is a contiguous run of the leaf order, given by ``lo`` and ``hi``.
 
 Each interior measure is fsum of its children's measures, the exact sum
-rounded once.  The measures are taken bottom-up over ``depth_groups``, the
-interior vertices grouped by depth: a wide level adds its children slot by
-slot as double-double sums (``ddsum``) and keeps every value the screen
-proves equal to fsum, calling fsum for the rest; consecutive narrow levels
-form one group.  A group that is one path of two-child vertices, a chain of
-balls, is one cumulative sum from its bottom up; any other is walked by a
-scalar loop, in which a two-child vertex takes one addition, its exact sum
-rounded once, and a wider one fsum.  A measure that overflows is named by
-the per-vertex fsum loop in reversed preorder.
+rounded once.  The measures are taken bottom-up over ``child_runs``, the one
+level schedule of the tree, which the spectrum, the synthesis and the Markov
+form walk too: an entry of two child rows takes one addition, its exact sum
+rounded once; a narrow entry takes fsum per parent; a wide one adds its
+children slot by slot as double-double sums (``ddsum``) and keeps every
+value the screen proves equal to fsum, calling fsum for the rest.  A chain
+of balls (``BallTree.is_chain``) of two-child vertices is one cumulative sum
+from its bottom up instead, and builds no schedule.  A measure that overflows is
+named by the per-vertex fsum loop in reversed preorder.
 
 Each per-vertex field is held once, as a numpy array, and the names are the
 one list.  A query that walks the ancestors of one vertex reads single
@@ -112,11 +112,11 @@ _DECLARED_MEASURE_RTOL = 1e-9
 # array is 128 MiB at this size.
 DENSE_MAX_LEAVES = 4096
 
-# A depth level is walked by one vectorised step per child slot when it has at
-# least this many interior vertices per slot step; narrower levels take the
-# scalar loop (BallTree.depth_groups).  A binary level's vectorised measure step
-# costs about 28 us, as much as 35 vertices of the scalar fsum loop at 0.8 us
-# each; the spectrum's break-even is lower, and timings were flat from 8 to 64.
+# The measure pass sums an entry of child_runs with m > 2 child rows by one
+# double-double step per child slot when it has at least this many parents per
+# slot step, m - 1, and takes fsum per parent otherwise (an entry of two rows
+# takes one addition).  A slot step costs about 28 us, as much as 35 parents of
+# fsum at 0.8 us each, and timings were flat from 8 to 64.
 _WIDE_LEVEL = 32
 
 
@@ -242,72 +242,68 @@ def _measure_overflow(t, m) -> OutOfRange:
     raise AssertionError("no measure overflows")
 
 
-def _fill_measures(t, m) -> None:
-    """Write into m, which holds the leaf measures, each interior vertex's fsum of its children's.
+def _sum_runs(m, parents, runs, count) -> None:
+    """m[parents] = fsum of each parent's children, for one entry of ``child_runs``.
 
-    Bottom-up over ``t.depth_groups``.  A wide level adds its children slot
-    by slot: slot 1 to slot 0 by TwoSum, exactly, and later slots by
-    ``dd_add`` over the prefix of vertices that have them; the values
-    ``screen`` does not keep are taken by fsum before the level above reads
-    them.  A vertex with two children never falls back below 2^1022: its sum
-    drops nothing.  A narrow group that is one path (``t.path_groups``) of
-    two-child vertices is one ``np.cumsum`` from the bottom up: its first
-    step adds the bottom vertex's two children, and each later one the next
-    vertex's off-path child to the sum below it.  Any other narrow group is
-    one scalar step per vertex, children before parents, over a list that
-    holds the group's values and then its children's: a two-child vertex
-    takes ``a + b``, which is fsum's value, and a wider one fsum.  Each
-    two-child step is the one rounding ``fl(a + b)`` in either form (IEEE
-    addition commutes, and ``np.cumsum`` adds in order).  Where ``a + b``
-    overflows it gives inf and fsum would raise, so a group with an infinite
-    value raises, and ``_measure_overflow`` names the vertex.
+    count is the tree's ``child_count``, non-increasing along the entry's
+    parents, and the pad cell of m is 0.0.  An entry of two child rows takes
+    ``a + b``, the exact sum rounded once, which is fsum's value.  An entry
+    of k > 2 rows and P parents with P < ``_WIDE_LEVEL`` (k - 1) takes fsum
+    over each parent's run, whose pad cells add 0.0.  A wider one adds its
+    children slot by slot: slot 1 to slot 0 by TwoSum, exactly, and later
+    slots by ``dd_add`` over the prefix of parents that have them; the values
+    ``screen`` does not keep go to fsum.  A sum that overflows is infinite,
+    or makes fsum raise.
+    """
+    k, P = runs.shape
+    if k == 2:
+        m[parents] = m[runs[0]] + m[runs[1]]
+        return
+    if P < _WIDE_LEVEL * (k - 1):
+        m[parents] = [math.fsum(run) for run in m[runs].T.tolist()]
+        return
+    hi, lo, err = np.empty(P), np.empty(P), np.zeros(P)
+    work = [np.empty(P) for _ in range(4)]
+    two_sum(m[runs[0]], m[runs[1]], hi, lo, work[0])
+    count = count[parents]
+    for j in range(2, k):
+        p = int(np.count_nonzero(count > j))
+        dd_add(hi[:p], lo[:p], err[:p], m[runs[j, :p]], 0.0, 0.0, [w[:p] for w in work])
+    m[parents] = hi
+    rest = ~screen(hi, lo, err)
+    if rest.any():
+        m[parents[rest]] = [math.fsum(run) for run in m[runs[:, rest]].T.tolist()]
+
+
+def _fill_measures(t, m) -> None:
+    """Write into m, which holds the leaf measures and a zero pad cell after the last vertex,
+    each interior vertex's fsum of its children's.
+
+    A chain of balls (``t.is_chain``) of two-child vertices is one
+    ``np.cumsum`` from the bottom up: its first step adds the bottom vertex's
+    two children, and each later one the next vertex's off-path child to the
+    sum below it, the same rounding ``fl(a + b)`` as ``_sum_runs`` makes
+    (IEEE addition commutes, and ``np.cumsum`` adds in order).  Any other
+    tree is walked bottom-up over ``t.child_runs``, one ``_sum_runs`` per
+    entry.  A sum that overflows makes fsum raise, or is infinite and makes
+    every measure above it infinite, the root's too; ``_measure_overflow``
+    then names the vertex.
     """
     kids, first, count = t.child_ids, t.child_first, t.child_count
-    place = np.empty(t.n_vertices, dtype=np.intp)  # where a narrow group's list holds a vertex
     try:
-        for (g, wide), path in zip(reversed(t.depth_groups), reversed(t.path_groups)):
-            if path and np.all(count[g] == 2):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to fsum
+            g = t.interior
+            if t.is_chain and np.all(count[g] == 2):
                 f = first[g]
                 off = kids[f[:-1]]  # above the bottom, each vertex's child that is not the next
                 off = np.where(off == g[1:], kids[f[:-1] + 1], off)
                 ch = np.concatenate((kids[f[-1]:f[-1] + 2], off[::-1]))
-                with np.errstate(over="ignore"):
-                    m[g[::-1]] = np.cumsum(m[ch])[1:]
-            elif not wide:
-                g = g[::-1]
-                c = count[g]
-                ends = np.cumsum(c)
-                ch = kids[np.repeat(first[g] - (ends - c), c) + np.arange(ends[-1])]
-                place[ch] = len(g) + np.arange(len(ch))
-                place[g] = np.arange(len(g))  # a child in the group reads the group's value
-                vals = [0.0] * len(g) + m[ch].tolist()
-                get = vals.__getitem__
-                at = place[ch].tolist()
-                a = 0
-                for i, b in enumerate(ends.tolist()):
-                    if b - a == 2:  # the exact sum rounded once, as fsum gives it, unless it overflows
-                        vals[i] = vals[at[a]] + vals[at[a + 1]]
-                    else:
-                        vals[i] = math.fsum(map(get, at[a:b]))
-                    a = b
-                m[g] = vals[:len(g)]
-            if not wide:
-                if np.isinf(m[g]).any():  # a two-child sum that overflowed
-                    raise OverflowError
-                continue
-            f, c = first[g], count[g]  # c is non-increasing along the level
-            hi, lo, err = np.empty(len(g)), np.empty(len(g)), np.zeros(len(g))
-            work = [np.empty(len(g)) for _ in range(4)]
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to fsum
-                two_sum(m[kids[f]], m[kids[f + 1]], hi, lo, work[0])
-                for j in range(2, int(c[0])):
-                    k = int(np.count_nonzero(c > j))
-                    dd_add(hi[:k], lo[:k], err[:k], m[kids[f[:k] + j]], 0.0, 0.0,
-                           [w[:k] for w in work])
-                keep = screen(hi, lo, err)
-            m[g] = hi
-            for v in g[~keep].tolist():
-                m[v] = math.fsum(m[kids[first[v]:first[v] + count[v]]].tolist())
+                m[g[::-1]] = np.cumsum(m[ch])[1:]
+            else:
+                for parents, runs in reversed(t.child_runs):
+                    _sum_runs(m, parents, runs, count)
+        if math.isinf(m.item(t.root)):
+            raise OverflowError
     except OverflowError:
         raise _measure_overflow(t, m) from None
 
@@ -390,9 +386,10 @@ class BallTree:
         self.n_vertices = n
         self.n_leaves = len(leaf_order)
 
-        m = self.measure = np.zeros(n)
+        m = np.zeros(n + 1)  # the last cell is the zero pad of child_runs
         m[leaf_ids] = leaf_m
         _fill_measures(self, m)
+        m = self.measure = m[:n]
         if declared_measures:
             for v, d in declared_measures.items():
                 mv = m.item(v)
@@ -406,58 +403,16 @@ class BallTree:
     def name_to_id(self) -> dict:
         return dict(zip(self.names, range(self.n_vertices)))
 
-    @functools.cached_property
-    def _level_order(self) -> np.ndarray:
-        """The interior vertices by depth, then by decreasing child count, then in preorder.
+    @property
+    def is_chain(self) -> bool:
+        """Whether the interior vertices form one path, each the parent of the next: a chain
+        of balls, which the passes take as one cumulative sum along it.
 
-        The one sort that ``depth_groups`` and ``child_runs`` both read; a tree
-        with no interior vertex has no call for it.
+        The path holds every interior vertex when the last of them in preorder
+        has depth n_interior - 1.
         """
-        inner = self.interior
-        depth = self.depth[inner]
-        count = self.child_count[inner]
-        top, low = int(count.max()), int(count.min())
-        key = depth if low == top else depth * (top - low + 1) + (top - count)
-        # the smallest unsigned type that holds the key: at 8 or 16 bits the stable sort is a radix sort
-        return inner[np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")]
-
-    @functools.cached_property
-    def depth_groups(self) -> list[tuple[np.ndarray, bool]]:
-        """The interior vertices in groups by depth, top-down, each with a flag: wide or not.
-
-        A wide level is a group of its own, its vertices by decreasing child
-        count and then in preorder, so those with more than j children are a
-        prefix; a level pass takes it in whole-array steps.  Consecutive narrow
-        levels form one group, which lists every parent before its children,
-        and a pass walks it vertex by vertex.  A level is wide when it has at
-        least ``_WIDE_LEVEL`` vertices per slot step of the measure pass (its
-        largest child count less one), so a deep chain of one-vertex levels is
-        one scalar loop and not a numpy step per level, and a few vertices with
-        many children take fsum.
-        """
-        inner = self.interior
-        if not len(inner):
-            return []
-        size = np.bincount(self.depth[inner])  # interior vertices per level; none is empty
-        if size.max() >= _WIDE_LEVEL:  # else no level is wide
-            order = self._level_order
-            start = np.cumsum(size) - size
-            wide = size >= _WIDE_LEVEL * (self.child_count[order[start]] - 1)
-            if wide.any():
-                cut = np.flatnonzero(wide[1:] | wide[:-1]) + 1  # the levels that start a group
-                return list(zip(np.split(order, start[cut]), wide[np.r_[0, cut]].tolist()))
-        return [(inner, False)]  # one narrow group, in preorder
-
-    @functools.cached_property
-    def path_groups(self) -> list[bool]:
-        """Per entry of ``depth_groups``: whether it is a narrow group of two or more vertices
-        that is one path, each vertex the parent of the next (a chain of balls).
-
-        A pass takes such a group as one cumulative sum along the path.
-        """
-        parent = self.parent
-        return [not wide and len(g) > 1 and bool(np.all(parent[g[1:]] == g[:-1]))
-                for g, wide in self.depth_groups]
+        k = len(self.interior)
+        return k > 0 and self.depth.item(self.interior.item(-1)) == k - 1
 
     @functools.cached_property
     def child_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -477,16 +432,21 @@ class BallTree:
         inner = self.interior
         if not len(inner):
             return []
-        order = self._level_order
-        count = self.child_count[order]
+        # by depth, then by decreasing child count, then in preorder: the smallest unsigned
+        # type that holds the key, at 8 or 16 bits, makes the stable sort a radix sort
+        depth = self.depth[inner]
+        count = self.child_count[inner]
         top, low = int(count.max()), int(count.min())
+        key = depth if low == top else depth * (top - low + 1) + (top - count)
+        order = inner[np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")]
+        count = self.child_count[order]
         first = self.child_first[order]
         below = np.cumsum(count) if low < top else None  # the children of order[:i + 1]
         slots = np.arange(top)[:, None]
         kids = self.child_ids
         out = []
         a = 0
-        for b in np.cumsum(np.bincount(self.depth[inner])).tolist():
+        for b in np.cumsum(np.bincount(depth)).tolist():
             while a < b:  # one entry per pass, unless padding order[a:b] passes twice the children
                 m = count.item(a)
                 e = b

@@ -159,8 +159,8 @@ def _kernel_residual_all_pairs(t):
 ], ids=_FAMILY_IDS)
 @given(data=st.data())
 def test_verify_kernel_one_pair_per_child_pair_is_all_pairs(family, data, tmp_path_factory):
-    # kernel_bruteforce(x, y) depends on x and y only through their sup and its children that
-    # hold them, so the one-pair-per-child-pair residual is the all-pairs one, bit for bit
+    # kernel_bruteforce(x, y) depends on x <= y only through their sup and its child that holds
+    # y, so one pair per later child of each sup gives the all-pairs residual, bit for bit
     doc = tmp_path_factory.mktemp("kernel") / "doc.json"
     doc.write_text(data.draw(family).to_json())
     out = doc.with_suffix(".json.out")
@@ -176,9 +176,9 @@ def test_verify_kernel_one_pair_per_child_pair_is_all_pairs(family, data, tmp_pa
     t = load_tree(doc)
     assert json.loads(out.read_text())["residual"] == _kernel_residual_all_pairs(t)
 
-    def pair_class(x, y):  # a leaf with itself, or (sup, child toward x, child toward y)
+    def pair_class(x, y):  # a leaf with itself, or (sup, child toward y)
         S = t.sup(x, y)
-        return (x,) if x == y else (S, t.child_toward(S, x), t.child_toward(S, y))
+        return (x,) if x == y else (S, t.child_toward(S, y))
 
     leaves = t.leaf_order.tolist()
     every_class = {pair_class(x, y) for i, x in enumerate(leaves) for y in leaves[i:]}
@@ -226,6 +226,20 @@ def test_convergence_rejects_non_finite_ratios(capsys, mu, q):
     assert code == 2 and out == ""
     with pytest.raises(um.OutOfRange) as e:
         um.convergence_report(2, float(mu), float(q))
+    assert err == f"error: {e.value}\n"
+
+
+@pytest.mark.parametrize("mu, q, levels", [("2", "0.1", "2000"), ("1.01", "0.5", "2000"),
+                                           ("1e200", "1e-300", "40"), ("2", "1e10", "40")])
+def test_convergence_term_out_of_float_range_is_typed(capsys, mu, q, levels):
+    # mu ** (l - 1) (or q ** l) passes the float range, or r1 ** l underflows to 0 and its
+    # inverse square divides by zero: an input error naming levels_probe and the ratios
+    code, out, err = run(capsys, "convergence", "--mu", mu, "--q", q, "--levels", levels)
+    assert code == 2 and out == ""
+    with pytest.raises(um.OutOfRange) as e:
+        um.convergence_report(2, float(mu), float(q), int(levels))
+    assert str(e.value) == (f"a series term over levels_probe = {levels} levels leaves the float "
+                            f"range at measure_ratio {float(mu)} and symbol_ratio {float(q)}")
     assert err == f"error: {e.value}\n"
 
 

@@ -210,12 +210,21 @@ def test_covariance_kernel_round_count_branched_caterpillar(depth, monkeypatch):
 @settings(deadline=None, max_examples=100)
 @given(t=chains())
 def test_covariance_kernel_is_path_sum_chain(t):
-    assert t.path_groups == [True]  # the measures and the spectrum take one cumulative sum
+    assert t.is_chain  # the measures and the spectrum take one cumulative sum
     try:
         sp = um.spectrum(t, um.symbol_from_tree(t))
     except um.OutOfRange:
         assume(False)
     _assert_kernel_is_path_sum(t, sp)
+
+
+def test_chain_builds_no_child_runs():
+    # the measures, the spectrum and the kernel of a chain of balls are cumulative sums along
+    # it: the level schedule, one numpy step per level on this tree, is never built
+    t = caterpillar(1250, np.random.default_rng(1250))
+    um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert t.is_chain
+    assert "child_runs" not in vars(t)
 
 
 def test_covariance_kernel_chain_overflowing_inverse_square_names_vertex():

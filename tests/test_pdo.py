@@ -184,7 +184,6 @@ def test_spectrum_is_preorder_recurrence_chain_bush_chain():
     t = um.BallTree([f"v{v}" for v in range(len(children))], [len(k) for k in children],
                     [c for k in children for c in k],
                     np.random.default_rng(5).uniform(0.1, 1.0, n_leaves))
-    assert [wide for _, wide in t.depth_groups] == [False, True, True, True, True, True, False]
     s = random_symbol(t, 5, 0.5, 2.0)
     assert um.spectrum(t, s).lam.tolist() == preorder_spectrum(t, s)
 

@@ -347,7 +347,7 @@ def test_each_per_vertex_field_is_one_array():
     t.child_toward(t.sup(x, y), x)
     t.sup_row(0)
     t.to_dict()
-    assert t.name_to_id and t.sibling_measures and t.path_groups and t.child_runs
+    assert t.name_to_id and t.sibling_measures and t.child_runs
     um.build_basis(t).wavelet_leaf_matrix()
     for name in ("parent", "depth", "lo", "hi", "measure", "preorder", "interior", "leaf_order",
                  "child_count", "child_first", "child_ids"):
@@ -435,8 +435,9 @@ def test_measures_are_fsum_of_children(family, data):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
 def test_narrow_group_mixing_two_and_three_children_is_fsum(seed, ties):
-    # a chain whose spine vertices have two or three children is one narrow group, in which a
-    # two-child vertex takes one addition and a three-child one fsum
+    # a chain whose spine vertices have two or three children takes no cumulative sum: the
+    # measure pass walks child_runs, in which a two-child vertex takes one addition and a
+    # three-child one fsum
     rng = np.random.default_rng(seed)
     children = [[]]
     v = 0
@@ -448,18 +449,18 @@ def test_narrow_group_mixing_two_and_three_children_is_fsum(seed, ties):
     m = rng.choice(_TIES, len(leaves)) if ties else 10.0 ** rng.uniform(-300, 300, len(leaves))
     t = from_children([f"v{u}" for u in range(len(children))], children,
                       dict(zip(leaves, m.tolist())))
-    assert [wide for _, wide in t.depth_groups] == [False]
     _assert_measures_are_fsum(t)
 
 
-def test_path_groups():
+def test_is_chain():
     rng = np.random.default_rng(34)
-    assert caterpillar(40, rng).path_groups == [True]
-    assert caterpillar(40, rng, branch=True).path_groups == [False]
-    assert star(40, rng).path_groups == [False]  # one vertex is no path
-    assert um.generate_homogeneous(2, 3, 1.0).path_groups == [False]
-    # a 2^10-leaf binary tree with a 40-level chain under its last leaf: the top five levels
-    # are one narrow group, the next five are wide, and the chain is a narrow group and a path
+    assert caterpillar(40, rng).is_chain
+    assert not caterpillar(40, rng, branch=True).is_chain
+    assert star(40, rng).is_chain  # one interior vertex is a path of one
+    assert not um.generate_homogeneous(2, 3, 1.0).is_chain
+    assert not from_children(["x"], [[]], {0: 2.0}).is_chain  # no interior vertex
+    # a 2^10-leaf binary tree with a 40-level chain under its last leaf: a chain hangs in it,
+    # but its interior vertices are not one path
     children = [[]]
 
     def split(u):
@@ -475,8 +476,7 @@ def test_path_groups():
         v = split(v)[1]
     t = from_children([f"v{u}" for u in range(len(children))], children,
                       dict.fromkeys(range(len(children)), 1.0))
-    assert [wide for _, wide in t.depth_groups] == [False] + [True] * 5 + [False]
-    assert t.path_groups == [False] * 6 + [True]
+    assert not t.is_chain
     _assert_measures_are_fsum(t)
 
 
@@ -490,8 +490,6 @@ def _two_child_chain(depth, measure):
 def test_narrow_two_child_chain_overflow_names_vertex():
     # s13 is the deepest spine vertex over 18 leaves of 1e307: its sum, 1.8e308, overflows
     names, children, measures = _two_child_chain(30, 1e307)
-    assert [wide for _, wide in from_children(names, children, dict.fromkeys(measures, 1.0))
-            .depth_groups] == [False]
     with pytest.raises(um.OutOfRange) as e:
         from_children(names, children, measures)
     assert str(e.value) == "measure of vertex 's13' overflows"
@@ -515,15 +513,12 @@ def _count_fsum(monkeypatch):
     lambda rng, n: rng.choice(_TIES, n),
 ], ids=["1", "1e300", "ties"])
 def test_binary_wide_levels_never_fall_back(measures, monkeypatch):
-    # a sum of two floats drops no residual, so the screen keeps every one, and the 31
-    # narrow vertices each take one addition
+    # every level has two child rows and takes one addition, the exact sum rounded once
     base = um.generate_homogeneous(2, 12, 1.0)
     m = measures(np.random.default_rng(12), base.n_leaves)
     calls = _count_fsum(monkeypatch)
     t = um.BallTree(base.names, base.child_count, base.child_ids, m)
     monkeypatch.undo()
-    assert sum(wide for _, wide in t.depth_groups) == 7  # depths 5 to 11
-    assert sum(len(g) for g, wide in t.depth_groups if not wide) == 31
     assert len(calls) == 0
     _assert_measures_are_fsum(t)
 
@@ -536,9 +531,9 @@ def test_undecided_wide_level_takes_fsum(monkeypatch):
     t = um.BallTree(base.names, base.child_count, base.child_ids,
                     [1.0, 2.0 ** -53, 2.0 ** -106] * 81)
     monkeypatch.undo()
-    assert [(len(g), wide) for g, wide in t.depth_groups] == [(40, False), (81, True)]
-    assert len(calls) == 40 + 81
-    assert {t.measure[v] for v in t.depth_groups[1][0].tolist()} == {1.0 + 2.0 ** -52}
+    assert len(calls) == 40 + 81  # the 40 vertices above take fsum, one call each
+    depth_4 = t.interior[t.depth[t.interior] == 4]
+    assert {t.measure[v] for v in depth_4.tolist()} == {1.0 + 2.0 ** -52}
     _assert_measures_are_fsum(t)
 
 
@@ -587,10 +582,6 @@ def test_measure_overflow_names_first_in_reversed_preorder(deep_first, culprit, 
     with pytest.raises(um.OutOfRange) as e:
         from_children(names, children, measures)
     assert str(e.value) == f"measure of vertex {culprit!r} overflows"
-    if deep_wide:  # D0 is in a wide level, which the level pass reaches before B
-        t = from_children(names, children, dict.fromkeys(measures, 1.0))
-        wide = [g for g, w in t.depth_groups if w]
-        assert any(names.index("D0") in g.tolist() for g in wide)
 
 
 def _assert_child_runs(t):

@@ -21,7 +21,6 @@ from .tree import (
 from .wavelets import WaveletBasis, build_basis, evaluate, gram_matrix, projector_sum_check
 from .pdo import (
     Symbol,
-    Spectrum,
     symbol_from_tree,
     constant_symbol,
     apply_dense,

@@ -1,9 +1,10 @@
 """Command-line interface: tree validation, spectra, kernels, sampling, checks.
 
 Every command but ``convergence`` takes a tree file or ``--gen`` and
-``--out``; only the commands that draw (``sample``, ``mc-cov``, ``verify``)
-take ``--seed``, and only ``validate`` takes ``--quiet``.  The commands
-compute through the library: ``verify markov`` reports ``field.markov_check``.
+``--out``; only the commands that draw (``sample``, ``mc-cov``, ``verify
+markov``, ``verify equation``) take ``--seed``, and only ``validate`` takes
+``--quiet``.  The commands compute through the library: ``verify markov``
+reports ``field.markov_check``.
 
 Exit codes: 0 on success / verification pass, 1 on verification failure,
 2 on usage or input errors, a tree too large for a dense table or for
@@ -113,10 +114,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    t, s, sp = _load(args)
+    t, s, lam = _load(args)
     _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", "%s,%d,%.17g,%.17g,%.17g\n",
                         t.interior.tolist(), t.names, t.depth.tolist(), t.measure.tolist(),
-                        s.values.tolist(), sp.lam.tolist()))
+                        s.values.tolist(), lam.tolist()))
     return EXIT_OK
 
 
@@ -138,10 +139,10 @@ def cmd_wavelets(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    t, _, sp = _load(args)
+    t, _, lam = _load(args)
     if args.pairs == "all":  # n_leaves (n_leaves + 1) / 2 rows
         treemod.check_dense(t.n_leaves, "all-pairs kernel table")
-    kernel = fieldmod.covariance_kernel(t, sp)
+    kernel = fieldmod.covariance_kernel(t, lam)
     K = kernel.values.tolist()
     if args.pairs == "profile":
         parts = _table("vertex_id,nu,K\n", "%s,%.17g,%.17g\n", t.preorder.tolist(), t.names,
@@ -162,7 +163,7 @@ def cmd_kernel(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise _CliError(f"--count must be at least 1, got {args.count}")
-    t, _, sp = _load(args)
+    t, _, lam = _load(args)
     basis = wavmod.build_basis(t)
     names = list(map(t.names.__getitem__, t.leaf_order.tolist()))
     if "%" in "".join(names):  # the names go into a %-format template
@@ -173,7 +174,7 @@ def cmd_sample(args) -> int:
         stream = np.random.SeedSequence([args.seed, i])
         # the rows "i,name,%.17g\n" of sample i as one template, formatted against the values alone
         template = f"{i}," + f"{cell}{i},".join(names) + cell
-        values = fieldmod.sample_field(t, sp, basis, stream).values
+        values = fieldmod.sample_field(t, lam, basis, stream).values
         lines.append(template % tuple(values.tolist()))
     _emit(args, *lines)
     return EXIT_OK
@@ -182,8 +183,8 @@ def cmd_sample(args) -> int:
 def cmd_mc_cov(args) -> int:
     if not 0.0 <= args.tol_sigma < math.inf:  # a NaN fails too
         raise _CliError(f"--tol-sigma must be a finite non-negative number, got {args.tol_sigma}")
-    t, _, sp = _load(args)
-    result = fieldmod.empirical_covariance(t, sp, wavmod.build_basis(t), args.n, args.seed)
+    t, _, lam = _load(args)
+    result = fieldmod.empirical_covariance(t, lam, wavmod.build_basis(t), args.n, args.seed)
     dev = np.abs(result.matrix - result.analytic)
     ok = bool(np.all(dev <= args.tol_sigma * result.standard_error))
     _emit_json(args, {
@@ -227,8 +228,8 @@ def _verify_eigen(args):
 
 
 def _verify_kernel(args):
-    t, _, sp = _load(args)
-    kernel = fieldmod.covariance_kernel(t, sp)
+    t, _, lam = _load(args)
+    kernel = fieldmod.covariance_kernel(t, lam)
     K = kernel.values.tolist()
     basis = wavmod.build_basis(t)
     # for leaves x <= y under children a < b of S = sup(x, y), kernel_bruteforce(x, y) has
@@ -241,7 +242,7 @@ def _verify_kernel(args):
     for S in t.preorder.tolist():
         reps = [first_leaf[c] for c in kids[first[S]:first[S] + count[S]]]
         for x, y in [(reps[0], y) for y in reps[1:]] if reps else [(S, S)]:  # a leaf with itself
-            resid = max(resid, abs(K[S] - fieldmod.kernel_bruteforce(t, sp, basis, x, y)))
+            resid = max(resid, abs(K[S] - fieldmod.kernel_bruteforce(t, lam, basis, x, y)))
     return {"residual": resid}, resid / max(1.0, kernel.max_abs()), 1e-10
 
 
@@ -254,15 +255,15 @@ def _verify_ortho(args):
 def _verify_markov(args):
     if args.trials < 1:
         raise _CliError(f"--trials must be at least 1, got {args.trials}")
-    t, _, sp = _load(args)
-    done, worst = fieldmod.markov_check(t, fieldmod.covariance_kernel(t, sp),
+    t, _, lam = _load(args)
+    done, worst = fieldmod.markov_check(t, fieldmod.covariance_kernel(t, lam),
                                         np.random.default_rng(args.seed), args.trials)
     return {"trials": done, "seed": args.seed, "max_scaled_value": worst}, worst, 1e-12
 
 
 def _verify_equation(args):
-    t, s, sp = _load(args)
-    resid = fieldmod.check_equation(t, s, sp, wavmod.build_basis(t), args.seed)
+    t, s, lam = _load(args)
+    resid = fieldmod.check_equation(t, s, lam, wavmod.build_basis(t), args.seed)
     return {"seed": args.seed, "residual": resid}, resid, 1e-9
 
 
@@ -319,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200000)
     p.add_argument("--tol-sigma", type=float, default=5.0)
 
-    p = sub.add_parser("verify")
-    p.add_argument("what", choices=list(VERIFICATIONS))  # before the optional tree positional
-    tree_command(p, cmd_verify, seeded=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--trials", type=int, default=200)
+    checks = sub.add_parser("verify").add_subparsers(dest="what", required=True)
+    for what in VERIFICATIONS:  # each check takes the options it reads
+        p = tree_command(checks.add_parser(what), cmd_verify, seeded=what in ("markov", "equation"))
+        p.add_argument("--tol", type=float, default=None)
+        if what == "markov":
+            p.add_argument("--trials", type=int, default=200)
 
     p = sub.add_parser("convergence")
     p.add_argument("--p", type=int, default=2)

@@ -53,7 +53,7 @@ import numpy as np
 from .ddsum import dd_add, dd_cumsum, screen
 from .tree import BallTree, OutOfRange, check_dense
 from .wavelets import WaveletBasis
-from .pdo import Symbol, Spectrum, apply_dense
+from .pdo import Symbol, apply_dense
 
 
 class ZeroEigenvalue(ValueError):
@@ -97,17 +97,31 @@ class EmpiricalCovariance:
     worst_pair: tuple[str, str]
 
 
-def _lambda_vector(sp: Spectrum, basis: WaveletBasis) -> np.ndarray:
-    """The eigenvalue of each wavelet, in canonical order."""
-    lam = sp.lam[basis.vertex]
-    if np.any(lam <= 0.0):
-        bad = int(basis.vertex[np.argmin(lam)])
+def _lambda_vector(lam: np.ndarray, basis: WaveletBasis) -> np.ndarray:
+    """The eigenvalue of each wavelet, in canonical order, read off the spectrum lam."""
+    lam_w = lam[basis.vertex]
+    if np.any(lam_w <= 0.0):
+        bad = int(basis.vertex[np.argmin(lam_w)])
         raise ZeroEigenvalue(
             f"eigenvalue at vertex {basis.tree.names[bad]!r} is not positive")
-    return lam
+    return lam_w
 
 
-def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
+def _field_values(basis: WaveletBasis, lam: np.ndarray, d, what: str) -> np.ndarray:
+    """The field of the draws d, each divided by its wavelet's eigenvalue; ZeroEigenvalue, naming
+    the smallest eigenvalue and its vertex, if a value overflows, with numpy's warnings silenced."""
+    lam_w = _lambda_vector(lam, basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = basis.synthesize(d / lam_w)
+    if np.isfinite(values).all():
+        return values
+    k = int(np.argmin(lam_w))  # the first in canonical order
+    name = basis.tree.names[basis.vertex.item(k)]
+    raise ZeroEigenvalue(f"eigenvalue {lam_w.item(k)!r} at vertex {name!r} is too small: "
+                         f"{what} overflows")
+
+
+def kernel_value(t: BallTree, lam: np.ndarray, S: int) -> float:
     """Kernel value at vertex S from its own ancestor walk (leaf S gives the point variance).
 
     The path-sum reference for ``covariance_kernel``, and the one place that
@@ -115,24 +129,24 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
     """
     terms = []
     I = S
-    lam_at, measure, parent = sp.lam.item, t.measure.item, t.parent.item
+    lam_at, measure, parent = lam.item, t.measure.item, t.parent.item
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
         if not t.is_leaf(S):
-            lam = lam_at(S)
-            if lam <= 0.0:
+            lam_v = lam_at(S)
+            if lam_v <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
-            terms.append(-(lam ** -2) / measure(S))
+            terms.append(-(lam_v ** -2) / measure(S))
         below = S
         I = parent(S)
         while I != -1:
-            lam = lam_at(I)
-            if lam <= 0.0:
+            lam_v = lam_at(I)
+            if lam_v <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
-            terms.append(lam ** -2 * (1.0 / measure(below) - 1.0 / measure(I)))
+            terms.append(lam_v ** -2 * (1.0 / measure(below) - 1.0 / measure(I)))
             below = I
             I = parent(I)
     except OverflowError:
-        raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
+        raise ZeroEigenvalue(f"eigenvalue {lam_v!r} at vertex {t.names[I]!r} is too small: "
                              "its inverse square overflows") from None
     try:  # an infinite term reaches fsum as inf, or as ValueError for -inf + inf
         k = math.fsum(terms)
@@ -140,8 +154,8 @@ def kernel_value(t: BallTree, sp: Spectrum, S: int) -> float:
         k = math.nan
     if not math.isfinite(k):
         I = _overflowing_term_vertex(t, S, terms)
-        lam = lam_at(I)
-        raise ZeroEigenvalue(f"eigenvalue {lam!r} at vertex {t.names[I]!r} is too small: "
+        lam_v = lam_at(I)
+        raise ZeroEigenvalue(f"eigenvalue {lam_v!r} at vertex {t.names[I]!r} is too small: "
                              f"the kernel value at vertex {t.names[S]!r} overflows")
     return k
 
@@ -180,7 +194,7 @@ def _inv_squares(lam: np.ndarray) -> np.ndarray:
     return np.array(list(map(_inv_square, lam)))
 
 
-def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
+def covariance_kernel(t: BallTree, lam: np.ndarray) -> CovarianceKernel:
     """Kernel value at every vertex: ceil(log2(d + 1)) whole-array rounds over the interior
     vertices, d their largest depth, or one prefix sum when they are one path, and one step
     for the leaves.
@@ -227,7 +241,7 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
     at = pos.take(t.parent[leaves])
     del pos
     inv_m = 1.0 / m[inner]
-    inv2 = _inv_squares(sp.lam[inner])
+    inv2 = _inv_squares(lam[inner])
     # the round buffers, sized for the leaf step: every interior vertex has two children or more
     flat = np.empty((2, 3 * n_leaves))
     state = flat[0, :3 * k].reshape(3, k)  # hi, lo and the bound of each interior vertex's sum
@@ -265,11 +279,11 @@ def covariance_kernel(t: BallTree, sp: Spectrum) -> CovarianceKernel:
         decided[inner] = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
     order = t.preorder
     for v in order[~decided[order]].tolist():
-        values[v] = kernel_value(t, sp, v)
+        values[v] = kernel_value(t, lam, v)
     return CovarianceKernel(t, values)
 
 
-def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
+def kernel_bruteforce(t: BallTree, lam: np.ndarray, basis: WaveletBasis,
                       x: int, y: int) -> float:
     """Reference oracle: direct sum over the wavelet rows, constant mode excluded.
 
@@ -278,11 +292,11 @@ def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     rows alone, each value read off the leaf spans as ``evaluate`` reads it;
     the rows left out add exact zeros, which do not change the fsum.
     """
-    lam = _lambda_vector(sp, basis)
+    lam_w = _lambda_vector(lam, basis)
     S = t.sup(x, y)  # checks that x and y are leaves
     lo, hi, parent, kid = t.lo.item, t.hi.item, t.parent.item, t.child_ids.item
     first, count, first_row = t.child_first.item, t.child_count.item, basis.first_row.item
-    pos, neg, lam = basis.pos_val.item, basis.neg_val.item, lam.item
+    pos, neg, lam_at = basis.pos_val.item, basis.neg_val.item, lam_w.item
     i, j = lo(x), lo(y)
     terms = []
     I = parent(S) if t.is_leaf(S) else S  # a leaf carries no rows
@@ -293,32 +307,32 @@ def kernel_bruteforce(t: BallTree, sp: Spectrum, basis: WaveletBasis,
             a, b = pos(k), neg(k)
             ex = a if i < lo(c) else b if i < hi(c) else 0.0
             ey = a if j < lo(c) else b if j < hi(c) else 0.0
-            terms.append(lam(k) ** -2 * ex * ey)
+            terms.append(lam_at(k) ** -2 * ex * ey)
             k += 1
         I = parent(I)
     return math.fsum(terms)
 
 
-def sample_field(t: BallTree, sp: Spectrum, basis: WaveletBasis, seed) -> FieldSample:
-    """One field realization; coefficients are drawn in canonical basis order."""
-    lam = _lambda_vector(sp, basis)
+def sample_field(t: BallTree, lam: np.ndarray, basis: WaveletBasis, seed) -> FieldSample:
+    """One field realization; coefficients are drawn in canonical basis order.  A sample that
+    overflows raises ZeroEigenvalue."""
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal(len(basis))
-    return FieldSample(basis.synthesize(d / lam))
+    return FieldSample(_field_values(basis, lam, rng.standard_normal(len(basis)), "the sample"))
 
 
-def check_equation(t: BallTree, s: Symbol, sp: Spectrum, basis: WaveletBasis,
+def check_equation(t: BallTree, s: Symbol, lam: np.ndarray, basis: WaveletBasis,
                    seed) -> float:
     """Residual of the stochastic equation on one coefficient draw.
 
     Builds the field and the wavelet part of the noise from the same
     coefficients and returns max|T psi - phi|; the inversion is exact on the
-    zero-mean subspace, so this is pure floating-point error.
+    zero-mean subspace, so this is pure floating-point error.  A field that
+    overflows raises ZeroEigenvalue.
     """
-    lam = _lambda_vector(sp, basis)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis))
-    psi, phi_w = basis.synthesize(np.stack([d / lam, d]))
+    psi = _field_values(basis, lam, d, "the field")
+    phi_w = basis.synthesize(d)
     return float(np.abs(apply_dense(t, s, psi) - phi_w).max())
 
 
@@ -416,7 +430,7 @@ def markov_check(t: BallTree, kernel: CovarianceKernel, rng, trials: int) -> tup
     return max(trials, 0), worst
 
 
-def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
+def empirical_covariance(t: BallTree, lam: np.ndarray, basis: WaveletBasis,
                          n_samples: int, seed) -> EmpiricalCovariance:
     """Monte Carlo covariance matrix vs the analytic kernel.
 
@@ -427,8 +441,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
     check_dense(t.n_leaves, "Monte Carlo covariance")
-    lam = _lambda_vector(sp, basis)
-    kernel = covariance_kernel(t, sp)  # before the draws: a too-small eigenvalue fails fast
+    kernel = covariance_kernel(t, lam)  # before the draws: a too-small eigenvalue fails fast
     rng = np.random.default_rng(seed)
     emp = np.zeros((t.n_leaves, t.n_leaves))
     # draw in batches so huge n_samples does not allocate n x k at once
@@ -437,7 +450,7 @@ def empirical_covariance(t: BallTree, sp: Spectrum, basis: WaveletBasis,
     while done < n_samples:
         m = min(batch, n_samples - done)
         D = rng.standard_normal((m, len(basis)))
-        psi = basis.synthesize(D / lam)
+        psi = _field_values(basis, lam, D, "a sample")
         emp += psi.T @ psi
         done += m
     emp /= n_samples

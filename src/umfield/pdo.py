@@ -25,8 +25,8 @@ the same single rounding of the same floats in either form.
 
 A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
 leaves, as ``parse_tree`` reads it from the tree document
-(``BallTree.symbol_hint``); the eigenvalues are such an array too.  The
-dense O(n^2) application is kept as the reference oracle.
+(``BallTree.symbol_hint``); the eigenvalues are a plain array over all
+vertices.  The dense O(n^2) application is kept as the reference oracle.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class Symbol:
             raise ValueError(f"symbol value at vertex {v} must be nonnegative, got {T.item(v)}")
         T.flags.writeable = False
         self.values = T
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalue per vertex, an array of length n_vertices; 0 on leaves."""
-    lam: np.ndarray
 
 
 def symbol_from_tree(t: BallTree) -> Symbol:
@@ -102,15 +96,16 @@ def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
     return np.diag(TS @ nu) - TS * nu
 
 
-def spectrum(t: BallTree, s: Symbol) -> Spectrum:
-    """Eigenvalues as an array over all vertices, 0 on leaves.
+def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
+    """Eigenvalues lambda as an array over all vertices, 0 on leaves.
 
     The outer sums A are carried top-down over ``BallTree.child_runs``:
-    A[runs] = A[parents] + T[parents] sigma[runs], one whole-array step per
-    entry, whose pad cells point at a spare cell, and A is then set to 0 on
-    the leaves.  On a chain of balls (``BallTree.is_chain``) each interior
-    vertex's parent is the one before it in preorder, and A along it is one
-    ``np.cumsum`` from A(root) = 0.  Each A is the same single rounding
+    A[runs] = A[parents] + T[parents] sigma[runs], sigma the summed sibling
+    measures that ``BallTree.sibling_measures`` walks afresh, one whole-array
+    step per entry, whose pad cells point at a spare cell, and A is then set
+    to 0 on the leaves.  On a chain of balls (``BallTree.is_chain``) each
+    interior vertex's parent is the one before it in preorder, and A along it
+    is one ``np.cumsum`` from A(root) = 0.  Each A is the same single rounding
     fl(A(p) + fl(T(p) sigma(c))) in either form (``np.cumsum`` adds in
     order).  A symbol of another length than the tree's vertex count raises
     DimensionMismatch, one with a nonzero leaf entry ValueError naming the
@@ -124,7 +119,7 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
     if on_leaf.any():
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
-    earlier, later = t.sibling_measures
+    earlier, later = t.sibling_measures()
     sigma = np.zeros(n + 1)  # the last cell is the pad of the runs
     np.add(earlier, later, out=sigma[:n])
     A = np.zeros(n + 1)
@@ -142,7 +137,7 @@ def spectrum(t: BallTree, s: Symbol) -> Spectrum:
         I = t.interior.item(np.argmax(bad))  # the first in preorder
         raise OutOfRange(f"eigenvalue at vertex {t.names[I]!r} overflows: "
                          f"T = {T.item(I)!r}, measure = {t.measure.item(I)!r}")
-    return Spectrum(lam)
+    return lam
 
 
 def eigenvalue_path_sum(t: BallTree, s: Symbol, I: int) -> float:
@@ -166,13 +161,12 @@ def verify_eigen(t: BallTree, s: Symbol, b: WaveletBasis) -> float:
     Residual per wavelet: max|T psi - lambda psi| / max(1, lambda); the
     constant function must map to (numerically) zero.
     """
-    sp = spectrum(t, s)
+    lam = spectrum(t, s)[b.vertex]
     TS = s.values[t.sup_index_matrix()]
     nu = t.leaf_measures
     row = TS @ nu
     W = b.wavelet_leaf_matrix()
     TW = W * row - (W * nu) @ TS  # TS symmetric
-    lam = sp.lam[b.vertex]
     resid = np.abs(TW - lam[:, None] * W).max(axis=1) / np.maximum(1.0, lam)
     const = np.full(t.n_leaves, b.constant_value)
     const_resid = np.abs(const * row - TS @ (const * nu)).max()

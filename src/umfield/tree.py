@@ -40,8 +40,9 @@ from its bottom up instead, and builds no schedule.  A measure that overflows is
 named by the per-vertex fsum loop in reversed preorder.
 
 Each per-vertex field is held once, as a numpy array, and the names are the
-one list.  A query that walks the ancestors of one vertex reads single
-entries through the arrays' ``item`` methods and builds no whole-tree list.
+one list; past the name index, the tree caches only its two schedules.  A
+query that walks the ancestors of one vertex reads single entries through
+the arrays' ``item`` methods and builds no whole-tree list.
 """
 
 from __future__ import annotations
@@ -482,12 +483,12 @@ class BallTree:
             parents = parents[self.child_count[parents] > j]
         return out
 
-    @functools.cached_property
     def sibling_measures(self) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex, the summed measures of its earlier siblings and of its later siblings.
 
         Each is a running float sum along the child list, left to right for the
         earlier and right to left for the later siblings; the root has 0 for both.
+        Each call walks ``sibling_slots`` afresh: the tree keeps no sums.
         """
         m = self.measure
         earlier = np.zeros(self.n_vertices)

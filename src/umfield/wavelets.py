@@ -5,12 +5,13 @@ are constant on the child balls and supported inside I; together with the
 constant mode (total measure is finite here) they form an orthonormal basis
 of the leaf-function space under the measure-weighted inner product.
 
-The basis is held as flat tables with one row per wavelet, filled with one
-vectorised step per child slot; ``WaveletBasis.synthesize`` sums
-coefficients back to leaf values from them in O(n).  The oracles read the
-rows too: ``evaluate`` gives the value of row k at a leaf from the leaf
-spans in O(1), ``projector_sum_check`` sums the rows of one vertex, and the
-dense wavelet matrix, kept as the reference, writes two leaf slices per row.
+The basis is held as ``first_row`` and four flat tables with one row per
+wavelet, filled with one vectorised step per child slot;
+``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n)
+from them and the tree's two schedules.  The oracles read the rows too:
+``evaluate`` gives the value of row k at a leaf from the leaf spans in O(1),
+``projector_sum_check`` sums the rows of one vertex, and the dense wavelet
+matrix, kept as the reference, writes two leaf slices per row.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -44,6 +45,8 @@ class WaveletBasis:
     alpha = (1/s + 1/nu)^(-1/2), it is ``pos_val[k]`` = alpha/s on the first j
     children and ``neg_val[k]`` = -alpha/nu on child j.  The rows of vertex I
     are ``first_row[I]`` to ``first_row[I] + p - 2``, p its number of children.
+    These five arrays are all the basis holds: the parents of slot j in
+    ``BallTree.sibling_slots`` have wavelet j at ``first_row[parents] + j - 1``.
     """
 
     def __init__(self, tree: BallTree):
@@ -58,18 +61,11 @@ class WaveletBasis:
         self.index = np.empty(n_w, dtype=np.intp)
         self.pos_val = np.empty(n_w)
         self.neg_val = np.empty(n_w)
-        # Child m of a vertex takes the suffix sum of the positive values from its
-        # row j = m + 1 on (pos_row) plus the negative value of row j = m (neg_row);
-        # a missing row points at the zero pad, row n_w.  suffix_rows holds the
-        # rows with j >= 2, one array per j, j descending.
-        self.pos_row = np.full(t.n_vertices, n_w, dtype=np.intp)
-        self.neg_row = np.full(t.n_vertices, n_w, dtype=np.intp)
-        self.suffix_rows = []
-        s_at, _ = t.sibling_measures
+        s_at, _ = t.sibling_measures()
         m = t.measure
         sure = np.ones(n_w, dtype=bool)
         with np.errstate(all="ignore"):  # the exact checks judge what overflows here
-            for j, (parents, kids, prev) in enumerate(t.sibling_slots, start=1):
+            for j, (parents, kids, _) in enumerate(t.sibling_slots, start=1):
                 rows = first_row[parents] + (j - 1)
                 s = s_at[kids]
                 nu = m[kids]
@@ -80,14 +76,9 @@ class WaveletBasis:
                 self.index[rows] = j
                 self.pos_val[rows] = a
                 self.neg_val[rows] = b
-                self.pos_row[prev] = rows
-                self.neg_row[kids] = rows
-                if j >= 2:
-                    self.suffix_rows.insert(0, rows)
                 sure[rows] = _surely_pass(j, a, b, s, nu)
         for k in np.flatnonzero(~sure).tolist():  # canonical order: the first failure is named
             self._check_exactly(k)
-        self._wavelet_matrix = None
 
     def __len__(self) -> int:
         return len(self.pos_val)
@@ -110,13 +101,14 @@ class WaveletBasis:
         """Leaf values sum_k coeffs[..., k] psi_k, in leaf_order indexing.
 
         ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
-        has shape (..., n_leaves).  Costs O(n_vertices) per row: each child
-        ball gets its value from per-parent suffix sums over j, and the
-        values are then accumulated top-down over ``BallTree.child_runs``,
-        each level adding its parents' values to their child runs in one
-        step.  The pad of the runs points at a cell past the last vertex;
-        what lands there is never read into a vertex.  The sums run with the
-        wavelet and vertex axis first, so a batch of rows moves as one block
+        has shape (..., n_leaves).  Costs O(n_vertices) per row.  A walk over
+        ``BallTree.sibling_slots`` from the last slot j down, w the
+        coefficients of wavelet j, sets child j - 1 to child j plus w pos_val,
+        the suffix of the positive values, and adds w neg_val to child j, its
+        own value; a walk down ``BallTree.child_runs`` then adds each level's
+        parents to their child runs in one step.  The pad of the runs points
+        at a cell past the last vertex, never read into a vertex.  The sums
+        run with the vertex axis first, so a batch of rows moves as one block
         per index, and the result is transposed once at the end.
         """
         c = np.asarray(coeffs, dtype=float)
@@ -126,33 +118,30 @@ class WaveletBasis:
         c = np.moveaxis(c, -1, 0)  # (n_wavelets, ...): a view, and c itself for one row
         batch = c.shape[1:]
         along = (slice(None),) + (None,) * len(batch)  # a per-wavelet table against the batch
-        pos = np.zeros((n_w + 1,) + batch)
-        neg = np.zeros((n_w + 1,) + batch)
-        np.multiply(c, self.pos_val[along], out=pos[:n_w])
-        np.multiply(c, self.neg_val[along], out=neg[:n_w])
-        for rows in self.suffix_rows:  # j descending: row k gathers rows k+1, ... of its vertex
-            _put_rows(pos, rows - 1, pos.take(rows - 1, axis=0) + pos.take(rows, axis=0))
-        n = self.tree.n_vertices
-        acc = np.zeros((n + 1,) + batch)
-        np.add(pos.take(self.pos_row, axis=0), neg.take(self.neg_row, axis=0), out=acc[:n])
-        for parents, runs in self.tree.child_runs:
+        t = self.tree
+        acc = np.zeros((t.n_vertices + 1,) + batch)
+        for j, (parents, kids, prev) in reversed(list(enumerate(t.sibling_slots, start=1))):
+            rows = self.first_row[parents] + (j - 1)
+            w = c.take(rows, axis=0)
+            suffix = acc.take(kids, axis=0)  # the positive values of rows j + 1, ... of each parent
+            _put_rows(acc, prev, suffix + w * self.pos_val[rows][along])
+            _put_rows(acc, kids, suffix + w * self.neg_val[rows][along])
+        for parents, runs in t.child_runs:
             _put_rows(acc, runs, acc.take(runs, axis=0) + acc.take(parents, axis=0))
-        return np.ascontiguousarray(np.moveaxis(acc.take(self.tree.leaf_order, axis=0), 0, -1))
+        return np.ascontiguousarray(np.moveaxis(acc.take(t.leaf_order, axis=0), 0, -1))
 
     def wavelet_leaf_matrix(self) -> np.ndarray:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
-        if self._wavelet_matrix is None:
-            t = self.tree
-            check_dense(t.n_leaves, "wavelet matrix")
-            c = t.child_ids[t.child_first[self.vertex] + self.index]  # where row r is negative
-            W = np.zeros((len(self), t.n_leaves))
-            for r, (start, mid, end, a, b) in enumerate(zip(
-                    t.lo[self.vertex].tolist(), t.lo[c].tolist(), t.hi[c].tolist(),
-                    self.pos_val.tolist(), self.neg_val.tolist())):
-                W[r, start:mid] = a
-                W[r, mid:end] = b
-            self._wavelet_matrix = W
-        return self._wavelet_matrix
+        t = self.tree
+        check_dense(t.n_leaves, "wavelet matrix")
+        c = t.child_ids[t.child_first[self.vertex] + self.index]  # where row r is negative
+        W = np.zeros((len(self), t.n_leaves))
+        for r, (start, mid, end, a, b) in enumerate(zip(
+                t.lo[self.vertex].tolist(), t.lo[c].tolist(), t.hi[c].tolist(),
+                self.pos_val.tolist(), self.neg_val.tolist())):
+            W[r, start:mid] = a
+            W[r, mid:end] = b
+        return W
 
     def full_leaf_matrix(self) -> np.ndarray:
         """Wavelet matrix with the constant-mode row appended."""

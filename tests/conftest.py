@@ -257,14 +257,23 @@ def preorder_spectrum(t, s):
     A(root) = 0, A(v) = A(parent) + T(parent) sigma(v) with sigma the summed sibling measures,
     and lambda = A + T nu.  Returns a list over all vertices."""
     T = s.values.tolist()
-    earlier, later = t.sibling_measures
-    sigma = (earlier + later).tolist()
+    measure = t.measure.tolist()
+    sigma = [0.0] * t.n_vertices
+    for kids in children_of(t):  # running sums along the child list, as the library takes them
+        earlier = 0.0
+        for c in kids:
+            sigma[c] = earlier
+            earlier += measure[c]
+        later = 0.0
+        for c in reversed(kids):
+            sigma[c] += later
+            later += measure[c]
     A = [0.0] * t.n_vertices
     parent = t.parent.tolist()
     for v in t.interior[1:].tolist():  # preorder: parent precedes child
         p = parent[v]
         A[v] = A[p] + T[p] * sigma[v]
-    return [a + x * m for a, x, m in zip(A, T, t.measure.tolist())]
+    return [a + x * m for a, x, m in zip(A, T, measure)]
 
 
 def log_uniform_measures(exponent):

@@ -52,9 +52,9 @@ def test_criterion_2_spectrum_closed_form(t2):
     s2 = um.symbol_from_tree(t2)
     sp2 = um.spectrum(t2, s2)
     ids = t2.name_to_id
-    anchors = (abs(sp2.lam[ids["R"]] - 1.0) <= 1e-12
-               and abs(sp2.lam[ids["A"]] - 1.5) <= 1e-12
-               and abs(sp2.lam[ids["B"]] - 1.5) <= 1e-12)
+    anchors = (abs(sp2[ids["R"]] - 1.0) <= 1e-12
+               and abs(sp2[ids["A"]] - 1.5) <= 1e-12
+               and abs(sp2[ids["B"]] - 1.5) <= 1e-12)
     worst = 0.0
     for t, s in _random_suite(range(1, 31), max_depth=3, max_branching=4):
         assert t.n_leaves <= 128
@@ -65,7 +65,7 @@ def test_criterion_2_spectrum_closed_form(t2):
         got = np.sort(np.linalg.eigvalsh((B + B.T) / 2))
         want = [0.0]
         for I in t.interior:
-            want.extend([sp.lam[I]] * (int(t.child_count[I]) - 1))
+            want.extend([sp[I]] * (int(t.child_count[I]) - 1))
         worst = max(worst, float(np.abs(got - np.sort(np.array(want))).max()))
     _report(2, "spectrum closed form", anchors and worst <= 1e-8,
             f"T2 anchors {'ok' if anchors else 'BAD'}, max multiset dev {worst:.3g}")
@@ -136,7 +136,7 @@ def test_criterion_6_markovianity(t2):
     f = leaf_vec(t2, a1=1.0, a2=-1.0)
     g = leaf_vec(t2, b1=1.0, b2=0.5)
     nu = t2.leaf_measures
-    lam = sp.lam[basis.vertex]
+    lam = sp[basis.vertex]
     D = np.random.default_rng(0).standard_normal((n, len(lam)))
     psi = (D / lam) @ basis.wavelet_leaf_matrix()
     u, v = psi @ (f * nu), psi @ (g * nu)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -368,7 +369,11 @@ def test_sample_needs_count(capsys, count):
 
 
 @pytest.mark.parametrize("argv", [("spectrum", T2, "--quiet"), ("kernel", T2, "--seed", "1"),
-                                  ("convergence", "--mu", "2", "--q", "0.25", "--quiet")])
+                                  ("convergence", "--mu", "2", "--q", "0.25", "--quiet"),
+                                  ("verify", "eigen", T2, "--seed", "1"),
+                                  ("verify", "ortho", T2, "--trials", "5"),
+                                  ("verify", "kernel", T2, "--seed", "3", "--trials", "9"),
+                                  ("verify", "equation", T2, "--trials", "5")])
 def test_options_a_command_does_not_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "unrecognized arguments" in err
@@ -427,6 +432,20 @@ def test_numeric_error_message(capsys, command, message):
     # the figures in the message print as Python floats, not as numpy scalars
     name, doc, *rest = command.split()
     assert run(capsys, name, str(FIXTURES / doc), *rest) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, what", [("sample", "the sample"),
+                                           ("verify equation", "the field")])
+def test_overflowing_draw_is_one_error_line(capsys, tmp_path, command, what):
+    # d / lambda is about 1e300 and the wavelet values about 1e150: the field overflows
+    out_file = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        result = run(capsys, *command.split(), "--gen", "2:3:1e-300", "--out", str(out_file))
+    message = f"error: eigenvalue 1e-300 at vertex 'R' is too small: {what} overflows\n"
+    assert result == (2, "", message)
+    assert not out_file.exists()
+    assert run(capsys, "sample", str(FIXTURES / "tiny_eigen.json"))[0] == 0  # 4.4e248 is finite
 
 
 def test_wavelet_construction_check(capsys):

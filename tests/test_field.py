@@ -54,7 +54,7 @@ def test_kernel_bruteforce_is_the_sum_over_all_rows():
     for seed, t in enumerate(random_trees(range(6))):
         sp = um.spectrum(t, random_symbol(t, seed, 1e-3, 1e3))
         basis = um.build_basis(t)
-        inv_sq = [lam ** -2 for lam in sp.lam[basis.vertex].tolist()]
+        inv_sq = [lam ** -2 for lam in sp[basis.vertex].tolist()]
         for x in t.leaf_order:
             for y in t.leaf_order:
                 full = math.fsum(inv_sq[k] * um.evaluate(basis, k, x) * um.evaluate(basis, k, y)
@@ -387,7 +387,7 @@ def test_sample_field_variance_monte_carlo(t2, t2_spectrum, t2_basis):
     n = 20000
     rng = np.random.default_rng(1234)
     W = t2_basis.wavelet_leaf_matrix()
-    lam = t2_spectrum.lam[t2_basis.vertex]
+    lam = t2_spectrum[t2_basis.vertex]
     D = rng.standard_normal((n, len(lam)))
     psi = (D / lam) @ W
     var = float(np.mean(psi[:, 0] ** 2))
@@ -657,7 +657,7 @@ def test_markov_monte_carlo(t2, t2_spectrum, t2_basis, t2_ids):
     f = leaf_vec(t2, a1=1.0, a2=-1.0)
     g = leaf_vec(t2, b1=1.0)
     nu = t2.leaf_measures
-    lam = t2_spectrum.lam[t2_basis.vertex]
+    lam = t2_spectrum[t2_basis.vertex]
     W = t2_basis.wavelet_leaf_matrix()
     D = np.random.default_rng(0).standard_normal((n, len(lam)))
     psi = (D / lam) @ W
@@ -691,7 +691,7 @@ def test_field_law_scalar_projection(t2, t2_spectrum, t2_basis):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4)
     nu = t2.leaf_measures
-    lam = t2_spectrum.lam[t2_basis.vertex]
+    lam = t2_spectrum[t2_basis.vertex]
     W = t2_basis.wavelet_leaf_matrix()
     D = np.random.default_rng(4).standard_normal((n, len(lam)))
     u = ((D / lam) @ W) @ (f * nu)

@@ -24,7 +24,7 @@ def _sym_eigvals(t, s):
 def _expected_multiset(t, sp):
     vals = [0.0]
     for I in t.interior:
-        vals.extend([sp.lam[I]] * (int(t.child_count[I]) - 1))
+        vals.extend([sp[I]] * (int(t.child_count[I]) - 1))
     return np.sort(np.array(vals))
 
 
@@ -85,9 +85,9 @@ def test_constant_symbol_is_zero_on_leaves():
 
 def test_spectrum_t2(t2, t2_symbol, t2_ids):
     sp = um.spectrum(t2, t2_symbol)
-    assert sp.lam[t2_ids["R"]] == pytest.approx(1.0, abs=1e-12)
-    assert sp.lam[t2_ids["A"]] == pytest.approx(1.5, abs=1e-12)
-    assert sp.lam[t2_ids["B"]] == pytest.approx(1.5, abs=1e-12)
+    assert sp[t2_ids["R"]] == pytest.approx(1.0, abs=1e-12)
+    assert sp[t2_ids["A"]] == pytest.approx(1.5, abs=1e-12)
+    assert sp[t2_ids["B"]] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_spectrum_rejects_symbol_of_wrong_length(t2):
@@ -114,7 +114,7 @@ def test_spectrum_constant_symbol():
         c = 0.7
         sp = um.spectrum(t, um.constant_symbol(t, c))
         for I in t.interior:
-            assert sp.lam[I] == pytest.approx(c * t.total_measure, rel=1e-12)
+            assert sp[I] == pytest.approx(c * t.total_measure, rel=1e-12)
 
 
 def test_spectrum_matches_path_sum():
@@ -123,7 +123,7 @@ def test_spectrum_matches_path_sum():
         sp = um.spectrum(t, s)
         for I in t.interior:
             ref = um.eigenvalue_path_sum(t, s, I)
-            assert sp.lam[I] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            assert sp[I] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_spectrum_recurrence_consistency():
@@ -134,7 +134,7 @@ def test_spectrum_recurrence_consistency():
         if I == t.root:
             continue
         p = t.parent[I]
-        assert sp.lam[I] - sp.lam[p] == pytest.approx(
+        assert sp[I] - sp[p] == pytest.approx(
             t.measure[I] * (s.values[I] - s.values[p]), rel=1e-12, abs=1e-15)
 
 
@@ -155,7 +155,7 @@ def test_spectrum_is_preorder_recurrence(family, data):
         with pytest.raises(um.OutOfRange):
             um.spectrum(t, s)
         return
-    assert um.spectrum(t, s).lam.tolist() == ref
+    assert um.spectrum(t, s).tolist() == ref
 
 
 def test_spectrum_is_preorder_recurrence_chain_bush_chain():
@@ -185,7 +185,7 @@ def test_spectrum_is_preorder_recurrence_chain_bush_chain():
                     [c for k in children for c in k],
                     np.random.default_rng(5).uniform(0.1, 1.0, n_leaves))
     s = random_symbol(t, 5, 0.5, 2.0)
-    assert um.spectrum(t, s).lam.tolist() == preorder_spectrum(t, s)
+    assert um.spectrum(t, s).tolist() == preorder_spectrum(t, s)
 
 
 def test_spectrum_geometric_symbol_vs_dense():
@@ -210,10 +210,10 @@ def test_spectrum_positivity():
     for seed, t in enumerate(random_trees(range(6))):
         s = random_symbol(t, 50 + seed, 0.0, 3.0)
         sp = um.spectrum(t, s)
-        assert all(l >= -1e-15 for l in sp.lam[t.interior])
+        assert all(l >= -1e-15 for l in sp[t.interior])
         s_pos = random_symbol(t, 50 + seed, 0.5, 3.0)
         sp_pos = um.spectrum(t, s_pos)
-        assert all(l > 0 for l in sp_pos.lam[t.interior])
+        assert all(l > 0 for l in sp_pos[t.interior])
 
 
 def test_self_adjointness():
@@ -248,7 +248,7 @@ def test_verify_eigen_homogeneous():
 
 def test_zero_symbol_spectrum_is_zero(t2):
     sp = um.spectrum(t2, um.constant_symbol(t2, 0.0))
-    assert all(l == 0.0 for l in sp.lam[t2.interior])
+    assert all(l == 0.0 for l in sp[t2.interior])
 
 
 # ---------------------------------------------------------------- convergence

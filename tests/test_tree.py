@@ -347,8 +347,14 @@ def test_each_per_vertex_field_is_one_array():
     t.child_toward(t.sup(x, y), x)
     t.sup_row(0)
     t.to_dict()
-    assert t.name_to_id and t.sibling_measures and t.child_runs
-    um.build_basis(t).wavelet_leaf_matrix()
+    assert t.name_to_id and t.child_runs and t.sibling_slots
+    basis = um.build_basis(t)
+    basis.wavelet_leaf_matrix()
+    um.sample_field(t, um.spectrum(t, um.constant_symbol(t, 1.0)), basis, 0)
+    # the tree caches its schedules alone, and the basis its row tables alone
+    for obj in (t, basis):
+        assert not {"sibling_measures", "pos_row", "neg_row", "suffix_rows",
+                    "_wavelet_matrix"} & set(vars(obj))
     for name in ("parent", "depth", "lo", "hi", "measure", "preorder", "interior", "leaf_order",
                  "child_count", "child_first", "child_ids"):
         assert type(getattr(t, name)) is np.ndarray, name

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import umfield as um
 
 from conftest import (broom, caterpillar, children_of, dense_row, from_children, random_trees,
-                      slot_levels_reference, split_trees, star)
+                      split_trees, star)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -204,40 +204,69 @@ def test_synthesize_wide_star():
     _assert_synthesis_matches_dense(basis, rng.standard_normal((2, len(basis))))
 
 
-def _synthesize_slot_levels(basis, coeffs):
-    """synthesize as it walked the (depth, child slot) groups, top-down: the reference."""
-    c = np.asarray(coeffs, dtype=float)
-    n_w = len(basis)
-    pos = np.zeros(c.shape[:-1] + (n_w + 1,))
-    neg = np.zeros(c.shape[:-1] + (n_w + 1,))
-    np.multiply(c, basis.pos_val, out=pos[..., :n_w])
-    np.multiply(c, basis.neg_val, out=neg[..., :n_w])
-    for rows in basis.suffix_rows:
-        pos[..., rows - 1] += pos[..., rows]
-    acc = pos[..., basis.pos_row] + neg[..., basis.neg_row]
-    for group, parents in slot_levels_reference(basis.tree):
-        acc[..., group] += acc[..., parents]
-    return acc[..., basis.tree.leaf_order]
+def _synthesize_per_vertex(basis, coeffs):
+    """synthesize one vertex at a time from its child lists and the row tables: the reference.
+
+    Child m of a vertex I with p children has the own value neg_val c of I's
+    wavelet m (none for m = 0) plus the positive values pos_val c of I's
+    wavelets m + 1, ..., p - 1, summed from p - 1 down; its value adds the
+    value of I, taken first in preorder.
+    """
+    t = basis.tree
+    c = np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0)
+    value = np.zeros((t.n_vertices,) + c.shape[1:])
+    children = children_of(t)
+    for I in t.preorder.tolist():
+        kids = children[I]
+        row = basis.first_row.item(I) - 1  # the row of wavelet j is row + j
+        suffix = np.zeros(c.shape[1:])
+        for m in range(len(kids) - 1, 0, -1):
+            value[kids[m]] = (suffix + basis.neg_val[row + m] * c[row + m]) + value[I]
+            suffix = suffix + basis.pos_val[row + m] * c[row + m]
+        if kids:
+            value[kids[0]] = suffix + value[I]
+    return np.moveaxis(value[t.leaf_order], 0, -1)
 
 
-def _assert_synthesis_bit_equal(t, rng):
+def _assert_synthesis_bit_equal(t, rng, smallest=None):
+    """synthesize against the reference on a draw and a batch of two; with ``smallest``, each
+    coefficient is scaled by 10^e, e uniform down to ``smallest``."""
     basis = um.build_basis(t)
     for shape in [(len(basis),), (2, len(basis))]:
         d = rng.standard_normal(shape)
+        if smallest is not None:
+            d *= 10.0 ** rng.uniform(smallest, 0.0, shape)
         got = basis.synthesize(d)
-        assert got.tolist() == _synthesize_slot_levels(basis, d).tolist()
+        assert got.tolist() == _synthesize_per_vertex(basis, d).tolist()
+        assert not np.signbit(got[got == 0.0]).any()  # a zero is +0 in either form
 
 
 @settings(deadline=None, max_examples=100)
 @given(t=split_trees(), seed=st.integers(0, 2 ** 32 - 1))
-def test_synthesize_bit_equal_to_slot_levels_random(t, seed):
+def test_synthesize_bit_equal_to_per_vertex_reference_random(t, seed):
     _assert_synthesis_bit_equal(t, np.random.default_rng(seed))
 
 
-def test_synthesize_bit_equal_to_slot_levels_extremes():
+# the leaf measures of one tree lie within 1e±10 of a scale between 1e-290 and 1e290, so that
+# every basis builds; the table values then reach 1e-145, and with coefficients down to 1e-320
+# their products underflow to +0 or -0
+_extreme_measure = st.shared(st.floats(-290.0, 290.0), key="scale").flatmap(
+    lambda e: st.floats(e - 10.0, e + 10.0)).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=split_trees(measure=_extreme_measure), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesize_bit_equal_to_per_vertex_reference_extreme_measures(t, seed):
+    _assert_synthesis_bit_equal(t, np.random.default_rng(seed), smallest=-320.0)
+
+
+def test_synthesize_bit_equal_to_per_vertex_reference_extremes():
     rng = np.random.default_rng(23)
     _assert_synthesis_bit_equal(caterpillar(3000, rng, symbol=False), rng)
     _assert_synthesis_bit_equal(star(300, rng, symbol=False), rng)
+    wide = star(1200, rng, symbol=False)  # past _SCREEN_MAX_J: the build takes the exact checks
+    assert wide.n_leaves > um.wavelets._SCREEN_MAX_J
+    _assert_synthesis_bit_equal(wide, rng)
     _assert_synthesis_bit_equal(um.generate_homogeneous(3, 5, 1.0), rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -300,19 +329,6 @@ def _assert_tables_match_reference(t):
     assert basis.index.tolist() == [r[1] for r in ref]
     assert basis.pos_val.tolist() == [r[2] for r in ref]   # bit for bit
     assert basis.neg_val.tolist() == [r[3] for r in ref]
-    row = {(I, j): k for k, (I, j, _, _) in enumerate(ref)}
-    pos_row, neg_row = [n_w] * t.n_vertices, [n_w] * t.n_vertices
-    children = children_of(t)
-    for I in t.interior.tolist():
-        p = len(children[I])
-        for m, c in enumerate(children[I]):
-            pos_row[c] = row[I, m + 1] if m + 1 < p else n_w
-            neg_row[c] = row[I, m] if m >= 1 else n_w
-    assert basis.pos_row.tolist() == pos_row
-    assert basis.neg_row.tolist() == neg_row
-    top = max((r[1] for r in ref), default=1)
-    assert [sorted(r.tolist()) for r in basis.suffix_rows] == \
-        [[k for k, r in enumerate(ref) if r[1] == j] for j in range(top, 1, -1)]
     first_row = [0] * t.n_vertices
     for k, (I, j, _, _) in enumerate(ref):
         if j == 1:

@@ -26,6 +26,7 @@ from . import tree as treemod
 from . import wavelets as wavmod
 from . import pdo as pdomod
 from . import field as fieldmod
+from . import float17
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -83,20 +84,78 @@ def _emit(args, *parts: str) -> None:
         sys.stdout.writelines(parts)
 
 
-def _table(header, template, order, *columns):
-    """The CSV text: the header, then the rows ``template % (column[v], ...)`` for v in order,
-    as one string per block of ``_BLOCK_ROWS`` rows, the first with the header in it; the values
-    are arguments of the format, so a "%" in a name stays."""
-    width = len(columns)
-    parts = []
-    for a in range(0, len(order), _BLOCK_ROWS):
-        rows = order[a:a + _BLOCK_ROWS]
-        cells = [None] * (width * len(rows))  # the rows' values, interleaved
-        for j, column in enumerate(columns):
-            cells[j::width] = map(column.__getitem__, rows)
-        parts.append(template * len(rows) % tuple(cells))
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+
+
+def _table(header, order, *columns):
+    """The CSV text: the header, then one row of cells ``column[v]`` for each v in ``order`` (the
+    columns are in row order if it is None), as one string per block of ``_BLOCK_ROWS`` rows, the
+    first with the header in it.
+
+    A column is a str (the same cell on every row), a list of str, an int array or a float array,
+    written as ``%s``, ``%d`` and ``%.17g`` would.  The text and int cells of a block go into its
+    row template, with "%" doubled; the float cells go in as ``float17`` fragments, and the
+    template takes their integer arguments in one ``%``.
+    """
+    # the constant text (separators, str columns) after each varying column; the last runs on
+    # to the next row's first varying cell
+    varying, glue, text = [], [], ""
+    for j, column in enumerate(columns):
+        if isinstance(column, str):
+            text += column.replace("%", "%%")
+        else:
+            glue.append(text)
+            varying.append(column)
+            text = ""
+        text += "," if j < len(columns) - 1 else "\n"
+    start = glue.pop(0)
+    glue.append(text + start)
+    n = len(varying[0]) if order is None else len(order)
+    parts = [_block(varying, glue, start, slice(a, a + _BLOCK_ROWS), order)
+             for a in range(0, n, _BLOCK_ROWS)]
     parts[:1] = [header + "".join(parts[:1])]  # a table of one block is written in one piece
     return parts
+
+
+def _block(varying, glue, start, block, order) -> str:
+    """The rows ``block`` of ``_table`` as text.  The template interleaves one list of cells per
+    varying column and per constant text that stands alone; a constant text next to a float
+    column is written around its fragments instead."""
+    rows = None if order is None else order[block]
+    pieces, args, used = [], [], []
+    before = ""
+    for i, column in enumerate(varying):
+        if rows is None:
+            values = column[block]
+        elif isinstance(column, np.ndarray):
+            values = column[rows]
+        else:
+            values = list(map(column.__getitem__, rows.tolist()))
+        if _is_float(column):
+            fragments, a_i, u_i = float17.cells(values, before, glue[i])
+            pieces.append(fragments.tolist())
+            args.append(a_i)
+            used.append(u_i)
+            before = ""
+            continue
+        if isinstance(values, np.ndarray):
+            pieces.append(list(map(str, values.tolist())))
+        elif "%" in "".join(values):
+            pieces.append([cell.replace("%", "%%") for cell in values])
+        else:
+            pieces.append(values)
+        if i + 1 < len(varying) and _is_float(varying[i + 1]):
+            before = glue[i]
+        else:
+            pieces.append([glue[i]] * len(values))
+    cells = [None] * (len(pieces) * len(pieces[0]))
+    for k, piece in enumerate(pieces):
+        cells[k::len(pieces)] = piece
+    cells[-1] = cells[-1][:len(cells[-1]) - len(start)]  # no next row after the last
+    if len(args) > 1:  # the arguments row by row
+        args, used = [np.stack(args, axis=1)], [np.stack(used, axis=1)]
+    return (start + "".join(cells)) % (tuple(args[0][used[0]].tolist()) if args else ())
 
 
 def _emit_json(args, obj) -> None:
@@ -115,9 +174,8 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t, s, lam = _load(args)
-    _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", "%s,%d,%.17g,%.17g,%.17g\n",
-                        t.interior.tolist(), t.names, t.depth.tolist(), t.measure.tolist(),
-                        s.values.tolist(), lam.tolist()))
+    _emit(args, *_table("vertex_id,depth,nu,T,lambda\n", t.interior, t.names, t.depth, t.measure,
+                        s.values, lam))
     return EXIT_OK
 
 
@@ -131,10 +189,8 @@ def cmd_wavelets(args) -> int:
     I, j = basis.vertex[k], basis.index[k]
     value = np.where(m < j, basis.pos_val[k], np.where(m == j, basis.neg_val[k], 0.0))
     names = t.names
-    _emit(args, *_table("vertex_id,j,child_id,coefficient\n", "%s,%d,%s,%.17g\n", range(len(k)),
-                        [names[v] for v in I.tolist()], j.tolist(),
-                        [names[c] for c in t.child_ids[t.child_first[I] + m].tolist()],
-                        value.tolist()))
+    _emit(args, *_table("vertex_id,j,child_id,coefficient\n", None, [names[v] for v in I.tolist()],
+                        j, [names[c] for c in t.child_ids[t.child_first[I] + m].tolist()], value))
     return EXIT_OK
 
 
@@ -143,13 +199,12 @@ def cmd_kernel(args) -> int:
     if args.pairs == "all":  # n_leaves (n_leaves + 1) / 2 rows
         treemod.check_dense(t.n_leaves, "all-pairs kernel table")
     kernel = fieldmod.covariance_kernel(t, lam)
-    K = kernel.values.tolist()
     if args.pairs == "profile":
-        parts = _table("vertex_id,nu,K\n", "%s,%.17g,%.17g\n", t.preorder.tolist(), t.names,
-                       t.measure.tolist(), K)
+        parts = _table("vertex_id,nu,K\n", t.preorder, t.names, t.measure, kernel.values)
     else:
         # a row repeats at most depth + 1 sup vertices: format each "name,K" once
-        sup_cells = [f"{name},{k:.17g}\n" for name, k in zip(t.names, K)]
+        K = "".join(_table("", None, kernel.values)).split("\n")
+        sup_cells = [f"{name},{k}\n" for name, k in zip(t.names, K)]
         leaf_cells = [t.names[x] + "," for x in t.leaf_order.tolist()]
         lines = ["x,y,sup_vertex,K\n"]
         for i, x_cell in enumerate(leaf_cells):
@@ -166,17 +221,11 @@ def cmd_sample(args) -> int:
     t, _, lam = _load(args)
     basis = wavmod.build_basis(t)
     names = list(map(t.names.__getitem__, t.leaf_order.tolist()))
-    if "%" in "".join(names):  # the names go into a %-format template
-        names = [name.replace("%", "%%") for name in names]
-    cell = ",%.17g\n"
-    lines = ["sample_index,leaf_id,value\n"]
+    parts = []
     for i in range(args.count):
-        stream = np.random.SeedSequence([args.seed, i])
-        # the rows "i,name,%.17g\n" of sample i as one template, formatted against the values alone
-        template = f"{i}," + f"{cell}{i},".join(names) + cell
-        values = fieldmod.sample_field(t, lam, basis, stream).values
-        lines.append(template % tuple(values.tolist()))
-    _emit(args, *lines)
+        values = fieldmod.sample_field(t, lam, basis, np.random.SeedSequence([args.seed, i])).values
+        parts += _table("" if i else "sample_index,leaf_id,value\n", None, str(i), names, values)
+    _emit(args, *parts)
     return EXIT_OK
 
 
@@ -344,6 +393,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy would refuse it only after the tree is loaded
+            raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (_CliError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,9 +30,10 @@ from .tree import BallTree, check_dense
 
 _BUILD_RTOL = 1e-12   # zero-mean / unit-norm check at construction
 _CHECK_TOL = 1e-10    # projector identity check
-# The screen in _surely_pass bounds its error by (j + 2) roundings, so it
-# decides alone only up to this j; wider wavelets take the exact checks.
-_SCREEN_MAX_J = 1000
+# The screen in _surely_pass errs by at most (j + 2) roundings of 2^-53 and
+# passes within a tenth of the tolerance, so it decides alone for every j with
+# (j + 2) 2^-53 <= 0.9 _BUILD_RTOL (8104); wider wavelets take the exact checks.
+_SCREEN_MAX_J = int(0.9 * _BUILD_RTOL * 2 ** 53) - 2
 
 
 class WaveletBasis:
@@ -84,12 +85,16 @@ class WaveletBasis:
         return len(self.pos_val)
 
     def _check_exactly(self, k: int) -> None:
-        """Zero mean and unit norm of wavelet k, as exact sums over its child balls."""
+        """Zero mean and unit norm of wavelet k, as exact sums over its child balls.
+
+        Only the first j + 1 children enter: the coefficients after child j are 0.0 and add
+        nothing to the sums.
+        """
         t = self.tree
         I, j = self.vertex.item(k), self.index.item(k)
         a = t.child_first.item(I)
-        nu = t.measure[t.child_ids[a:a + t.child_count.item(I)]].tolist()
-        coeffs = _helmert_coeffs(len(nu), j, float(self.pos_val[k]), float(self.neg_val[k]))
+        nu = t.measure[t.child_ids[a:a + j + 1]].tolist()
+        coeffs = (float(self.pos_val[k]),) * j + (float(self.neg_val[k]),)
         mean = math.fsum(c * m for c, m in zip(coeffs, nu))
         norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
         if abs(mean) > _BUILD_RTOL * math.fsum(abs(c) * m for c, m in zip(coeffs, nu)):
@@ -163,20 +168,16 @@ def _put_rows(a, at, values) -> None:
     a[at] = values
 
 
-def _helmert_coeffs(p: int, j: int, a: float, b: float) -> tuple[float, ...]:
-    """Per-child values of wavelet j at a vertex with p children."""
-    return (a,) * j + (b,) + (0.0,) * (p - 1 - j)
-
-
 def _surely_pass(j: int, a, b, s, nu) -> np.ndarray:
     """Which wavelets of index j pass both construction checks for sure.
 
     The checks take exact sums of the rounded per-child terms a nu_i (i < j),
     b nu_j and their squares.  The closed forms a s + b nu, |a| s + |b| nu and
-    a^2 s + b^2 nu differ from those sums by at most j + 2 roundings of the
-    scale (underflowed terms add under 1e-320 each), under 1.2e-13 of it for
-    j <= _SCREEN_MAX_J.  A wavelet within a tenth of the tolerance on the
-    closed forms therefore passes the exact checks; the others take them.
+    a^2 s + b^2 nu differ from those sums by at most j + 2 roundings of 2^-53
+    of the scale (underflowed terms add under 1e-320 each).  A wavelet within
+    a tenth of the tolerance on the closed forms therefore passes the exact
+    checks as long as (j + 2) 2^-53 <= 0.9 _BUILD_RTOL, which is what sets
+    _SCREEN_MAX_J (8104); the others take them.
     """
     if j > _SCREEN_MAX_J:
         return np.zeros(len(a), dtype=bool)

@@ -1,13 +1,15 @@
 import json
+import math
 import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import umfield as um
-from umfield import field
+from umfield import cli, field
 from umfield.cli import main
 from umfield.tree import load_tree
 
@@ -359,6 +361,28 @@ def test_verify_rejects_bad_tol(capsys, tol):
     code, out, err = run(capsys, "verify", "eigen", T2, "--tol", tol)
     assert code == 2 and out == ""
     assert err == f"error: --tol must be a finite non-negative number, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-cov", "verify markov", "verify equation"])
+def test_seed_must_be_non_negative(capsys, command):
+    # the document does not exist: the seed is refused before the tree is loaded
+    code, out, err = run(capsys, *command.split(), "missing.json", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_table_cells(monkeypatch):
+    names = ["a%d", "%", "b%%s", "c"]
+    depth = np.array([1, -2, 30, 4])
+    x = np.array([0.5, -1e-300, 1234.5625, math.nan])
+    want = "h%\n" + "".join(f"0%,{names[v]},{depth[v]},{x[v]:.17g},{x[v]:.17g},z\n"
+                             for v in (2, 0, 3, 1))
+    for rows in (2 ** 16, 3, 1):  # one block, and blocks that split the rows
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        parts = cli._table("h%\n", np.array([2, 0, 3, 1]), "0%", names, depth, x, x, "z")
+        assert "".join(parts) == want and len(parts) == -(-4 // rows)
+    assert "".join(cli._table("h\n", None, x)) == "h\n" + "".join(f"{v:.17g}\n" for v in x)
+    assert cli._table("h\n", np.array([], dtype=int), names, x) == ["h\n"]
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

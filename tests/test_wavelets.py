@@ -264,8 +264,8 @@ def test_synthesize_bit_equal_to_per_vertex_reference_extremes():
     rng = np.random.default_rng(23)
     _assert_synthesis_bit_equal(caterpillar(3000, rng, symbol=False), rng)
     _assert_synthesis_bit_equal(star(300, rng, symbol=False), rng)
-    wide = star(1200, rng, symbol=False)  # past _SCREEN_MAX_J: the build takes the exact checks
-    assert wide.n_leaves > um.wavelets._SCREEN_MAX_J
+    wide = star(8200, rng, symbol=False)  # past _SCREEN_MAX_J: the build takes the exact checks
+    assert wide.n_leaves - 1 > um.wavelets._SCREEN_MAX_J  # its widest wavelet index
     _assert_synthesis_bit_equal(wide, rng)
     _assert_synthesis_bit_equal(um.generate_homogeneous(3, 5, 1.0), rng)
     with warnings.catch_warnings():

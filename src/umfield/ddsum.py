@@ -25,25 +25,31 @@ infinite or nan hi is never kept.  TwoSum is exact with gradual underflow,
 so subnormal terms need no care; an overflow inside a sum leaves hi
 infinite or nan.
 
-``dd_cumsum`` takes the running sums of one array along it, as on a chain
-of balls, as a cascaded sum (Ogita, Rump & Oishi's Sum2, with its error terms
-summed once more):
-- s = cumsum(x), and e_i the exact TwoSum error of its step
+``dd_path_sums`` takes the sums along every root path of a tree, each vertex
+v with the path v_0 (a root), ..., v_d = v, as a cascaded sum (Ogita, Rump
+& Oishi's Sum2, with its error terms summed once more).  The tree is given
+by each element's predecessor and by a prefix pass that adds each
+predecessor's value into its successor's: ``BallTree.path_sums``, or
+``np.cumsum`` along one array, a chain.  Along one path:
+- s = the prefix sums of x, and e_i the exact TwoSum error of its step
   s_i = fl(s_{i-1} + x_i) (e_0 = 0), so x_0 + ... + x_i = s_i + E'_i with
   E'_i the exact sum of e_0 ... e_i;
-- E = cumsum(e), and r_i the exact TwoSum error of its step, so
+- E = the prefix sums of e, and r_i the exact TwoSum error of its step, so
   E'_i = E_i + (r_0 + ... + r_i) exactly;
-- err = cumsum(|r|), and (hi, lo) = TwoSum(s, E).
+- err = the prefix sums of |r|, and (hi, lo) = TwoSum(s, E).
 So X_i - (hi_i + lo_i) = r_0 + ... + r_i exactly, err_i is a float sum of
 the |r_j|, so |X_i - (hi_i + lo_i)| <= 2 err_i as above, and
 fl(hi + lo) = hi: the invariant ``dd_add`` keeps, from which ``screen``
-decides.  ``np.cumsum`` adds in order, one rounding a step, so its steps
-are the TwoSums' sums.  An overflow in a step makes that prefix's hi or err
-infinite or nan, and every later prefix's too, and ``screen`` keeps none.
+decides.  A prefix pass takes each step as one rounding
+fl(a[pred] + a[i]), the TwoSum's sum, so the step errors of all elements
+are one whole-array TwoSum against the gathered predecessors' sums, and the
+argument holds on every root path as along a chain.  An overflow in a step
+makes that prefix's hi or err infinite or nan, and every later prefix's on
+the path too, and ``screen`` keeps none.
 
 The additions write into arrays the caller owns: ``dd_add`` overwrites its
 first three arguments and takes four scratch arrays of their shape, and
-``dd_cumsum`` takes two, so a loop of additions allocates nothing.
+``dd_path_sums`` takes two, so a loop of additions allocates nothing.
 """
 
 from __future__ import annotations
@@ -94,29 +100,37 @@ def dd_add(hi, lo, err, b_hi, b_lo, b_err, work):
     two_sum(s, lo, hi, lo, z)
 
 
-def _step_errors(s, x, e, z):
-    """e[i] = s[i - 1] + x[i] - s[i] exactly, for s = cumsum(x): the TwoSum error of each step.
+def _step_errors(s, x, pred, e, a, z):
+    """e[i] = s[pred[i]] + x[i] - s[i] exactly, for s the prefix sums of x: each step's error.
 
-    The first step, 0 + x[0], is exact.  e and the scratch z are distinct
-    from s, x and each other.
+    The scratch cell of s is set to 0, the value before a first element, so
+    its step is exact.  e may be x; a and z are scratch.
     """
-    e[:1] = 0.0
-    _two_sum_error(s[:-1], x[1:], s[1:], e[1:], z[1:])
+    n = len(pred)
+    s[n] = 0.0
+    np.take(s, pred, out=a[:n], mode="wrap")  # wrap: -1 is the scratch cell, and out is unbuffered
+    _two_sum_error(a[:n], x[:n], s[:n], e[:n], z[:n])
 
 
-def dd_cumsum(x, hi, lo, err, work):
-    """(hi[i], lo[i]) and its bound err[i] for x[0] + ... + x[i], as a cascaded prefix sum.
+def dd_path_sums(x, pred, prefix, hi, lo, err, work):
+    """(hi[i], lo[i]) and its bound err[i] for the sum of x along the path to i, as a cascaded
+    prefix sum (module docstring).
 
-    The argument is in the module docstring.  hi, lo and err are
-    overwritten; x may be hi, and work is two scratch arrays of its shape.
+    Every array has a last scratch cell.  pred[i] is the element before i,
+    -1 for a first one, and ``prefix(a)`` sets a[i] = a[pred[i]] + a[i] in
+    place, each element after its predecessor (``BallTree.path_sums``).  hi,
+    lo and err are overwritten; x may be hi, and work is two scratch arrays
+    of its shape.
     """
     s, e = work
-    np.cumsum(x, out=s)
-    _step_errors(s, x, e, err)
-    np.cumsum(e, out=lo)  # E
-    _step_errors(lo, e, err, hi)  # r
-    np.abs(err, out=err)
-    np.cumsum(err, out=err)
+    np.copyto(s, x)
+    prefix(s)
+    _step_errors(s, x, pred, e, lo, err)
+    np.copyto(lo, e)
+    prefix(lo)  # E
+    _step_errors(lo, e, pred, e, hi, err)  # r
+    np.abs(e, out=err)
+    prefix(err)
     two_sum(s, lo, hi, lo, e)
 
 

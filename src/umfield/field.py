@@ -12,18 +12,17 @@ sup vertex and has the closed form
 
 with the leading term dropped when S is a leaf (leaves carry no wavelets, so
 the variance at a point is the pure ancestor sum).  ``covariance_kernel``
-evaluates it for every vertex: the ancestor sums of the interior vertices
-are taken by pointer jumping, in ceil(log2(d + 1)) whole-array rounds for d
-the largest interior depth, or, when the interior vertices are one path (a
-chain of balls, ``BallTree.is_chain``), by one cascaded prefix sum along
-it, as double-double sums that also bound what they drop; each leaf then
-takes one step from its parent's sum.  Each value the bound proves to be
-the correctly rounded sum is kept; the rest, rare, go to ``kernel_value``.
-So each value is the same correctly rounded sum as the per-vertex
-``kernel_value``.  The kernel, like the spectrum it reads, is an array over
-all vertices.  ``kernel_value`` walks the ancestors of one vertex and is
-kept as the path-sum reference; the direct sum over the wavelet rows,
-``kernel_bruteforce``, is the independent oracle.
+evaluates it for every vertex: the ancestor sums of all vertices, leaves
+included, are one cascaded prefix sum along every root path, taken by three
+calls of the tree's one root-to-leaf pass, ``BallTree.path_sums``, as
+double-double sums that also bound what they drop (``ddsum.dd_path_sums``);
+each interior vertex then adds its own term.  Each value the bound proves
+to be the correctly rounded sum is kept; the rest, rare, go to
+``kernel_value``.  So each value is the same correctly rounded sum as the
+per-vertex ``kernel_value``.  The kernel, like the spectrum it reads, is an
+array over all vertices.  ``kernel_value`` walks the ancestors of one
+vertex and is kept as the path-sum reference; the direct sum over the
+wavelet rows, ``kernel_bruteforce``, is the independent oracle.
 
 Because K depends on a pair only through its sup, every pair sum reduces to
 subtree sums.  ``bilinear_form``, the covariance of two tested functions
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddsum import dd_add, dd_cumsum, screen
+from .ddsum import dd_add, dd_path_sums, screen
 from .tree import BallTree, OutOfRange, check_dense
 from .wavelets import WaveletBasis
 from .pdo import Symbol, apply_dense
@@ -195,27 +194,18 @@ def _inv_squares(lam: np.ndarray) -> np.ndarray:
 
 
 def covariance_kernel(t: BallTree, lam: np.ndarray) -> CovarianceKernel:
-    """Kernel value at every vertex: ceil(log2(d + 1)) whole-array rounds over the interior
-    vertices, d their largest depth, or one prefix sum when they are one path, and one step
-    for the leaves.
+    """Kernel value at every vertex: one cascaded sum along every root path, then each interior
+    vertex's own term.
 
     Each non-root vertex v has the path term lambda_p^-2 (1/nu(v) - 1/nu(p))
-    of its parent p, computed as ``kernel_value`` computes it.  The path sums
-    from the root down are taken over the interior vertices by pointer
-    jumping (Wyllie; the ranking in ``tree._euler_ranks``): every interior
-    vertex adds the sum held by its current ancestor link and doubles the
-    link, the root linked to itself with sum 0, so after k rounds it holds
-    the sum of the 2^k vertices up from it.  The sums are double-double ones
-    (``ddsum.dd_add``) that also sum the magnitudes of the residuals they
-    drop into a bound; their hi, lo and bound parts are one (3, n_interior)
-    array, gathered once per round into a buffer the rounds reuse.  When the
-    interior vertices are one path (``BallTree.is_chain``), the sums are
-    prefix sums along it instead, taken by ``ddsum.dd_cumsum`` with the same
-    kind of bound and no round.  A leaf then adds its own path term to its
-    parent's sum, and an interior vertex its own term -lambda^-2 / nu, the
-    same way.  The lambda^-2 are one list comprehension of Python's
-    ``x ** -2`` unless a lambda is not positive or a square overflows, when
-    ``_inv_square`` takes them one at a time.
+    of its parent p, computed as ``kernel_value`` computes it, and the root
+    the term 0.  ``ddsum.dd_path_sums`` sums them along every root path,
+    leaves included, in three calls of ``BallTree.path_sums``, as
+    double-double sums with a bound on what they drop.  Each interior vertex
+    then adds its own term -lambda^-2 / nu by ``ddsum.dd_add``.
+    The lambda^-2 are one list comprehension of Python's ``x ** -2`` unless
+    a lambda is not positive or a square overflows, when ``_inv_square``
+    takes them one at a time.
 
     The reference value, ``kernel_value``, is fsum of the same float terms,
     and ``ddsum.screen`` keeps each value it proves equal to it (the error
@@ -229,54 +219,29 @@ def covariance_kernel(t: BallTree, lam: np.ndarray) -> CovarianceKernel:
     same vertex to blame.
     """
     n, inner, leaves = t.n_vertices, t.interior, t.leaf_order
-    k, n_leaves = len(inner), t.n_leaves
-    values = np.zeros(n)  # a one-vertex tree has the empty path sum
-    if not k:
-        return CovarianceKernel(t, values)
-    m = t.measure
-    pos = np.empty(n, dtype=np.intp)  # a vertex's place among the interior vertices
-    pos[inner] = np.arange(k)
-    up = pos.take(t.parent[inner])  # inner[0] is the root, linked to itself
-    up[0] = 0
-    at = pos.take(t.parent[leaves])
-    del pos
-    inv_m = 1.0 / m[inner]
-    inv2 = _inv_squares(lam[inner])
-    # the round buffers, sized for the leaf step: every interior vertex has two children or more
-    flat = np.empty((2, 3 * n_leaves))
-    state = flat[0, :3 * k].reshape(3, k)  # hi, lo and the bound of each interior vertex's sum
-    gathered = flat[1, :3 * k].reshape(3, k)
-    work = np.empty((4, n_leaves))
-    hi, lo, err = state
-    link = np.empty_like(up)
+    if not len(inner):  # a one-vertex tree has the empty path sum
+        return CovarianceKernel(t, np.zeros(n))
+    m, up = t.measure, t.parent
+    inv2 = np.zeros(n)  # lambda^-2 on the interior vertices
+    inv2[inner] = _inv_squares(lam[inner])
+    hi = np.empty(n + 1)  # the path terms, then their sums; the last cell is path_sums' scratch
+    lo, err = np.empty((2, n + 1))
     with np.errstate(invalid="ignore", over="ignore"):  # inf and nan go to kernel_value
-        np.subtract(inv_m, inv_m[up], out=hi)
-        hi *= inv2[up]
-        hi[0] = 0.0
-        if t.is_chain:  # one path: a running sum along it
-            dd_cumsum(hi, hi, lo, err, work[:2, :k])
-        else:
-            lo.fill(0.0)
-            err.fill(0.0)
-            for _ in range((int(t.depth.max()) - 1).bit_length()):  # leaves are the deepest
-                np.take(state, up, axis=1, out=gathered, mode="clip")  # clip: in range, unbuffered
-                dd_add(hi, lo, err, *gathered, work[:, :k])
-                np.take(up, up, out=link, mode="clip")
-                up, link = link, up
-        leaf = flat[1].reshape(3, n_leaves)
-        np.take(state, at, axis=1, out=leaf, mode="clip")
-        term = 1.0 / m[leaves]
-        term -= inv_m[at]
-        term *= inv2[at]
-        dd_add(*leaf, term, 0.0, 0.0, work)
-        values[leaves] = leaf[0]
+        inv_m = 1.0 / m
+        np.subtract(inv_m, inv_m[up], out=hi[:n])
+        hi[:n] *= inv2[up]
+        hi[t.root] = 0.0  # its parent index, -1, read the last vertex
+        own = -(inv2[inner] / m[inner])
+        del inv2, inv_m
+        dd_path_sums(hi, up, t.path_sums, hi, lo, err, np.empty((2, n + 1)))
+        values = hi[:n]
         decided = np.empty(n, dtype=bool)
-        decided[leaves] = screen(*leaf)
-        own = np.divide(inv2, m[inner], out=inv2)
-        np.negative(own, out=own)
-        dd_add(hi, lo, err, own, 0.0, 0.0, work[:, :k])
-        values[inner] = hi
-        decided[inner] = screen(hi, lo, err) & (np.abs(own) < 2.0 ** 1022)
+        decided[leaves] = screen(values[leaves], lo[leaves], err[leaves])
+        state = hi[inner], lo[inner], err[inner]
+        del lo, err
+        dd_add(*state, own, 0.0, 0.0, np.empty((4, len(inner))))
+        values[inner] = state[0]
+        decided[inner] = screen(*state) & (np.abs(own) < 2.0 ** 1022)
     order = t.preorder
     for v in order[~decided[order]].tolist():
         values[v] = kernel_value(t, lam, v)

@@ -18,10 +18,9 @@ carried down the tree:
 
 where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
-lost to cancellation against the parent's measure.  A is carried top-down
-over ``BallTree.child_runs``, one whole-array step per entry, or, on a chain
-of balls (``BallTree.is_chain``), as one cumulative sum along it.  Each A is
-the same single rounding of the same floats in either form.
+lost to cancellation against the parent's measure.  A is a sum along each
+vertex's root path, taken for all of them by the tree's one root-to-leaf
+pass, ``BallTree.path_sums``.
 
 A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
 leaves, as ``parse_tree`` reads it from the tree document
@@ -99,17 +98,13 @@ def dense_operator_matrix(t: BallTree, s: Symbol) -> np.ndarray:
 def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
     """Eigenvalues lambda as an array over all vertices, 0 on leaves.
 
-    The outer sums A are carried top-down over ``BallTree.child_runs``:
-    A[runs] = A[parents] + T[parents] sigma[runs], sigma the summed sibling
-    measures that ``BallTree.sibling_measures`` walks afresh, one whole-array
-    step per entry, whose pad cells point at a spare cell, and A is then set
-    to 0 on the leaves.  On a chain of balls (``BallTree.is_chain``) each
-    interior vertex's parent is the one before it in preorder, and A along it
-    is one ``np.cumsum`` from A(root) = 0.  Each A is the same single rounding
-    fl(A(p) + fl(T(p) sigma(c))) in either form (``np.cumsum`` adds in
-    order).  A symbol of another length than the tree's vertex count raises
-    DimensionMismatch, one with a nonzero leaf entry ValueError naming the
-    first such leaf.
+    Each non-root vertex c with parent p gets its term fl(T(p) sigma(c)),
+    sigma the summed sibling measures that ``BallTree.sibling_measures``
+    walks afresh, and ``BallTree.path_sums`` carries the outer sums A down
+    from A(root) = 0, each the single rounding fl(A(p) + fl(T(p) sigma(c)));
+    A is then set to 0 on the leaves.  A symbol of another length than the
+    tree's vertex count raises DimensionMismatch, one with a nonzero leaf
+    entry ValueError naming the first such leaf.
     """
     T = s.values
     n = t.n_vertices
@@ -120,17 +115,12 @@ def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
     earlier, later = t.sibling_measures()
-    sigma = np.zeros(n + 1)  # the last cell is the pad of the runs
-    np.add(earlier, later, out=sigma[:n])
-    A = np.zeros(n + 1)
+    A = np.zeros(n + 1)  # the last cell is the scratch cell of path_sums
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        if t.is_chain:
-            g = t.interior[1:]
-            A[g] = np.cumsum(T[t.parent[g]] * sigma[g])
-        else:
-            for parents, runs in t.child_runs:
-                A[runs] = A[parents] + T[parents] * sigma[runs]
-            A[t.leaf_order] = 0.0
+        np.add(earlier, later, out=A[:n])  # sigma, 0 at the root
+        A[:n] *= T[t.parent]  # the root's parent is -1: T there multiplies the root's sigma, 0
+        t.path_sums(A)
+        A[t.leaf_order] = 0.0
         lam = A[:n] + T * t.measure
     bad = ~np.isfinite(lam[t.interior])
     if bad.any():

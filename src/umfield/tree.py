@@ -30,14 +30,19 @@ leaf set is a contiguous run of the leaf order, given by ``lo`` and ``hi``.
 
 Each interior measure is fsum of its children's measures, the exact sum
 rounded once.  The measures are taken bottom-up over ``child_runs``, the one
-level schedule of the tree, which the spectrum, the synthesis and the Markov
-form walk too: an entry of two child rows takes one addition, its exact sum
-rounded once; a narrow entry takes fsum per parent; a wide one adds its
-children slot by slot as double-double sums (``ddsum``) and keeps every
-value the screen proves equal to fsum, calling fsum for the rest.  A chain
-of balls (``BallTree.is_chain``) of two-child vertices is one cumulative sum
-from its bottom up instead, and builds no schedule.  A measure that overflows is
+level schedule of the tree, which the Markov form walks too: an entry of two
+child rows takes one addition, its exact sum rounded once; a narrow entry
+takes fsum per parent; a wide one adds its children slot by slot as
+double-double sums (``ddsum``) and keeps every value the screen proves
+equal to fsum, calling fsum for the rest.  A chain of balls
+(``BallTree.is_chain``) of two-child vertices is one cumulative sum from its
+bottom up instead, and builds no schedule.  A measure that overflows is
 named by the per-vertex fsum loop in reversed preorder.
+
+The spectrum, the synthesis and the covariance kernel are sums along root
+paths, taken by the tree's one root-to-leaf pass ``BallTree.path_sums``:
+one cumulative sum on a chain of balls, a walk down ``child_runs`` on any
+other tree.  Only the tree decides between the two.
 
 Each per-vertex field is held once, as a numpy array, and the names are the
 one list; past the name index, the tree caches only its two schedules.  A
@@ -407,7 +412,7 @@ class BallTree:
     @property
     def is_chain(self) -> bool:
         """Whether the interior vertices form one path, each the parent of the next: a chain
-        of balls, which the passes take as one cumulative sum along it.
+        of balls, which the measures and ``path_sums`` take as one cumulative sum along it.
 
         The path holds every interior vertex when the last of them in preorder
         has depth n_interior - 1.
@@ -483,6 +488,25 @@ class BallTree:
             parents = parents[self.child_count[parents] > j]
         return out
 
+    def path_sums(self, x) -> None:
+        """In place, x[v] = x[parent(v)] + x[v] for every vertex from the root down, leaves
+        included: each vertex ends with the sum of the values on its root path.
+
+        x has n_vertices + 1 rows, the last a scratch cell for the pad of
+        ``child_runs``, and may carry a batch axis.  On a chain of balls the
+        interior vertices are one path: one ``np.cumsum`` along it and one
+        gather for the leaves.  Any other tree takes one step per entry of
+        ``child_runs``.  Each sum is the one rounding fl(x[parent] + x[v])
+        (``np.cumsum`` adds in order): the preorder loop's, bit for bit.
+        """
+        if self.is_chain:
+            path, leaves = self.interior, self.leaf_order
+            x[path] = np.cumsum(x[path], axis=0)
+            x[leaves] += x[self.parent[leaves]]
+        else:
+            for parents, runs in self.child_runs:
+                x[runs] += x[parents]
+
     def sibling_measures(self) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex, the summed measures of its earlier siblings and of its later siblings.
 
@@ -537,17 +561,17 @@ class BallTree:
         return row
 
     def child_toward(self, J: int, I: int) -> int:
-        """The unique child of J on the path from J down to its strict descendant I."""
-        if I == J:
+        """The unique child of J on the path from J down to its strict descendant I.
+
+        I lies under J when its leaf span lies inside J's, and then under the
+        last child of J whose span starts at or before I's: a binary search
+        over the ``lo`` of J's children, which rise along the child list.
+        """
+        if I == J or not self.is_ancestor_or_equal(J, I):
             raise NotDescendant(f"{self.names[I]!r} is not a strict descendant of {self.names[J]!r}")
-        parent = self.parent.item
-        v = I
-        while parent(v) != J:
-            v = parent(v)
-            if v == self.root:
-                raise NotDescendant(
-                    f"{self.names[I]!r} is not a strict descendant of {self.names[J]!r}")
-        return v
+        a = self.child_first.item(J)
+        kids = self.child_ids[a:a + self.child_count.item(J)]
+        return kids.item(np.searchsorted(self.lo[kids], self.lo.item(I), side="right") - 1)
 
     def is_ancestor_or_equal(self, a: int, d: int) -> bool:
         lo, hi = self.lo.item, self.hi.item

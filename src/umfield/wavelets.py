@@ -8,7 +8,8 @@ of the leaf-function space under the measure-weighted inner product.
 The basis is held as ``first_row`` and four flat tables with one row per
 wavelet, filled with one vectorised step per child slot;
 ``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n)
-from them and the tree's two schedules.  The oracles read the rows too:
+from them, the tree's child slots and its root-to-leaf pass
+``BallTree.path_sums``.  The oracles read the rows too:
 ``evaluate`` gives the value of row k at a leaf from the leaf spans in O(1),
 ``projector_sum_check`` sums the rows of one vertex, and the dense wavelet
 matrix, kept as the reference, writes two leaf slices per row.
@@ -110,11 +111,10 @@ class WaveletBasis:
         ``BallTree.sibling_slots`` from the last slot j down, w the
         coefficients of wavelet j, sets child j - 1 to child j plus w pos_val,
         the suffix of the positive values, and adds w neg_val to child j, its
-        own value; a walk down ``BallTree.child_runs`` then adds each level's
-        parents to their child runs in one step.  The pad of the runs points
-        at a cell past the last vertex, never read into a vertex.  The sums
-        run with the vertex axis first, so a batch of rows moves as one block
-        per index, and the result is transposed once at the end.
+        own value; ``BallTree.path_sums`` then adds up each vertex's root
+        path, into an accumulator with its scratch cell last.  The sums run
+        with the vertex axis first, so a batch of rows moves as one block per
+        index, and the result is transposed once at the end.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self)
@@ -131,8 +131,7 @@ class WaveletBasis:
             suffix = acc.take(kids, axis=0)  # the positive values of rows j + 1, ... of each parent
             _put_rows(acc, prev, suffix + w * self.pos_val[rows][along])
             _put_rows(acc, kids, suffix + w * self.neg_val[rows][along])
-        for parents, runs in t.child_runs:
-            _put_rows(acc, runs, acc.take(runs, axis=0) + acc.take(parents, axis=0))
+        t.path_sums(acc)
         return np.ascontiguousarray(np.moveaxis(acc.take(t.leaf_order, axis=0), 0, -1))
 
     def wavelet_leaf_matrix(self) -> np.ndarray:

@@ -129,25 +129,54 @@ _prefix_term = st.one_of(_dd_part, st.sampled_from(
     [1.0, -1.0, 2.0 ** -53, 2.0 ** -106, 3 * 2.0 ** -54, 1.0 + 2.0 ** -52, 1e-300, 5e-324]))
 
 
-@settings(max_examples=500)
-@given(terms=st.lists(_prefix_term, min_size=1, max_size=40))
-def test_dd_cumsum_bounds_what_it_drops(terms):
-    x = np.array(terms)
-    hi, lo, err = np.empty((3, len(x)))
-    um.ddsum.dd_cumsum(x, hi, lo, err, np.empty((2, len(x))))
-    in_place = x.copy()  # x may be hi
-    um.ddsum.dd_cumsum(in_place, in_place, np.empty(len(x)), np.empty(len(x)),
-                       np.empty((2, len(x))))
-    assert in_place.tolist() == hi.tolist()
+def _assert_path_sums_bound(hi, lo, err, paths):
+    """Along each path of terms: hi + lo == hi, |X - hi - lo| <= 2 err for the exact sum X,
+    and every value the screen keeps is fsum of the path's terms."""
     keep = um.ddsum.screen(hi, lo, err).tolist()
-    exact = Fraction(0)
-    for i, (h, l, e) in enumerate(zip(hi.tolist(), lo.tolist(), err.tolist())):
-        exact += Fraction(terms[i])
+    for h, l, e, k, terms in zip(hi.tolist(), lo.tolist(), err.tolist(), keep, paths):
+        exact = sum(map(Fraction, terms))
         assert h + l == h
         assert abs(exact - Fraction(h) - Fraction(l)) <= 2 * e  # err is itself rounded
         assert e or exact == Fraction(h) + Fraction(l)
-        if keep[i]:
-            assert h == math.fsum(terms[:i + 1])
+        if k:
+            assert h == math.fsum(terms)
+
+
+def _cumsum(a):
+    """The prefix pass of a chain: running sums along a, its last cell the scratch cell."""
+    np.cumsum(a[:-1], out=a[:-1])
+
+
+@settings(max_examples=500)
+@given(terms=st.lists(_prefix_term, min_size=1, max_size=40))
+def test_dd_path_sums_bounds_what_it_drops(terms):
+    # along one array, a chain: each element's predecessor is the one before it
+    n = len(terms)
+    x = np.array(terms + [0.0])
+    pred = np.arange(-1, n - 1)
+    hi, lo, err = np.empty((3, n + 1))
+    um.ddsum.dd_path_sums(x, pred, _cumsum, hi, lo, err, np.empty((2, n + 1)))
+    in_place = x.copy()  # x may be hi
+    um.ddsum.dd_path_sums(in_place, pred, _cumsum, in_place, np.empty(n + 1), np.empty(n + 1),
+                          np.empty((2, n + 1)))
+    assert in_place[:n].tolist() == hi[:n].tolist()
+    _assert_path_sums_bound(hi[:n], lo[:n], err[:n], [terms[:i + 1] for i in range(n)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(t=split_trees(), data=st.data())
+def test_dd_path_sums_bounds_what_it_drops_on_trees(t, data):
+    # along every root path of a tree, taken by its root-to-leaf pass
+    n = t.n_vertices
+    terms = data.draw(st.lists(_prefix_term, min_size=n, max_size=n))
+    hi, lo, err = np.empty((3, n + 1))
+    um.ddsum.dd_path_sums(np.array(terms + [0.0]), t.parent, t.path_sums, hi, lo, err,
+                          np.empty((2, n + 1)))
+    parent = t.parent.tolist()
+    paths = [[]] * n
+    for v in t.preorder.tolist():  # a parent's path before its children's
+        paths[v] = (paths[parent[v]] if v != t.root else []) + [terms[v]]
+    _assert_path_sums_bound(hi[:n], lo[:n], err[:n], paths)
 
 
 def _count_fallbacks(monkeypatch):
@@ -172,45 +201,49 @@ def test_covariance_kernel_decides_ties_homogeneous(p, depth, monkeypatch):
     assert calls == []
 
 
-def _count_sums(monkeypatch):
-    """The calls of the one-path prefix sum and of dd_add from covariance_kernel, by name."""
-    calls = {"dd_cumsum": 0, "dd_add": 0}
-    for name in calls:
-        def counted(*args, _sum=getattr(um.field, name), _name=name):
-            calls[_name] += 1
-            return _sum(*args)
+def _count_passes(t, monkeypatch):
+    """The calls of t's root-to-leaf pass ``path_sums``, each by the length of its array."""
+    calls = []
+    path_sums = t.path_sums
 
-        monkeypatch.setattr(um.field, name, counted)
+    def counted(x):
+        calls.append(len(x))
+        return path_sums(x)
+
+    monkeypatch.setattr(t, "path_sums", counted)
     return calls
 
 
 @pytest.mark.parametrize("depth", [255, 256, 257, 1024])
 def test_covariance_kernel_round_count_caterpillar(depth, monkeypatch):
-    # the interior vertices are one path: one prefix sum, then the leaf step and the own terms
+    # the interior vertices are one path: three cumulative sums along it, no level schedule
     t = caterpillar(depth, np.random.default_rng(depth))
+    sp = um.spectrum(t, um.symbol_from_tree(t))
     calls = _count_fallbacks(monkeypatch)
-    sums = _count_sums(monkeypatch)
-    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    passes = _count_passes(t, monkeypatch)
+    assert _assert_kernel_is_path_sum(t, sp)
     assert calls == []
-    assert sums == {"dd_cumsum": 1, "dd_add": 2}
+    assert passes == [t.n_vertices + 1] * 3
+    assert "child_runs" not in vars(t)
 
 
 @pytest.mark.parametrize("depth", [255, 256, 257, 1024])
 def test_covariance_kernel_round_count_branched_caterpillar(depth, monkeypatch):
-    # one interior side branch: pointer jumping, and at depths around 2^k one round fewer
-    # misses a term
+    # one interior side branch: the same three passes, each a walk down the level schedule
     t = caterpillar(depth, np.random.default_rng(depth), branch=True)
+    sp = um.spectrum(t, um.symbol_from_tree(t))
     calls = _count_fallbacks(monkeypatch)
-    sums = _count_sums(monkeypatch)
-    assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.symbol_from_tree(t)))
+    passes = _count_passes(t, monkeypatch)
+    assert _assert_kernel_is_path_sum(t, sp)
     assert calls == []
-    assert sums == {"dd_cumsum": 0, "dd_add": (depth - 1).bit_length() + 2}
+    assert passes == [t.n_vertices + 1] * 3
+    assert not t.is_chain
 
 
 @settings(deadline=None, max_examples=100)
 @given(t=chains())
 def test_covariance_kernel_is_path_sum_chain(t):
-    assert t.is_chain  # the measures and the spectrum take one cumulative sum
+    assert t.is_chain  # the measures and the root-to-leaf passes take one cumulative sum
     try:
         sp = um.spectrum(t, um.symbol_from_tree(t))
     except um.OutOfRange:
@@ -248,7 +281,7 @@ def test_covariance_kernel_chain_overflowing_inverse_square_names_vertex():
     lambda: star(300, np.random.default_rng(33), symbol=False),
 ], ids=["one-vertex", "star"])
 def test_covariance_kernel_zero_rounds(make, monkeypatch):
-    # no interior vertex below the root: no pointer-jumping round, and every leaf takes one step
+    # no interior vertex below the root: each root path is the root and at most one leaf
     t = make()
     calls = _count_fallbacks(monkeypatch)
     assert _assert_kernel_is_path_sum(t, um.spectrum(t, um.constant_symbol(t, 1.5)))

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import json
 import math
 
@@ -134,6 +135,40 @@ def test_child_toward(t2, t2_ids):
         t2.child_toward(i["A"], i["b1"])
     with pytest.raises(um.NotDescendant):
         t2.child_toward(i["A"], i["A"])
+
+
+def test_child_toward_from_an_ancestor_raises():
+    # the root is no descendant of vertex 4, the root's second child; a walk up from the root
+    # would read the parent of index -1, the last vertex, whose parent is 4
+    t = um.generate_homogeneous(2, 2, 1.0)
+    with pytest.raises(um.NotDescendant):
+        t.child_toward(4, 0)
+    with pytest.raises(um.NotDescendant):
+        t.child_toward(4, 1)
+
+
+def _child_toward_reference(t, J, I):
+    """The child of J on the path down to I by a walk up the parents from I; None if there is
+    none."""
+    v = I
+    while v != -1:
+        p = t.parent.item(v)
+        if p == J:
+            return v
+        v = p
+    return None
+
+
+@settings(deadline=None, max_examples=50)
+@given(t=split_trees())
+def test_child_toward_matches_parent_walk(t):
+    for J, I in itertools.product(range(t.n_vertices), repeat=2):
+        ref = _child_toward_reference(t, J, I)
+        if ref is None:
+            with pytest.raises(um.NotDescendant):
+                t.child_toward(J, I)
+        else:
+            assert t.child_toward(J, I) == ref
 
 
 def test_distance_examples(t2, t2_ids):
@@ -456,6 +491,31 @@ def test_narrow_group_mixing_two_and_three_children_is_fsum(seed, ties):
     t = from_children([f"v{u}" for u in range(len(children))], children,
                       dict(zip(leaves, m.tolist())))
     _assert_measures_are_fsum(t)
+
+
+def _path_sums_reference(t, x):
+    """x[v] = x[parent] + x[v] one vertex at a time, in preorder."""
+    x = x.copy()
+    parent = t.parent.tolist()
+    for v in t.preorder.tolist()[1:]:
+        x[v] = x[parent[v]] + x[v]
+    return x
+
+
+@settings(deadline=None, max_examples=30)
+@pytest.mark.parametrize("family", [split_trees(), chains(), hung_caterpillars(), wide_stars()],
+                         ids=["split", "chain", "hung-caterpillar", "star"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_path_sums_is_the_preorder_loop(family, batch, data, seed):
+    # values of many magnitudes, so that the order of the additions shows in the rounding
+    t = data.draw(family)
+    rng = np.random.default_rng(seed)
+    shape = (t.n_vertices + 1,) + batch
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    ref = _path_sums_reference(t, x)
+    t.path_sums(x)
+    assert x[:-1].tolist() == ref[:-1].tolist()
 
 
 def test_is_chain():

@@ -124,9 +124,11 @@ def kernel_value(t: BallTree, lam: np.ndarray, S: int) -> float:
     """Kernel value at vertex S from its own ancestor walk (leaf S gives the point variance).
 
     The path-sum reference for ``covariance_kernel``, and the one place that
-    names the vertex to blame when a value cannot be computed.
+    names the vertex to blame when a value cannot be computed: the vertex of
+    the first term that is not finite, else of the largest term, from the
+    (vertex, term) pairs of the walk.
     """
-    terms = []
+    pairs = []
     I = S
     lam_at, measure, parent = lam.item, t.measure.item, t.parent.item
     try:  # float ** raises OverflowError when lambda_I^-2 leaves the float range
@@ -134,41 +136,29 @@ def kernel_value(t: BallTree, lam: np.ndarray, S: int) -> float:
             lam_v = lam_at(S)
             if lam_v <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[S]!r} is not positive")
-            terms.append(-(lam_v ** -2) / measure(S))
+            pairs.append((S, -(lam_v ** -2) / measure(S)))
         below = S
         I = parent(S)
         while I != -1:
             lam_v = lam_at(I)
             if lam_v <= 0.0:
                 raise ZeroEigenvalue(f"eigenvalue at vertex {t.names[I]!r} is not positive")
-            terms.append(lam_v ** -2 * (1.0 / measure(below) - 1.0 / measure(I)))
+            pairs.append((I, lam_v ** -2 * (1.0 / measure(below) - 1.0 / measure(I))))
             below = I
             I = parent(I)
     except OverflowError:
         raise ZeroEigenvalue(f"eigenvalue {lam_v!r} at vertex {t.names[I]!r} is too small: "
                              "its inverse square overflows") from None
     try:  # an infinite term reaches fsum as inf, or as ValueError for -inf + inf
-        k = math.fsum(terms)
+        k = math.fsum(x for _, x in pairs)
     except (ValueError, OverflowError):
         k = math.nan
     if not math.isfinite(k):
-        I = _overflowing_term_vertex(t, S, terms)
-        lam_v = lam_at(I)
-        raise ZeroEigenvalue(f"eigenvalue {lam_v!r} at vertex {t.names[I]!r} is too small: "
+        bad = [v for v, x in pairs if not math.isfinite(x)]
+        I = bad[0] if bad else max(pairs, key=lambda vx: abs(vx[1]))[0]
+        raise ZeroEigenvalue(f"eigenvalue {lam_at(I)!r} at vertex {t.names[I]!r} is too small: "
                              f"the kernel value at vertex {t.names[S]!r} overflows")
     return k
-
-
-def _overflowing_term_vertex(t: BallTree, S: int, terms: list) -> int:
-    """The vertex of the first non-finite term of kernel_value(S), else of the largest one."""
-    chain = [] if t.is_leaf(S) else [S]
-    parent = t.parent.item
-    I = parent(S)
-    while I != -1:
-        chain.append(I)
-        I = parent(I)
-    bad = [v for v, x in zip(chain, terms) if not math.isfinite(x)]
-    return bad[0] if bad else max(zip(chain, terms), key=lambda vx: abs(vx[1]))[0]
 
 
 def _inv_square(lam: float) -> float:

@@ -99,12 +99,13 @@ def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
     """Eigenvalues lambda as an array over all vertices, 0 on leaves.
 
     Each non-root vertex c with parent p gets its term fl(T(p) sigma(c)),
-    sigma the summed sibling measures that ``BallTree.sibling_measures``
-    walks afresh, and ``BallTree.path_sums`` carries the outer sums A down
-    from A(root) = 0, each the single rounding fl(A(p) + fl(T(p) sigma(c)));
-    A is then set to 0 on the leaves.  A symbol of another length than the
-    tree's vertex count raises DimensionMismatch, one with a nonzero leaf
-    entry ValueError naming the first such leaf.
+    sigma the summed measures of c's earlier and later siblings from
+    ``BallTree.sibling_sums``, and ``BallTree.path_sums`` carries the outer
+    sums A down from A(root) = 0, each the single rounding
+    fl(A(p) + fl(T(p) sigma(c))); A is then set to 0 on the leaves.  A
+    symbol of another length than the tree's vertex count raises
+    DimensionMismatch, one with a nonzero leaf entry ValueError naming the
+    first such leaf.
     """
     T = s.values
     n = t.n_vertices
@@ -114,7 +115,7 @@ def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
     if on_leaf.any():
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
-    earlier, later = t.sibling_measures()
+    earlier, later = t.sibling_sums(t.measure)
     A = np.zeros(n + 1)  # the last cell is the scratch cell of path_sums
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         np.add(earlier, later, out=A[:n])  # sigma, 0 at the root

@@ -42,7 +42,11 @@ named by the per-vertex fsum loop in reversed preorder.
 The spectrum, the synthesis and the covariance kernel are sums along root
 paths, taken by the tree's one root-to-leaf pass ``BallTree.path_sums``:
 one cumulative sum on a chain of balls, a walk down ``child_runs`` on any
-other tree.  Only the tree decides between the two.
+other tree.  Only the tree decides between the two.  Its one sibling scan,
+``BallTree.sibling_sums``, gives every vertex the running sums of a
+per-vertex array over its earlier and over its later siblings, one walk each
+over ``sibling_slots``: the spectrum's sibling measures, the basis tables'
+prefix measures and the synthesis's suffix sums.
 
 Each per-vertex field is held once, as a numpy array, and the names are the
 one list; past the name index, the tree caches only its two schedules.  A
@@ -471,19 +475,16 @@ class BallTree:
         return out
 
     @functools.cached_property
-    def sibling_slots(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per child slot j = 1, 2, ...: the vertices with more than j children, their
-        children at slot j and their children at slot j - 1.
-
-        A pass that goes over the slots in order (or in reverse) runs along every
-        child list at once, one vectorised step per slot.
+    def sibling_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per child slot j = 1, 2, ...: ``(kids, prev)``, the children at slot j and at slot
+        j - 1 of the vertices with more than j children; ``sibling_sums`` walks them.
         """
         out = []
         parents = np.flatnonzero(self.child_count > 1)
         j = 1
         while len(parents):
             at = self.child_first[parents] + j
-            out.append((parents, self.child_ids[at], self.child_ids[at - 1]))
+            out.append((self.child_ids[at], self.child_ids[at - 1]))
             j += 1
             parents = parents[self.child_count[parents] > j]
         return out
@@ -507,20 +508,24 @@ class BallTree:
             for parents, runs in self.child_runs:
                 x[runs] += x[parents]
 
-    def sibling_measures(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per vertex, the summed measures of its earlier siblings and of its later siblings.
+    def sibling_sums(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Per vertex, the running sums of x over its earlier siblings and over its later ones.
 
-        Each is a running float sum along the child list, left to right for the
-        earlier and right to left for the later siblings; the root has 0 for both.
-        Each call walks ``sibling_slots`` afresh: the tree keeps no sums.
+        x has the vertex axis first, may have rows past the last vertex (their
+        sums are 0), and may carry a batch axis.  One walk over
+        ``sibling_slots`` per sum: the earlier sums add left to right along
+        every child list at once, earlier[c_j] = earlier[c_(j-1)] + x[c_(j-1)],
+        and the later sums right to left, later[c_(j-1)] = later[c_j] + x[c_j].
+        A first child has earlier sum 0, a last child later sum 0, and the
+        root both.  The gathers are ``take``s, which copy each row of a batch
+        as one block, several times faster than fancy indexing does.
         """
-        m = self.measure
-        earlier = np.zeros(self.n_vertices)
-        later = np.zeros(self.n_vertices)
-        for _, kids, prev in self.sibling_slots:
-            earlier[kids] = earlier[prev] + m[prev]
-        for _, kids, prev in reversed(self.sibling_slots):
-            later[prev] = later[kids] + m[kids]
+        earlier = np.zeros(x.shape)
+        later = np.zeros(x.shape)
+        for kids, prev in self.sibling_slots:
+            earlier[kids] = earlier.take(prev, axis=0) + x.take(prev, axis=0)
+        for kids, prev in reversed(self.sibling_slots):
+            later[prev] = later.take(kids, axis=0) + x.take(kids, axis=0)
         return earlier, later
 
     # ---------------------------------------------------------------- queries

@@ -5,14 +5,15 @@ are constant on the child balls and supported inside I; together with the
 constant mode (total measure is finite here) they form an orthonormal basis
 of the leaf-function space under the measure-weighted inner product.
 
-The basis is held as ``first_row`` and four flat tables with one row per
-wavelet, filled with one vectorised step per child slot;
+The basis is held as four flat tables with one row per wavelet, each a
+closed-form function of the row's child and the summed measure of that
+child's earlier siblings, from ``BallTree.sibling_sums``.
 ``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n)
-from them, the tree's child slots and its root-to-leaf pass
-``BallTree.path_sums``.  The oracles read the rows too:
-``evaluate`` gives the value of row k at a leaf from the leaf spans in O(1),
-``projector_sum_check`` sums the rows of one vertex, and the dense wavelet
-matrix, kept as the reference, writes two leaf slices per row.
+from them: a scatter onto the rows' children, the tree's later-sibling sums
+and its root-to-leaf pass ``BallTree.path_sums``.  The oracles read the rows
+too: ``evaluate`` gives the value of row k at a leaf from the leaf spans in
+O(1), ``projector_sum_check`` sums the rows of one vertex, and the dense
+wavelet matrix, kept as the reference, writes two leaf slices per row.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -41,64 +42,68 @@ class WaveletBasis:
     """All wavelets of a tree plus the constant mode, in canonical order.
 
     Canonical order: interior vertices in depth-first preorder, then j
-    ascending within a vertex; the constant mode sits last.  Row k of the
-    tables is wavelet ``index[k]`` of vertex ``vertex[k]``.  With s the summed
-    measure of the vertex's first j children, nu that of child j (from 0) and
-    alpha = (1/s + 1/nu)^(-1/2), it is ``pos_val[k]`` = alpha/s on the first j
-    children and ``neg_val[k]`` = -alpha/nu on child j.  The rows of vertex I
-    are ``first_row[I]`` to ``first_row[I] + p - 2``, p its number of children.
-    These five arrays are all the basis holds: the parents of slot j in
-    ``BallTree.sibling_slots`` have wavelet j at ``first_row[parents] + j - 1``.
+    ascending within a vertex; the constant mode sits last.  Row k is wavelet
+    j = ``index[k]`` of vertex ``vertex[k]``, whose child j (from 0) is
+    ``child[k]``.  With s the summed measure of the first j children, nu that
+    of child j and alpha = (1/s + 1/nu)^(-1/2), it is ``pos_val[k]`` = alpha/s
+    on the first j children and ``neg_val[k]`` = -alpha/nu on child j.  These
+    four row tables are all the basis holds.  The rows of vertex I are
+    ``first_row[I]`` to ``first_row[I] + p - 2``, p its number of children;
+    ``first_row`` and ``index`` are computed from the tree's child counts on
+    each access.
     """
 
     def __init__(self, tree: BallTree):
         t = self.tree = tree
         self.constant_value = 1.0 / math.sqrt(tree.total_measure)
         interior = t.interior
-        n_here = t.child_count[interior] - 1
-        n_w = int(n_here.sum())
-        first_row = self.first_row = np.zeros(t.n_vertices, dtype=np.intp)
-        first_row[interior] = np.cumsum(n_here) - n_here
-        self.vertex = np.empty(n_w, dtype=np.intp)
-        self.index = np.empty(n_w, dtype=np.intp)
-        self.pos_val = np.empty(n_w)
-        self.neg_val = np.empty(n_w)
-        s_at, _ = t.sibling_measures()
-        m = t.measure
-        sure = np.ones(n_w, dtype=bool)
+        self.vertex = np.repeat(interior, t.child_count[interior] - 1)
+        index = self.index
+        child = self.child = t.child_ids[t.child_first[self.vertex] + index]
+        s = t.sibling_sums(t.measure)[0][child]
+        nu = t.measure[child]
         with np.errstate(all="ignore"):  # the exact checks judge what overflows here
-            for j, (parents, kids, _) in enumerate(t.sibling_slots, start=1):
-                rows = first_row[parents] + (j - 1)
-                s = s_at[kids]
-                nu = m[kids]
-                alpha = 1.0 / np.sqrt(1.0 / s + 1.0 / nu)
-                a = alpha / s
-                b = -alpha / nu
-                self.vertex[rows] = parents
-                self.index[rows] = j
-                self.pos_val[rows] = a
-                self.neg_val[rows] = b
-                sure[rows] = _surely_pass(j, a, b, s, nu)
-        for k in np.flatnonzero(~sure).tolist():  # canonical order: the first failure is named
-            self._check_exactly(k)
+            alpha = 1.0 / np.sqrt(1.0 / s + 1.0 / nu)
+            a = self.pos_val = alpha / s
+            b = self.neg_val = -alpha / nu
+            sure = _surely_pass(index, a, b, s, nu)
+            for k in np.flatnonzero(~sure).tolist():  # canonical order: the first failure is named
+                self._check_exactly(k, index.item(k))
 
     def __len__(self) -> int:
         return len(self.pos_val)
 
-    def _check_exactly(self, k: int) -> None:
-        """Zero mean and unit norm of wavelet k, as exact sums over its child balls.
+    @property
+    def first_row(self) -> np.ndarray:
+        """Per vertex, the row of its wavelet 1; 0 on the leaves."""
+        t = self.tree
+        n_here = t.child_count[t.interior] - 1
+        first_row = np.zeros(t.n_vertices, dtype=np.intp)
+        first_row[t.interior] = np.cumsum(n_here) - n_here
+        return first_row
+
+    @property
+    def index(self) -> np.ndarray:
+        """Per row, its wavelet's index j within its vertex, from 1."""
+        return np.arange(len(self.vertex)) - self.first_row[self.vertex] + 1
+
+    def _check_exactly(self, k: int, j: int) -> None:
+        """Zero mean and unit norm of wavelet k, wavelet j of its vertex, as exact sums over its
+        child balls.
 
         Only the first j + 1 children enter: the coefficients after child j are 0.0 and add
-        nothing to the sums.
+        nothing to the sums.  The per-child terms are numpy products over that slice, the
+        same floats as scalar products, summed by fsum.
         """
         t = self.tree
-        I, j = self.vertex.item(k), self.index.item(k)
+        I = self.vertex.item(k)
         a = t.child_first.item(I)
-        nu = t.measure[t.child_ids[a:a + j + 1]].tolist()
-        coeffs = (float(self.pos_val[k]),) * j + (float(self.neg_val[k]),)
-        mean = math.fsum(c * m for c, m in zip(coeffs, nu))
-        norm = math.fsum(c * c * m for c, m in zip(coeffs, nu))
-        if abs(mean) > _BUILD_RTOL * math.fsum(abs(c) * m for c, m in zip(coeffs, nu)):
+        nu = t.measure[t.child_ids[a:a + j + 1]]
+        c = np.full(j + 1, self.pos_val[k])
+        c[j] = self.neg_val[k]
+        mean = math.fsum((c * nu).tolist())
+        norm = math.fsum((c * c * nu).tolist())
+        if abs(mean) > _BUILD_RTOL * math.fsum((np.abs(c) * nu).tolist()):
             raise ArithmeticError(f"wavelet ({t.names[I]}, {j}) not zero-mean: {mean}")
         if abs(norm - 1.0) > _BUILD_RTOL:
             raise ArithmeticError(f"wavelet ({t.names[I]}, {j}) not unit-norm: {norm}")
@@ -107,30 +112,28 @@ class WaveletBasis:
         """Leaf values sum_k coeffs[..., k] psi_k, in leaf_order indexing.
 
         ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
-        has shape (..., n_leaves).  Costs O(n_vertices) per row.  A walk over
-        ``BallTree.sibling_slots`` from the last slot j down, w the
-        coefficients of wavelet j, sets child j - 1 to child j plus w pos_val,
-        the suffix of the positive values, and adds w neg_val to child j, its
-        own value; ``BallTree.path_sums`` then adds up each vertex's root
-        path, into an accumulator with its scratch cell last.  The sums run
-        with the vertex axis first, so a batch of rows moves as one block per
-        index, and the result is transposed once at the end.
+        has shape (..., n_leaves).  Costs O(n_vertices) per row.  With w the
+        coefficients, w pos_val is scattered onto each row's child, and
+        ``BallTree.sibling_sums`` gives each child the sum over its later
+        siblings, the positive values of the wavelets after it; w neg_val is
+        added at each row's child, its own value, and ``BallTree.path_sums``
+        adds up each vertex's root path, into an accumulator with its scratch
+        cell last.  The sums run with the vertex axis first, so a batch of
+        rows moves as one block per index, and the result is transposed once
+        at the end.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self)
         if c.shape[-1:] != (n_w,):
             raise ValueError(f"expected {n_w} coefficients in the last axis, got shape {c.shape}")
         c = np.moveaxis(c, -1, 0)  # (n_wavelets, ...): a view, and c itself for one row
-        batch = c.shape[1:]
-        along = (slice(None),) + (None,) * len(batch)  # a per-wavelet table against the batch
+        along = (slice(None),) + (None,) * (c.ndim - 1)  # a per-wavelet table against the batch
         t = self.tree
-        acc = np.zeros((t.n_vertices + 1,) + batch)
-        for j, (parents, kids, prev) in reversed(list(enumerate(t.sibling_slots, start=1))):
-            rows = self.first_row[parents] + (j - 1)
-            w = c.take(rows, axis=0)
-            suffix = acc.take(kids, axis=0)  # the positive values of rows j + 1, ... of each parent
-            _put_rows(acc, prev, suffix + w * self.pos_val[rows][along])
-            _put_rows(acc, kids, suffix + w * self.neg_val[rows][along])
+        x = np.zeros((t.n_vertices + 1,) + c.shape[1:])
+        x[self.child] = c * self.pos_val[along]
+        acc = t.sibling_sums(x)[1]
+        del x  # freed before the temporaries below, so that the peak holds one array less
+        acc[self.child] = acc.take(self.child, axis=0) + c * self.neg_val[along]
         t.path_sums(acc)
         return np.ascontiguousarray(np.moveaxis(acc.take(t.leaf_order, axis=0), 0, -1))
 
@@ -138,10 +141,9 @@ class WaveletBasis:
         """Dense (n_wavelets, n_leaves) matrix of wavelet values, leaf_order indexing."""
         t = self.tree
         check_dense(t.n_leaves, "wavelet matrix")
-        c = t.child_ids[t.child_first[self.vertex] + self.index]  # where row r is negative
         W = np.zeros((len(self), t.n_leaves))
         for r, (start, mid, end, a, b) in enumerate(zip(
-                t.lo[self.vertex].tolist(), t.lo[c].tolist(), t.hi[c].tolist(),
+                t.lo[self.vertex].tolist(), t.lo[self.child].tolist(), t.hi[self.child].tolist(),
                 self.pos_val.tolist(), self.neg_val.tolist())):
             W[r, start:mid] = a
             W[r, mid:end] = b
@@ -154,21 +156,8 @@ class WaveletBasis:
         return np.vstack([W, const])
 
 
-def _put_rows(a, at, values) -> None:
-    """a[at] = values along the first axis of a C-ordered a; each row of a batch moves as one item.
-
-    numpy copies a whole row per index far faster as one opaque item than as
-    a subarray of floats.
-    """
-    if a.ndim > 1 and a.size:
-        item = np.dtype((np.void, a[0].nbytes))
-        a = a.reshape(len(a), -1).view(item).reshape(len(a))
-        values = values.reshape(at.shape + (-1,)).view(item).reshape(at.shape)
-    a[at] = values
-
-
-def _surely_pass(j: int, a, b, s, nu) -> np.ndarray:
-    """Which wavelets of index j pass both construction checks for sure.
+def _surely_pass(j, a, b, s, nu) -> np.ndarray:
+    """Which wavelets, of indices j, pass both construction checks for sure.
 
     The checks take exact sums of the rounded per-child terms a nu_i (i < j),
     b nu_j and their squares.  The closed forms a s + b nu, |a| s + |b| nu and
@@ -178,10 +167,8 @@ def _surely_pass(j: int, a, b, s, nu) -> np.ndarray:
     checks as long as (j + 2) 2^-53 <= 0.9 _BUILD_RTOL, which is what sets
     _SCREEN_MAX_J (8104); the others take them.
     """
-    if j > _SCREEN_MAX_J:
-        return np.zeros(len(a), dtype=bool)
     scale = np.abs(a) * s + np.abs(b) * nu
-    return (np.isfinite(scale) & (scale >= 1e-290)
+    return ((j <= _SCREEN_MAX_J) & np.isfinite(scale) & (scale >= 1e-290)
             & (np.abs(a * s + b * nu) <= 0.1 * _BUILD_RTOL * scale)
             & (np.abs(a * a * s + b * b * nu - 1.0) <= 0.1 * _BUILD_RTOL))
 
@@ -196,7 +183,7 @@ def evaluate(basis: WaveletBasis, k: int, x: int) -> float:
     t._check_leaf(x)
     lo = t.lo.item
     I = basis.vertex.item(k)
-    c = t.child_ids.item(t.child_first.item(I) + basis.index.item(k))
+    c = basis.child.item(k)
     i = lo(x)
     if not lo(I) <= i < t.hi.item(c):
         return 0.0

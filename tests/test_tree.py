@@ -389,7 +389,7 @@ def test_each_per_vertex_field_is_one_array():
     # the tree caches its schedules alone, and the basis its row tables alone
     for obj in (t, basis):
         assert not {"sibling_measures", "pos_row", "neg_row", "suffix_rows",
-                    "_wavelet_matrix"} & set(vars(obj))
+                    "_wavelet_matrix", "first_row", "index"} & set(vars(obj))
     for name in ("parent", "depth", "lo", "hi", "measure", "preorder", "interior", "leaf_order",
                  "child_count", "child_first", "child_ids"):
         assert type(getattr(t, name)) is np.ndarray, name
@@ -516,6 +516,38 @@ def test_path_sums_is_the_preorder_loop(family, batch, data, seed):
     ref = _path_sums_reference(t, x)
     t.path_sums(x)
     assert x[:-1].tolist() == ref[:-1].tolist()
+
+
+def _sibling_sums_reference(t, x):
+    """Per child list, the running sums of x over the earlier siblings, left to right, and over
+    the later ones, right to left, one child at a time."""
+    earlier, later = np.zeros_like(x), np.zeros_like(x)
+    for kids in children_of(t):
+        run = np.zeros(x.shape[1:])
+        for c in kids:
+            earlier[c] = run
+            run = run + x[c]
+        run = np.zeros(x.shape[1:])
+        for c in reversed(kids):
+            later[c] = run
+            run = run + x[c]
+    return earlier, later
+
+
+@settings(deadline=None, max_examples=30)
+@pytest.mark.parametrize("family", [split_trees(), chains(), hung_caterpillars(), wide_stars()],
+                         ids=["split", "chain", "hung-caterpillar", "star"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sibling_sums_is_the_child_list_loop(family, batch, data, seed):
+    # values of many magnitudes and both signs, with the scratch row that synthesis passes
+    t = data.draw(family)
+    rng = np.random.default_rng(seed)
+    shape = (t.n_vertices + 1,) + batch
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    for got, ref in zip(t.sibling_sums(x), _sibling_sums_reference(t, x)):
+        assert got.shape == shape
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()  # signed zeros too
 
 
 def test_is_chain():

@@ -327,6 +327,8 @@ def _assert_tables_match_reference(t):
     assert len(basis) == n_w
     assert basis.vertex.tolist() == [r[0] for r in ref]
     assert basis.index.tolist() == [r[1] for r in ref]
+    children = children_of(t)
+    assert basis.child.tolist() == [children[I][j] for I, j, _, _ in ref]
     assert basis.pos_val.tolist() == [r[2] for r in ref]   # bit for bit
     assert basis.neg_val.tolist() == [r[3] for r in ref]
     first_row = [0] * t.n_vertices
@@ -348,6 +350,8 @@ def test_tables_match_helmert_reference_deep_caterpillar():
 
 def test_tables_match_helmert_reference_wide_star():
     _assert_tables_match_reference(star(300, np.random.default_rng(44), symbol=False))
+    # past _SCREEN_MAX_J (8104), where the widest wavelets take the exact checks
+    _assert_tables_match_reference(star(8200, np.random.default_rng(45), symbol=False))
 
 
 def _exact_check_outcome(t):

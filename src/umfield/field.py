@@ -12,30 +12,21 @@ sup vertex and has the closed form
 
 with the leading term dropped when S is a leaf (leaves carry no wavelets, so
 the variance at a point is the pure ancestor sum).  ``covariance_kernel``
-evaluates it for every vertex: the ancestor sums of all vertices, leaves
-included, are one cascaded prefix sum along every root path, taken by three
-calls of the tree's one root-to-leaf pass, ``BallTree.path_sums``, as
-double-double sums that also bound what they drop (``ddsum.dd_path_sums``);
-each interior vertex then adds its own term.  Each value the bound proves
-to be the correctly rounded sum is kept; the rest, rare, go to
-``kernel_value``.  So each value is the same correctly rounded sum as the
-per-vertex ``kernel_value``.  The kernel, like the spectrum it reads, is an
-array over all vertices.  ``kernel_value`` walks the ancestors of one
-vertex and is kept as the path-sum reference; the direct sum over the
-wavelet rows, ``kernel_bruteforce``, is the independent oracle.
+evaluates it for every vertex, an array like the spectrum it reads, as
+cascaded prefix sums along every root path, taken by the tree's root-to-leaf
+pass ``BallTree.path_sums`` (``ddsum.dd_path_sums``), each the correctly
+rounded sum that ``kernel_value`` takes along the ancestors of one vertex.
+The direct sum over the wavelet rows, ``kernel_bruteforce``, is the
+independent oracle.
 
 Because K depends on a pair only through its sup, every pair sum reduces to
 subtree sums.  ``bilinear_form``, the covariance of two tested functions
-behind the Markov check, takes them in one bottom-up O(n) pass over the
-depth levels of ``BallTree.child_runs``, a few whole-array steps per level,
-and adds the per-vertex cross terms with one exact ``math.fsum``; the exact
-sum over all n_leaves^2 pairs is kept only as the reference in the tests.
-It also takes a batch, f and g of shape (B, n_leaves), in the same one walk
-with B columns per vertex for each of F and G, and returns one value per
-row, bit for bit the value of that row alone: the walk's numpy steps cost
-the same per level whatever B is, so ``markov_check``, the one Markov check
-(``verify markov`` reports it), draws its random trials and evaluates them
-a chunk at a time (as many per chunk as keep the walk near 2^19 cells).
+behind the Markov check, takes them in O(n) from the tree's bottom-up pass
+``BallTree.subtree_sums`` and its sibling scan ``BallTree.later_sums``; the
+exact sum over all n_leaves^2 pairs is kept only as the reference in the
+tests.  It takes a batch of B pairs of functions in the same passes, so
+``markov_check`` (``verify markov`` reports it) evaluates its random trials
+a chunk at a time, as many as keep a pass near 2^19 cells.
 
 The operator annihilates constants, so the field is fixed to have zero
 weighted mean and the constant component of the noise has no preimage; the
@@ -63,7 +54,7 @@ class PreconditionViolated(ValueError):
     pass
 
 
-# Markov trials are evaluated B at a time, one walk of 2B floats per vertex, B * n_vertices <= this
+# Markov trials are evaluated B at a time, passes of 2B floats per vertex, B * n_vertices <= this
 _MARKOV_CELLS = 2 ** 19
 
 
@@ -244,27 +235,25 @@ def kernel_bruteforce(t: BallTree, lam: np.ndarray, basis: WaveletBasis,
 
     A row of vertex I is 0 outside the ball I, so only the rows of sup(x, y)
     and its ancestors can be non-zero at both leaves.  The sum takes those
-    rows alone, each value read off the leaf spans as ``evaluate`` reads it;
+    rows alone, found along the root path by ``WaveletBasis.first_rows_up``
+    in O(depth), each value read off the leaf spans as ``evaluate`` reads it;
     the rows left out add exact zeros, which do not change the fsum.
     """
     lam_w = _lambda_vector(lam, basis)
     S = t.sup(x, y)  # checks that x and y are leaves
-    lo, hi, parent, kid = t.lo.item, t.hi.item, t.parent.item, t.child_ids.item
-    first, count, first_row = t.child_first.item, t.child_count.item, basis.first_row.item
+    lo, hi, kid = t.lo.item, t.hi.item, t.child_ids.item
+    first, count = t.child_first.item, t.child_count.item
     pos, neg, lam_at = basis.pos_val.item, basis.neg_val.item, lam_w.item
     i, j = lo(x), lo(y)
     terms = []
-    I = parent(S) if t.is_leaf(S) else S  # a leaf carries no rows
-    while I != -1:
-        k, c0 = first_row(I), first(I)
+    for I, k in basis.first_rows_up(t.parent.item(S) if t.is_leaf(S) else S):  # a leaf has no rows
         # row k is wavelet j of I: pos_val before child j, neg_val on it
-        for c in map(kid, range(c0 + 1, c0 + count(I))):
+        for c in map(kid, range(first(I) + 1, first(I) + count(I))):
             a, b = pos(k), neg(k)
             ex = a if i < lo(c) else b if i < hi(c) else 0.0
             ey = a if j < lo(c) else b if j < hi(c) else 0.0
             terms.append(lam_at(k) ** -2 * ex * ey)
             k += 1
-        I = parent(I)
     return math.fsum(terms)
 
 
@@ -295,46 +284,38 @@ def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float | np.nda
     """Double sum f(x) g(y) K(sup(x, y)) nu(x) nu(y) over all leaf pairs, in O(n_vertices).
 
     f and g are leaf vectors, or batches of shape (B, n_leaves) taken row by
-    row: a batch returns an array of B values from one walk over the tree,
-    and 1-D input returns a float.  With F and G the subtree sums of f nu and
-    g nu, the pairs whose sup is S, one leaf under a child c of S and one
-    under a later sibling, add K(S) (F(c) G(later siblings) + G(c) F(later
-    siblings)); the pair (x, x) adds K(x) F(x) G(x).  One bottom-up pass over
-    ``BallTree.child_runs`` builds F and G side by side in one array, F in
-    the first B columns and G in the last B, so a level moves each vertex's
-    row as one block: per level, one gather of the children, m - 1 row
-    additions from the last child back (``S[k] += S[k + 1]``), which give
-    each child its later-sibling sums and each parent its own, and one
-    product for both cross terms.  No term exceeds the absolute sum over the
-    pairs it stands for, and each row's nonzero terms go into one exact
-    fsum, so analytic cancellations (the Markov factorization) survive in
-    floating point.  Each sum runs from the last child to the first, one
-    level at a time, so no term depends on how a level's parents are grouped
-    or ordered, nor on the other rows of the batch.
+    row: a batch returns an array of B values, and 1-D input returns a float.
+    With F and G the subtree sums of f nu and g nu, the pairs whose sup is S,
+    one leaf under a child c of S and one under a later sibling, add K(S)
+    (F(c) G(later siblings) + G(c) F(later siblings)); the pair (x, x) adds
+    K(x) F(x) G(x).  F and G sit side by side, B columns each, so that the
+    tree's passes move a vertex's row as one block, and the cross terms,
+    fl(fl(K F(c)) G(later)), are formed in place.  No term exceeds the
+    absolute sum over the pairs it stands for, and each row's nonzero terms
+    go into one exact fsum, so analytic cancellations (the Markov
+    factorization) survive in floating point, and no value depends on the
+    other rows of the batch.
     """
     f, g = np.broadcast_arrays(np.asarray(f, dtype=float), np.asarray(g, dtype=float))
     single = f.ndim == 1
     f, g = np.atleast_2d(f, g)
     B = len(f)
-    leaves = t.leaf_order
-    fnu = f * t.leaf_measures
-    gnu = g * t.leaf_measures
-    FG = np.zeros((t.n_vertices + 1, 2 * B))  # the last row is the zero pad of the runs
-    FG[leaves] = np.concatenate((fnu, gnu)).T
-    K = kernel.values
-    terms = [(K[leaves] * fnu * gnu).T]  # the pairs (x, x)
-    for parents, runs in reversed(t.child_runs):
-        S = FG.take(runs, axis=0)  # (m, P, 2B): the children, then the sums from each one on
-        m, P = runs.shape
-        # child j adds (K F(c)) G(later) and (K G(c)) F(later), later siblings' sums in S[j + 1]
-        cross = K[parents][:, None, None] * S[:-1].reshape(m - 1, P, 2, B)
-        for k in range(m - 2, -1, -1):
-            S[k] += S[k + 1]
-        FG[parents] = S[0]
-        cross *= S[1:].reshape(m - 1, P, 2, B)[:, :, ::-1]
-        terms.append(cross.reshape(-1, B))
-    # one fsum per row; a zero term leaves an exact sum as it is
-    values = np.array([math.fsum(row[row != 0.0].tolist()) for row in np.concatenate(terms).T])
+    n, leaves, K = t.n_vertices, t.leaf_order, kernel.values
+    fg = np.concatenate((f, g)) * t.leaf_measures  # f nu, then g nu
+    FG = np.zeros((n + 1, 2 * B))  # the last row is the zero pad of subtree_sums
+    FG[leaves] = fg.T
+    t.subtree_sums(FG)
+    later = t.later_sums(FG)
+    # in place, row c becomes its cross terms (K F(c)) G(later) and (K G(c)) F(later)
+    cross = FG[:n].reshape(n, 2, B)
+    cross *= K[t.parent][:, None, None]
+    cross[t.root] = 0.0  # its parent index, -1, read the last vertex
+    np.multiply(cross, later[:n].reshape(n, 2, B)[:, ::-1], out=cross)
+    del later  # freed before the terms are gathered, so that the peak holds one array less
+    # per row, the pairs (x, x) and the cross terms; one fsum each, and a zero term leaves an
+    # exact sum as it is
+    terms = np.concatenate((K[leaves] * fg[:B] * fg[B:], cross.reshape(-1, B).T), axis=1)
+    values = np.array([math.fsum(row[row != 0.0].tolist()) for row in terms])
     return values.item() if single else values
 
 
@@ -358,7 +339,7 @@ def markov_check(t: BallTree, kernel: CovarianceKernel, rng, trials: int) -> tup
     ``check_markov_instance`` as it is drawn; its covariance, analytically
     zero, is divided by max(1, max|f| max|g| max|K| nu(X)^2).  The instances
     are drawn in trial order and evaluated a chunk at a time, one
-    ``bilinear_form`` walk per chunk of ``max(1, _MARKOV_CELLS // n_vertices)``,
+    ``bilinear_form`` call per chunk of ``max(1, _MARKOV_CELLS // n_vertices)``,
     so the values do not depend on the chunk size.  A tree with one leaf has
     no two disjoint balls and runs no trial.
     """

@@ -18,9 +18,10 @@ carried down the tree:
 
 where sigma(child) = nu(parent) - nu(child) is taken as the sum of the
 child's siblings' measures.  Every term is nonnegative, so no sibling mass is
-lost to cancellation against the parent's measure.  A is a sum along each
-vertex's root path, taken for all of them by the tree's one root-to-leaf
-pass, ``BallTree.path_sums``.
+lost to cancellation against the parent's measure.  Two of the tree's three
+passes take it: the sibling scan (``BallTree.earlier_sums`` and
+``later_sums``) gives sigma, and the root-to-leaf ``BallTree.path_sums``
+carries A down every root path; the bottom-up ``subtree_sums`` is not needed.
 
 A ``Symbol`` is one checked, read-only array over all vertices, 0 on the
 leaves, as ``parse_tree`` reads it from the tree document
@@ -99,13 +100,12 @@ def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
     """Eigenvalues lambda as an array over all vertices, 0 on leaves.
 
     Each non-root vertex c with parent p gets its term fl(T(p) sigma(c)),
-    sigma the summed measures of c's earlier and later siblings from
-    ``BallTree.sibling_sums``, and ``BallTree.path_sums`` carries the outer
-    sums A down from A(root) = 0, each the single rounding
-    fl(A(p) + fl(T(p) sigma(c))); A is then set to 0 on the leaves.  A
-    symbol of another length than the tree's vertex count raises
-    DimensionMismatch, one with a nonzero leaf entry ValueError naming the
-    first such leaf.
+    sigma = earlier + later, the summed measures of c's earlier and later
+    siblings, and ``BallTree.path_sums`` carries the outer sums A down from
+    A(root) = 0, each the single rounding fl(A(p) + fl(T(p) sigma(c))); A is
+    then set to 0 on the leaves.  A symbol of another length than the tree's
+    vertex count raises DimensionMismatch, one with a nonzero leaf entry
+    ValueError naming the first such leaf.
     """
     T = s.values
     n = t.n_vertices
@@ -115,7 +115,7 @@ def spectrum(t: BallTree, s: Symbol) -> np.ndarray:
     if on_leaf.any():
         v = int(np.argmax(on_leaf))
         raise ValueError(f"symbol value at leaf {t.names[v]!r} must be 0, got {T.item(v)}")
-    earlier, later = t.sibling_sums(t.measure)
+    earlier, later = t.earlier_sums(t.measure), t.later_sums(t.measure)
     A = np.zeros(n + 1)  # the last cell is the scratch cell of path_sums
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         np.add(earlier, later, out=A[:n])  # sigma, 0 at the root

@@ -10,43 +10,29 @@ leaves.
 The canonical ultrametric is d(x, y) = measure(sup(x, y)) for x != y, where
 sup is the lowest common ancestor.
 
-A ``BallTree`` is built from flat arrays: the names, the child counts and
-the child ids of all vertices concatenated in vertex order (a CSR layout:
-the children of v are ``child_ids[child_first[v]:child_first[v] +
-child_count[v]]``), and the leaf measures.  ``parse_tree`` reads each field
-of the document's nodes once, straight into numpy arrays, and
-``generate_homogeneous`` makes them in closed form.  The document's operator
-symbol, its "T" values, is read the same way into ``symbol_hint``, one value
-per vertex.  ``load_tree`` pauses the
-cyclic garbage collector while the document is decoded and parsed: neither
-the decoded dicts nor the tree hold reference cycles, so refcounting frees
-them, and the collector would only walk them again and again as they grow.
-The constructor ranks the tree's Euler tour, an enter and an exit event per
-interior vertex and one event per leaf (its enter and exit are adjacent), by
-pointer jumping: ceil(log2(n + n_interior)) whole-array steps, whatever the
-depth, give every event its place in the tour, and preorder, depth and the
-leaf bounds ``lo``/``hi`` are counts of the events before a place.  Every
-leaf set is a contiguous run of the leaf order, given by ``lo`` and ``hi``.
+A ``BallTree`` is built from flat arrays in a CSR layout (see the class):
+``parse_tree`` reads each field of the document's nodes once, the operator
+symbol "T" into ``symbol_hint`` too, straight into numpy arrays,
+``generate_homogeneous`` makes them in closed form, and ``load_tree``
+pauses the cyclic garbage collector while a document is parsed.  The
+constructor ranks the tree's Euler tour by pointer jumping
+(``_euler_ranks``): O(log n) whole-array steps, whatever the depth, give
+preorder, depth and the leaf bounds ``lo``/``hi``, and every leaf set is a
+contiguous run of the leaf order.
 
 Each interior measure is fsum of its children's measures, the exact sum
-rounded once.  The measures are taken bottom-up over ``child_runs``, the one
-level schedule of the tree, which the Markov form walks too: an entry of two
-child rows takes one addition, its exact sum rounded once; a narrow entry
-takes fsum per parent; a wide one adds its children slot by slot as
-double-double sums (``ddsum``) and keeps every value the screen proves
-equal to fsum, calling fsum for the rest.  A chain of balls
-(``BallTree.is_chain``) of two-child vertices is one cumulative sum from its
-bottom up instead, and builds no schedule.  A measure that overflows is
-named by the per-vertex fsum loop in reversed preorder.
+rounded once (``_fill_measures``): one addition per vertex in the bottom-up
+pass below when every vertex has two children, else a walk of the level
+schedule ``child_runs`` with double-double sums (``ddsum``) on wide levels.
 
-The spectrum, the synthesis and the covariance kernel are sums along root
-paths, taken by the tree's one root-to-leaf pass ``BallTree.path_sums``:
-one cumulative sum on a chain of balls, a walk down ``child_runs`` on any
-other tree.  Only the tree decides between the two.  Its one sibling scan,
-``BallTree.sibling_sums``, gives every vertex the running sums of a
-per-vertex array over its earlier and over its later siblings, one walk each
-over ``sibling_slots``: the spectrum's sibling measures, the basis tables'
-prefix measures and the synthesis's suffix sums.
+Every other walk of the tree is one of its three passes, and only the tree
+reads its schedules ``child_runs`` and ``sibling_slots`` or asks whether it
+is a chain of balls (``is_chain``): the root-to-leaf ``path_sums`` (the
+spectrum, the synthesis, the kernel), the bottom-up ``subtree_sums`` (the
+Markov form), each one cumulative sum along a chain (of two-child balls, for
+the latter), and the sibling scan ``earlier_sums``/``later_sums`` (the
+sibling measures of the spectrum and the basis, the suffix sums of the
+synthesis and the Markov form).
 
 Each per-vertex field is held once, as a numpy array, and the names are the
 one list; past the name index, the tree caches only its two schedules.  A
@@ -289,29 +275,19 @@ def _fill_measures(t, m) -> None:
     """Write into m, which holds the leaf measures and a zero pad cell after the last vertex,
     each interior vertex's fsum of its children's.
 
-    A chain of balls (``t.is_chain``) of two-child vertices is one
-    ``np.cumsum`` from the bottom up: its first step adds the bottom vertex's
-    two children, and each later one the next vertex's off-path child to the
-    sum below it, the same rounding ``fl(a + b)`` as ``_sum_runs`` makes
-    (IEEE addition commutes, and ``np.cumsum`` adds in order).  Any other
-    tree is walked bottom-up over ``t.child_runs``, one ``_sum_runs`` per
-    entry.  A sum that overflows makes fsum raise, or is infinite and makes
-    every measure above it infinite, the root's too; ``_measure_overflow``
-    then names the vertex.
+    When every interior vertex has two children, each measure is fsum's
+    fl(a + b), ``t.subtree_sums``; any other tree takes one ``_sum_runs`` per
+    entry of ``t.child_runs``, from the last.  A sum that overflows makes
+    fsum raise, or is infinite and so is the root's measure;
+    ``_measure_overflow`` then names the vertex, in reversed preorder.
     """
-    kids, first, count = t.child_ids, t.child_first, t.child_count
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to fsum
-            g = t.interior
-            if t.is_chain and np.all(count[g] == 2):
-                f = first[g]
-                off = kids[f[:-1]]  # above the bottom, each vertex's child that is not the next
-                off = np.where(off == g[1:], kids[f[:-1] + 1], off)
-                ch = np.concatenate((kids[f[-1]:f[-1] + 2], off[::-1]))
-                m[g[::-1]] = np.cumsum(m[ch])[1:]
+            if t.child_count.max() == 2:
+                t.subtree_sums(m)
             else:
                 for parents, runs in reversed(t.child_runs):
-                    _sum_runs(m, parents, runs, count)
+                    _sum_runs(m, parents, runs, t.child_count)
         if math.isinf(m.item(t.root)):
             raise OverflowError
     except OverflowError:
@@ -416,11 +392,8 @@ class BallTree:
     @property
     def is_chain(self) -> bool:
         """Whether the interior vertices form one path, each the parent of the next: a chain
-        of balls, which the measures and ``path_sums`` take as one cumulative sum along it.
-
-        The path holds every interior vertex when the last of them in preorder
-        has depth n_interior - 1.
-        """
+        of balls, which ``path_sums`` and ``subtree_sums`` take as one cumulative sum along it.
+        It does when the last of them in preorder has depth n_interior - 1."""
         k = len(self.interior)
         return k > 0 and self.depth.item(self.interior.item(-1)) == k - 1
 
@@ -477,7 +450,8 @@ class BallTree:
     @functools.cached_property
     def sibling_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per child slot j = 1, 2, ...: ``(kids, prev)``, the children at slot j and at slot
-        j - 1 of the vertices with more than j children; ``sibling_sums`` walks them.
+        j - 1 of the vertices with more than j children; ``earlier_sums`` and ``later_sums``
+        walk them.
         """
         out = []
         parents = np.flatnonzero(self.child_count > 1)
@@ -508,25 +482,48 @@ class BallTree:
             for parents, runs in self.child_runs:
                 x[runs] += x[parents]
 
-    def sibling_sums(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Per vertex, the running sums of x over its earlier siblings and over its later ones.
+    def subtree_sums(self, x) -> None:
+        """In place, x[p] = x[c_0] + (x[c_1] + (... + x[c_last])) for every interior vertex p
+        from the bottom up: each vertex ends with the sum of the values on its leaves.
 
-        x has the vertex axis first, may have rows past the last vertex (their
-        sums are 0), and may carry a batch axis.  One walk over
-        ``sibling_slots`` per sum: the earlier sums add left to right along
-        every child list at once, earlier[c_j] = earlier[c_(j-1)] + x[c_(j-1)],
-        and the later sums right to left, later[c_(j-1)] = later[c_j] + x[c_j].
-        A first child has earlier sum 0, a last child later sum 0, and the
-        root both.  The gathers are ``take``s, which copy each row of a batch
-        as one block, several times faster than fancy indexing does.
+        x has n_vertices + 1 rows, the last the zero pad of ``child_runs``,
+        and may carry a batch axis.  A chain of two-child balls is one
+        ``np.cumsum`` from the bottom, fl(a + b) either way round; any other
+        tree one gather per entry of ``child_runs``, its rows added from the
+        last child back.
         """
-        earlier = np.zeros(x.shape)
-        later = np.zeros(x.shape)
+        g = self.interior
+        if self.is_chain and self.child_count.max() == 2:
+            kids, first = self.child_ids, self.child_first[g]
+            off = kids[first[:-1]]  # above the bottom, each vertex's child that is not the next
+            off = np.where(off == g[1:], kids[first[:-1] + 1], off)
+            bottom_up = np.concatenate((kids[first[-1]:first[-1] + 2], off[::-1]))
+            x[g[::-1]] = np.cumsum(x[bottom_up], axis=0)[1:]
+        else:
+            for parents, runs in reversed(self.child_runs):
+                S = x.take(runs, axis=0)  # (m, P, ...): the children, then the sums from each on
+                for k in range(len(runs) - 2, -1, -1):
+                    S[k] += S[k + 1]
+                x[parents] = S[0]
+
+    def earlier_sums(self, x) -> np.ndarray:
+        """Per vertex, the running sum of x over its earlier siblings, 0 at a first child and
+        the root: earlier[c_j] = earlier[c_(j-1)] + x[c_(j-1)], one walk over
+        ``sibling_slots`` along every child list at once.  x has the vertex
+        axis first, may have rows past the last vertex (their sums are 0) and
+        a batch axis, whose rows ``take`` copies as one block each."""
+        out = np.zeros(x.shape)
         for kids, prev in self.sibling_slots:
-            earlier[kids] = earlier.take(prev, axis=0) + x.take(prev, axis=0)
+            out[kids] = out.take(prev, axis=0) + x.take(prev, axis=0)
+        return out
+
+    def later_sums(self, x) -> np.ndarray:
+        """Per vertex, the running sum of x over its later siblings, right to left:
+        later[c_(j-1)] = later[c_j] + x[c_j], as ``earlier_sums`` takes the earlier ones."""
+        out = np.zeros(x.shape)
         for kids, prev in reversed(self.sibling_slots):
-            later[prev] = later.take(kids, axis=0) + x.take(kids, axis=0)
-        return earlier, later
+            out[prev] = out.take(kids, axis=0) + x.take(kids, axis=0)
+        return out
 
     # ---------------------------------------------------------------- queries
 

@@ -7,13 +7,12 @@ of the leaf-function space under the measure-weighted inner product.
 
 The basis is held as four flat tables with one row per wavelet, each a
 closed-form function of the row's child and the summed measure of that
-child's earlier siblings, from ``BallTree.sibling_sums``.
-``WaveletBasis.synthesize`` sums coefficients back to leaf values in O(n)
-from them: a scatter onto the rows' children, the tree's later-sibling sums
-and its root-to-leaf pass ``BallTree.path_sums``.  The oracles read the rows
-too: ``evaluate`` gives the value of row k at a leaf from the leaf spans in
-O(1), ``projector_sum_check`` sums the rows of one vertex, and the dense
-wavelet matrix, kept as the reference, writes two leaf slices per row.
+child's earlier siblings, from the tree's sibling scan
+``BallTree.earlier_sums``; ``WaveletBasis.synthesize`` takes the scan's
+``later_sums`` and the root-to-leaf ``path_sums``, and no tree pass but
+those (the bottom-up ``subtree_sums`` is the Markov form's).  The oracles
+read the rows: ``evaluate`` in O(1) per value, ``projector_sum_check`` from
+``WaveletBasis.first_rows_up``, and the dense wavelet matrix.
 
 The basis inside each vertex is the weighted Helmert construction: wavelet j
 is positive on the first j children, negative on child j+1, zero after.  The
@@ -49,8 +48,8 @@ class WaveletBasis:
     on the first j children and ``neg_val[k]`` = -alpha/nu on child j.  These
     four row tables are all the basis holds.  The rows of vertex I are
     ``first_row[I]`` to ``first_row[I] + p - 2``, p its number of children;
-    ``first_row`` and ``index`` are computed from the tree's child counts on
-    each access.
+    ``first_row`` and ``index`` are computed on each access, in O(n), and
+    ``first_rows_up`` gives the first rows along one root path in O(depth).
     """
 
     def __init__(self, tree: BallTree):
@@ -60,7 +59,7 @@ class WaveletBasis:
         self.vertex = np.repeat(interior, t.child_count[interior] - 1)
         index = self.index
         child = self.child = t.child_ids[t.child_first[self.vertex] + index]
-        s = t.sibling_sums(t.measure)[0][child]
+        s = t.earlier_sums(t.measure)[child]
         nu = t.measure[child]
         with np.errstate(all="ignore"):  # the exact checks judge what overflows here
             alpha = 1.0 / np.sqrt(1.0 / s + 1.0 / nu)
@@ -81,6 +80,27 @@ class WaveletBasis:
         first_row = np.zeros(t.n_vertices, dtype=np.intp)
         first_row[t.interior] = np.cumsum(n_here) - n_here
         return first_row
+
+    def first_rows_up(self, I: int):
+        """(J, the row of J's wavelet 1) for I and each of its ancestors J, from I up, in O(depth).
+
+        The rows before J's belong to the interior vertices before it in
+        preorder, p - 1 for p children: J's strict ancestors and the subtrees
+        of the earlier siblings along its root path, with lo(J) leaves.  So
+        the row is lo(J) plus the later siblings of J and of its ancestors.
+        """
+        t = self.tree
+        first, count = t.child_first.item, t.child_count.item
+        path = []
+        while I != -1:
+            path.append(I)
+            I = t.parent.item(I)
+        later = [count(P) - 1 - t.child_ids[first(P):first(P) + count(P)].tolist().index(J)
+                 for J, P in zip(path, path[1:])] + [0]  # the root has no siblings
+        rest = sum(later)
+        for J, n in zip(path, later):
+            yield J, t.lo.item(J) + rest
+            rest -= n
 
     @property
     def index(self) -> np.ndarray:
@@ -114,13 +134,11 @@ class WaveletBasis:
         ``coeffs`` has shape (..., n_wavelets) in canonical order; the result
         has shape (..., n_leaves).  Costs O(n_vertices) per row.  With w the
         coefficients, w pos_val is scattered onto each row's child, and
-        ``BallTree.sibling_sums`` gives each child the sum over its later
+        ``BallTree.later_sums`` gives each child the sum over its later
         siblings, the positive values of the wavelets after it; w neg_val is
         added at each row's child, its own value, and ``BallTree.path_sums``
-        adds up each vertex's root path, into an accumulator with its scratch
-        cell last.  The sums run with the vertex axis first, so a batch of
-        rows moves as one block per index, and the result is transposed once
-        at the end.
+        adds up each vertex's root path.  The sums run with the vertex axis
+        first, so a batch moves as one block per index.
         """
         c = np.asarray(coeffs, dtype=float)
         n_w = len(self)
@@ -131,7 +149,7 @@ class WaveletBasis:
         t = self.tree
         x = np.zeros((t.n_vertices + 1,) + c.shape[1:])
         x[self.child] = c * self.pos_val[along]
-        acc = t.sibling_sums(x)[1]
+        acc = t.later_sums(x)
         del x  # freed before the temporaries below, so that the peak holds one array less
         acc[self.child] = acc.take(self.child, axis=0) + c * self.neg_val[along]
         t.path_sums(acc)
@@ -179,6 +197,8 @@ def build_basis(tree: BallTree) -> WaveletBasis:
 
 def evaluate(basis: WaveletBasis, k: int, x: int) -> float:
     """Value of wavelet row k at leaf x; 0 outside the ball of its vertex."""
+    if not 0 <= k < len(basis):
+        raise ValueError(f"row {k} is out of range: the basis has {len(basis)} wavelet rows")
     t = basis.tree
     t._check_leaf(x)
     lo = t.lo.item
@@ -203,10 +223,12 @@ def projector_sum_check(tree: BallTree, I: int, x: int, y: int,
     The sum equals 1/measure(c) when x and y fall in the same child c of I,
     minus 1/measure(I) when both lie in the ball I, and 0 otherwise.
     """
+    if tree.is_leaf(I):
+        raise ValueError(f"vertex {tree.names[I]!r} is a leaf: it carries no wavelets")
     if basis is None:
         basis = build_basis(tree)
     t = basis.tree
-    k0 = basis.first_row.item(I)
+    k0 = next(basis.first_rows_up(I))[1]
     lhs = math.fsum(evaluate(basis, k, x) * evaluate(basis, k, y)
                     for k in range(k0, k0 + t.child_count.item(I) - 1))
     rhs = 0.0

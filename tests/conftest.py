@@ -296,17 +296,19 @@ def wide_stars(draw, measures=log_uniform_measures(st.floats(0, 300))):
 
 @st.composite
 def chains(draw, measures=log_uniform_measures(st.floats(0, 300)), symbol_exponent=3.0,
-           depths=st.integers(2, 300)):
-    """A caterpillar of 2-300 (``depths``) two-child spine vertices, each with one leaf and the
-    next spine vertex in a random order, the last one over two leaves: its interior vertices are
-    one path.  T is log-uniform over 10^-x...10^x for x = ``symbol_exponent``."""
+           depths=st.integers(2, 300), arity=2):
+    """A caterpillar of 2-300 (``depths``) spine vertices of ``arity`` children each, its leaves
+    and the next spine vertex at a random place, the last one over ``arity`` leaves: its
+    interior vertices are one path.  T is log-uniform over 10^-x...10^x for x =
+    ``symbol_exponent``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     depth = draw(depths)
     children = []
     for d in range(depth):
-        kids = [2 * d + 1, 2 * d + 2]
-        children.append(kids if rng.integers(2) else kids[::-1])
-        children.append([])
+        kids = list(range(arity * d + 1, arity * d + arity))
+        kids.insert(int(rng.integers(arity)), arity * (d + 1))
+        children.append(kids)
+        children.extend([] for _ in range(arity - 1))
     children.append([])
     leaf_ids = [u for u, kids in enumerate(children) if not kids]
     x = symbol_exponent

@@ -252,10 +252,12 @@ def test_covariance_kernel_is_path_sum_chain(t):
 
 
 def test_chain_builds_no_child_runs():
-    # the measures, the spectrum and the kernel of a chain of balls are cumulative sums along
-    # it: the level schedule, one numpy step per level on this tree, is never built
+    # the measures, the spectrum, the kernel and the Markov check's subtree sums of a chain of
+    # balls are cumulative sums along it: the level schedule, one numpy step per level on this
+    # tree, is never built
     t = caterpillar(1250, np.random.default_rng(1250))
-    um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    kern = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t)))
+    assert um.markov_check(t, kern, np.random.default_rng(0), 5)[0] == 5
     assert t.is_chain
     assert "child_runs" not in vars(t)
 

@@ -518,6 +518,19 @@ def test_path_sums_is_the_preorder_loop(family, batch, data, seed):
     assert x[:-1].tolist() == ref[:-1].tolist()
 
 
+def _subtree_sums_reference(t, x):
+    """x[p] = x[c_0] + (x[c_1] + (... + x[c_last])) one vertex at a time, in reversed
+    preorder, each child list added from the last child back."""
+    x = x.copy()
+    children = children_of(t)
+    for p in reversed(t.interior.tolist()):
+        run = x[children[p][-1]]
+        for c in reversed(children[p][:-1]):
+            run = x[c] + run
+        x[p] = run
+    return x
+
+
 def _sibling_sums_reference(t, x):
     """Per child list, the running sums of x over the earlier siblings, left to right, and over
     the later ones, right to left, one child at a time."""
@@ -534,9 +547,31 @@ def _sibling_sums_reference(t, x):
     return earlier, later
 
 
+# two-child chains take the cumulative sums, three-child spines and the other trees the walks
+_PASS_FAMILIES = pytest.mark.parametrize(
+    "family", [split_trees(), chains(), chains(arity=3), hung_caterpillars(), wide_stars()],
+    ids=["split", "chain", "spine-3", "hung-caterpillar", "star"])
+
+
 @settings(deadline=None, max_examples=30)
-@pytest.mark.parametrize("family", [split_trees(), chains(), hung_caterpillars(), wide_stars()],
-                         ids=["split", "chain", "hung-caterpillar", "star"])
+@_PASS_FAMILIES
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_subtree_sums_is_the_child_list_loop(family, batch, data, seed):
+    # values of many magnitudes and both signs, so that the order of the additions shows in the
+    # rounding: children added left to right fail
+    t = data.draw(family)
+    rng = np.random.default_rng(seed)
+    shape = (t.n_vertices + 1,) + batch
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    x[-1] = 0.0  # the pad row
+    ref = _subtree_sums_reference(t, x)
+    t.subtree_sums(x)
+    assert x.view(np.uint64).tolist() == ref.view(np.uint64).tolist()  # the pad row stays 0
+
+
+@settings(deadline=None, max_examples=30)
+@_PASS_FAMILIES
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "batched"])
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_sibling_sums_is_the_child_list_loop(family, batch, data, seed):
@@ -545,7 +580,7 @@ def test_sibling_sums_is_the_child_list_loop(family, batch, data, seed):
     rng = np.random.default_rng(seed)
     shape = (t.n_vertices + 1,) + batch
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
-    for got, ref in zip(t.sibling_sums(x), _sibling_sums_reference(t, x)):
+    for got, ref in zip((t.earlier_sums(x), t.later_sums(x)), _sibling_sums_reference(t, x)):
         assert got.shape == shape
         assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()  # signed zeros too
 

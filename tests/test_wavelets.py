@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umfield as um
+from umfield import cli
 
 from conftest import (broom, caterpillar, children_of, dense_row, from_children, random_trees,
                       split_trees, star)
@@ -51,6 +52,62 @@ def test_evaluate_examples(t2, t2_basis, t2_ids):
 def test_evaluate_foreign_leaf(t2, t2_basis, t2_ids):
     with pytest.raises(um.ForeignLeaf):
         um.evaluate(t2_basis, 0, t2_ids["A"])
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_evaluate_rejects_row_out_of_range(t2, t2_basis, t2_ids, k):
+    # T2 has three wavelet rows: -1 does not read the last one, and 3 is no bare IndexError
+    with pytest.raises(ValueError, match=f"^row {k} is out of range: the basis has 3 wavelet rows$"):
+        um.evaluate(t2_basis, k, t2_ids["a1"])
+
+
+def test_projector_sum_check_rejects_leaf(t2, t2_basis, t2_ids):
+    a1 = t2_ids["a1"]
+    with pytest.raises(ValueError, match="^vertex 'a1' is a leaf: it carries no wavelets$"):
+        um.projector_sum_check(t2, a1, a1, a1, basis=t2_basis)
+
+
+def _assert_first_rows_up_is_the_table(t):
+    basis = um.build_basis(t)
+    first_row = basis.first_row.tolist()
+    parent = t.parent.tolist()
+    for I in range(t.n_vertices):
+        rows = list(basis.first_rows_up(I))
+        path = [I]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        assert [J for J, _ in rows] == path
+        assert [k for J, k in rows if not t.is_leaf(J)] == [first_row[J] for J in path
+                                                             if not t.is_leaf(J)]
+
+
+@settings(deadline=None, max_examples=50)
+@given(t=split_trees())
+def test_first_rows_up_is_the_first_row_table_random(t):
+    _assert_first_rows_up_is_the_table(t)
+
+
+def test_first_rows_up_is_the_first_row_table_extremes():
+    _assert_first_rows_up_is_the_table(um.generate_homogeneous(2, 7, 1.0))
+    _assert_first_rows_up_is_the_table(caterpillar(300, np.random.default_rng(46), symbol=False))
+    _assert_first_rows_up_is_the_table(caterpillar(40, np.random.default_rng(47), branch=True))
+    _assert_first_rows_up_is_the_table(star(300, np.random.default_rng(48), symbol=False))
+
+
+def test_verify_kernel_builds_the_first_row_table_at_most_once(monkeypatch, capsys):
+    # the brute-force kernel reads its rows along each root path, in O(depth) per pair: the
+    # per-vertex table, O(n) to build, is built for the basis's index alone
+    built = []
+    table = um.WaveletBasis.first_row.fget
+
+    def counted(basis):
+        built.append(1)
+        return table(basis)
+
+    monkeypatch.setattr(um.WaveletBasis, "first_row", property(counted))
+    assert cli.main(["verify", "kernel", "--gen", "2:6:1"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert len(built) <= 1
 
 
 def test_gram_identity_t2(t2_basis):

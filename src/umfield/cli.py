@@ -15,9 +15,12 @@ written with 17 significant digits so output is diff-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -73,15 +76,25 @@ def _load(args):
 
 
 def _emit(args, *parts: str) -> None:
-    """Write the parts in turn to --out or stdout: a caller with large parts need not join them."""
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(parts)
-        except OSError as e:
-            raise _CliError(f"cannot write {args.out}: {e.strerror or e}")
-    else:
+    """Write the parts in turn to --out or stdout: a caller with large parts need not join them.
+
+    A regular --out file whose writing fails part-way is removed; a special file such as
+    /dev/null is left alone."""
+    if not args.out:
         sys.stdout.writelines(parts)
+        return
+    regular = False
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            fh.writelines(parts)
+    except BaseException as e:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        if isinstance(e, OSError):
+            raise _CliError(f"cannot write {args.out}: {e.strerror or e}")
+        raise
 
 
 def _is_float(column) -> bool:
@@ -202,15 +215,11 @@ def cmd_kernel(args) -> int:
     if args.pairs == "profile":
         parts = _table("vertex_id,nu,K\n", t.preorder, t.names, t.measure, kernel.values)
     else:
-        # a row repeats at most depth + 1 sup vertices: format each "name,K" once
-        K = "".join(_table("", None, kernel.values)).split("\n")
-        sup_cells = [f"{name},{k}\n" for name, k in zip(t.names, K)]
-        leaf_cells = [t.names[x] + "," for x in t.leaf_order.tolist()]
-        lines = ["x,y,sup_vertex,K\n"]
-        for i, x_cell in enumerate(leaf_cells):
-            lines += [x_cell + y_cell + sup_cells[s_v]
-                      for y_cell, s_v in zip(leaf_cells[i:], t.sup_row(i))]
-        parts = ["".join(lines)]
+        upper = np.triu_indices(t.n_leaves)  # the leaf-order pairs (i, j), i <= j, row by row
+        sup = t.sup_index_matrix()[upper]
+        names = np.array(t.names, dtype=object)
+        x, y = (names[t.leaf_order[k]].tolist() for k in upper)
+        parts = _table("x,y,sup_vertex,K\n", None, x, y, names[sup].tolist(), kernel.values[sup])
     _emit(args, *parts)
     return EXIT_OK
 
@@ -312,8 +321,8 @@ def _verify_markov(args):
 
 def _verify_equation(args):
     t, s, lam = _load(args)
-    resid = fieldmod.check_equation(t, s, lam, wavmod.build_basis(t), args.seed)
-    return {"seed": args.seed, "residual": resid}, resid, 1e-9
+    resid, phi = fieldmod.check_equation(t, s, lam, wavmod.build_basis(t), args.seed)
+    return {"seed": args.seed, "residual": resid}, resid / max(1.0, phi), 1e-9
 
 
 VERIFICATIONS = {

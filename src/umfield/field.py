@@ -265,19 +265,20 @@ def sample_field(t: BallTree, lam: np.ndarray, basis: WaveletBasis, seed) -> Fie
 
 
 def check_equation(t: BallTree, s: Symbol, lam: np.ndarray, basis: WaveletBasis,
-                   seed) -> float:
-    """Residual of the stochastic equation on one coefficient draw.
+                   seed) -> tuple[float, float]:
+    """Residual of the stochastic equation on one coefficient draw, and the scale of the noise.
 
     Builds the field and the wavelet part of the noise from the same
-    coefficients and returns max|T psi - phi|; the inversion is exact on the
-    zero-mean subspace, so this is pure floating-point error.  A field that
-    overflows raises ZeroEigenvalue.
+    coefficients and returns (max|T psi - phi|, max|phi|); the inversion is
+    exact on the zero-mean subspace, so the residual is pure floating-point
+    error, which grows with phi as nu^(-1/2).  A field that overflows raises
+    ZeroEigenvalue.
     """
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(len(basis))
     psi = _field_values(basis, lam, d, "the field")
     phi_w = basis.synthesize(d)
-    return float(np.abs(apply_dense(t, s, psi) - phi_w).max())
+    return float(np.abs(apply_dense(t, s, psi) - phi_w).max()), float(np.abs(phi_w).max())
 
 
 def bilinear_form(t: BallTree, kernel: CovarianceKernel, f, g) -> float | np.ndarray:

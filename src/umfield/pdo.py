@@ -150,7 +150,9 @@ def verify_eigen(t: BallTree, s: Symbol, b: WaveletBasis) -> float:
     """Max scaled residual of the eigenrelation over all wavelets plus the constant.
 
     Residual per wavelet: max|T psi - lambda psi| / max(1, lambda); the
-    constant function must map to (numerically) zero.
+    constant function c must map to (numerically) zero, its residual
+    max|T c| divided by max(1, c max(row)), row(x) = sum_y T(sup(x, y)) nu(y)
+    the scale of either term of T c.
     """
     lam = spectrum(t, s)[b.vertex]
     TS = s.values[t.sup_index_matrix()]
@@ -159,8 +161,8 @@ def verify_eigen(t: BallTree, s: Symbol, b: WaveletBasis) -> float:
     W = b.wavelet_leaf_matrix()
     TW = W * row - (W * nu) @ TS  # TS symmetric
     resid = np.abs(TW - lam[:, None] * W).max(axis=1) / np.maximum(1.0, lam)
-    const = np.full(t.n_leaves, b.constant_value)
-    const_resid = np.abs(const * row - TS @ (const * nu)).max()
+    c = b.constant_value
+    const_resid = np.abs(c * row - TS @ (c * nu)).max() / max(1.0, c * row.max())
     return float(max(resid.max(initial=0.0), const_resid))
 
 

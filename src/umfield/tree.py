@@ -547,21 +547,6 @@ class BallTree:
                 b = parent(b)
         return a
 
-    def sup_row(self, i: int) -> list[int]:
-        """sup(leaf_order[i], leaf_order[j]) for j = i, ..., n_leaves - 1.
-
-        Read off the ancestors of leaf i alone: for j > i the sup is the
-        lowest ancestor whose leaf span reaches past j.
-        """
-        parent, hi = self.parent.item, self.hi.item
-        v = self.leaf_order.item(i)
-        row = [v]
-        S = parent(v)
-        while S != -1:
-            row += [S] * (hi(S) - i - len(row))
-            S = parent(S)
-        return row
-
     def child_toward(self, J: int, I: int) -> int:
         """The unique child of J on the path from J down to its strict descendant I.
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -148,18 +149,102 @@ def _kernel_residual_all_pairs(t):
     leaves = t.leaf_order.tolist()
     resid = 0.0
     for i, x in enumerate(leaves):
-        for y, S in zip(leaves[i:], t.sup_row(i)):
+        for y in leaves[i:]:
+            S = t.sup(x, y)
             resid = max(resid, abs(K[S] - um.kernel_bruteforce(t, sp, basis, x, y)))
     return resid
 
 
-@settings(deadline=None, max_examples=25)
-@pytest.mark.parametrize("family", [
+# small trees with a symbol, of measures whose kernel stays finite
+_KERNEL_FAMILIES = [
     split_trees(symbol=st.floats(0.5, 2.0)),
     chains(measures=log_uniform_measures(st.floats(0, 30)), depths=st.integers(2, 40)),
     hung_caterpillars(measures=log_uniform_measures(st.floats(0, 30)), top=st.integers(1, 3),
                       levels=st.integers(1, 20), bottom=st.integers(0, 2)),
-], ids=_FAMILY_IDS)
+]
+
+
+@settings(deadline=None, max_examples=25)
+@pytest.mark.parametrize("family", _KERNEL_FAMILIES, ids=_FAMILY_IDS)
+@given(data=st.data())
+def test_kernel_all_pairs_csv_matches_sup_row_by_row(family, data, tmp_path_factory):
+    t = data.draw(family)
+    names = list(t.names)  # one vertex gets a name with "%" in it, which the template must keep
+    names[data.draw(st.integers(0, t.n_vertices - 1))] = data.draw(
+        st.sampled_from(["%", "a%s", "%d%%", "%(x)s", "100%"]))
+    t = um.BallTree(names, t.child_count, t.child_ids, t.measure[t.child_count == 0],
+                    symbol_hint=t.symbol_hint)
+    doc = tmp_path_factory.mktemp("kernel") / "doc.json"
+    doc.write_text(t.to_json())
+    out = doc.with_suffix(".csv")
+    assert main(["kernel", str(doc), "--out", str(out)]) == 0
+    t = load_tree(doc)
+    K = um.covariance_kernel(t, um.spectrum(t, um.symbol_from_tree(t))).values.tolist()
+    leaves = t.leaf_order.tolist()
+    want = ["x,y,sup_vertex,K\n"]
+    for i, x in enumerate(leaves):  # the pairs x <= y in leaf order, row by row
+        for y in leaves[i:]:
+            S = t.sup(x, y)
+            want.append(f"{names[x]},{names[y]},{names[S]},{'%.17g' % K[S]}\n")
+    assert out.read_text() == "".join(want)
+
+
+class _FailingFile:
+    """A file that writes the first of its parts, then raises ``error``."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error, self.written = fh, error, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def writelines(self, parts):
+        self.fh.write(next(iter(parts)))
+        self.fh.flush()
+        self.written = Path(self.fh.name).stat().st_size
+        raise self.error
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (OSError(28, "No space left on device"), ": No space left on device\n"),
+], ids=["memory", "disk"])
+def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch, error, message):
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(_FailingFile(open(*args, **kwargs), error))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "kernel.csv"
+    code, _, err = run(capsys, "kernel", T2, "--out", str(out))
+    assert code == 2 and err.startswith("error: ") and err.endswith(message)
+    assert opened[0].written > 0 and not out.exists()
+    # a special file is written to, never removed
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    code, _, err = run(capsys, "kernel", T2, "--out", os.devnull)
+    assert code == 2 and err.endswith(message) and removed == []
+
+
+@pytest.mark.parametrize("what", ["eigen", "equation"])
+@pytest.mark.parametrize("measure", ["1e-200", "1e-100", "1e-20", "1e-14", "1", "1e20", "1e100",
+                                     "1e200", "1e250"])
+def test_verify_eigen_and_equation_pass_at_any_total_measure(capsys, what, measure):
+    # the residuals are judged relative to the scale of the operator and of the noise
+    code, out, _ = run(capsys, "verify", what, "--gen", f"2:3:{measure}")
+    assert code == 0, out
+
+
+@settings(deadline=None, max_examples=25)
+@pytest.mark.parametrize("family", _KERNEL_FAMILIES, ids=_FAMILY_IDS)
 @given(data=st.data())
 def test_verify_kernel_one_pair_per_child_pair_is_all_pairs(family, data, tmp_path_factory):
     # kernel_bruteforce(x, y) depends on x <= y only through their sup and its child that holds

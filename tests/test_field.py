@@ -451,13 +451,13 @@ def test_white_noise_isometry(t2, t2_basis):
 
 
 def test_check_equation_t2(t2, t2_symbol, t2_spectrum, t2_basis):
-    assert um.check_equation(t2, t2_symbol, t2_spectrum, t2_basis, 1) <= 1e-12
+    assert um.check_equation(t2, t2_symbol, t2_spectrum, t2_basis, 1)[0] <= 1e-12
 
 
 def test_check_equation_random():
     t = generate_random(64, 4, 4)
     s, sp, basis = _positive_setup(t, 64)
-    assert um.check_equation(t, s, sp, basis, 3) <= 1e-9
+    assert um.check_equation(t, s, sp, basis, 3)[0] <= 1e-9
 
 
 def test_check_equation_zero_eigenvalue():

@@ -285,13 +285,6 @@ def test_sup_index_matrix(t2):
             assert S[i, j] == t2.sup(x, y)
 
 
-def test_sup_row_matches_sup():
-    for seed in range(6):
-        t = generate_random(seed, 5, 4)
-        for i, x in enumerate(t.leaf_order):
-            assert t.sup_row(i) == [t.sup(x, y) for y in t.leaf_order[i:]]
-
-
 # ------------------------------------------------------------ flat fields
 
 def _reference_fields(children, leaf_measures):
@@ -380,7 +373,7 @@ def test_each_per_vertex_field_is_one_array():
     # the queries, and the passes whose schedules the tree caches, add no per-vertex field
     x, y = t.leaf_order[0].item(), t.leaf_order[-1].item()
     t.child_toward(t.sup(x, y), x)
-    t.sup_row(0)
+    t.sup_index_matrix()
     t.to_dict()
     assert t.name_to_id and t.child_runs and t.sibling_slots
     basis = um.build_basis(t)
